@@ -15,11 +15,8 @@ __version__ = "0.1.0"
 from .exact_algebra import (
     IntMatrix,
     IntPolynomial,
-    SmithNormalForm,
     char_poly,
     factor_over_Q,
-    kernel_basis,
-    smith_normal_form,
 )
 from .uz import UZClass, class_of_matrix, uz_add, uz_eq, uz_neg
 from .equivariant_groups import (
@@ -67,11 +64,8 @@ from .realize import RealizationTarget, realize
 __all__ = [
     "IntMatrix",
     "IntPolynomial",
-    "SmithNormalForm",
     "char_poly",
     "factor_over_Q",
-    "kernel_basis",
-    "smith_normal_form",
     "UZClass",
     "class_of_matrix",
     "uz_add",

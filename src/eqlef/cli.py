@@ -12,7 +12,10 @@ Subcommands:
 * ``example`` -- emit one of the builtin example documents.
 
 Flags ``--json``, ``--output PATH``, ``--verbose`` are accepted by every
-subcommand.  Exit codes: 0 success, 1 validation/parse failure, 2 internal
+subcommand; ``--verbose`` prints progress notes, and the traceback of an
+internal error, to stderr.  Each subparser names its handler through
+``set_defaults(handler=...)``, and handlers read the parsed namespace
+directly.  Exit codes: 0 success, 1 validation/parse failure, 2 internal
 error.  JSON output is byte-stable: keys are sorted and all ordering is
 canonical.
 """
@@ -20,14 +23,15 @@ canonical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
+import traceback
 from typing import Any, Sequence
 
 from .complex_model import (
     EquivariantComplex,
+    _decode_int,
     load_builtin,
     load_complex,
     serialize_complex,
@@ -38,22 +42,11 @@ from .invariants import _encode_uz, build_report, render_report, universal_invar
 from .realize import RealizationTarget, realize
 from .uz import class_of_matrix, uz_add, uz_eq, uz_neg
 
-__all__ = ["CommandConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 
 class _InputError(ValueError):
     """A parse or validation failure attributable to the command input."""
-
-
-@dataclasses.dataclass(frozen=True)
-class CommandConfig:
-    """Parsed command-line invocation: one subcommand plus shared flags."""
-
-    subcommand: str
-    arguments: tuple[str, ...]
-    json_output: bool
-    output: str | None
-    verbose: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
             "matrix",
             help='square integer matrix as JSON rows, e.g. "[[0,-1],[1,0]]"',
         )
+        sub.set_defaults(handler=cmd_class)
 
     sub = subparsers.add_parser(
         "invariants",
@@ -103,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute every invariant of a complex (builtin name, file, or inline JSON)",
     )
     sub.add_argument("input", help="builtin name, document path, or inline JSON")
+    sub.set_defaults(handler=cmd_invariants)
 
     sub = subparsers.add_parser(
         "realize",
@@ -113,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "b_prime", help='square integer matrix b\' as JSON rows ("[]" for empty)'
     )
+    sub.set_defaults(handler=cmd_realize)
 
     sub = subparsers.add_parser(
         "check",
@@ -120,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate a complex document without computing invariants",
     )
     sub.add_argument("input", help="builtin name, document path, or inline JSON")
+    sub.set_defaults(handler=cmd_check)
 
     sub = subparsers.add_parser(
         "example",
@@ -127,27 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a builtin example document",
     )
     sub.add_argument("name", choices=sorted(BUILTIN_COMPLEXES), help="builtin name")
+    sub.set_defaults(handler=cmd_example)
 
     return parser
-
-
-def _parse_config(argv: Sequence[str] | None) -> CommandConfig:
-    args = build_parser().parse_args(argv)
-    if args.subcommand in ("class", "factor"):
-        arguments: tuple[str, ...] = (args.matrix,)
-    elif args.subcommand == "realize":
-        arguments = (args.a, args.b_prime)
-    elif args.subcommand == "example":
-        arguments = (args.name,)
-    else:
-        arguments = (args.input,)
-    return CommandConfig(
-        subcommand=args.subcommand,
-        arguments=arguments,
-        json_output=bool(args.json),
-        output=args.output,
-        verbose=bool(args.verbose),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +144,8 @@ def _parse_matrix(text: str) -> IntMatrix:
     for i, row in enumerate(value):
         converted = []
         for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                raise _InputError(
-                    f"matrix entry ({i}, {j}) must be an integer, got {entry!r}."
-                )
             try:
-                converted.append(int(entry))
+                converted.append(_decode_int(entry, f"matrix entry ({i}, {j})"))
             except ValueError as exc:
                 raise _InputError(
                     f"matrix entry ({i}, {j}) must be an integer, got {entry!r}."
@@ -225,15 +200,15 @@ def _dump_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
 
 
-def _emit(text: str, config: CommandConfig) -> None:
-    if config.output:
-        pathlib.Path(config.output).write_text(text + "\n", encoding="utf-8")
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        pathlib.Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
-def _note(message: str, config: CommandConfig) -> None:
-    if config.verbose:
+def _note(message: str, args: argparse.Namespace) -> None:
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -241,14 +216,14 @@ def _note(message: str, config: CommandConfig) -> None:
 # subcommands
 
 
-def cmd_class(config: CommandConfig) -> int:
-    matrix = _parse_square_matrix(config.arguments[0], "matrix")
+def cmd_class(args: argparse.Namespace) -> int:
+    matrix = _parse_square_matrix(args.matrix, "matrix")
     uz = class_of_matrix(matrix)
     if matrix.rows == 0:
-        if config.json_output:
-            _emit(_dump_json({"class": _encode_uz(uz)}), config)
+        if args.json:
+            _emit(_dump_json({"class": _encode_uz(uz)}), args)
         else:
-            _emit(str(uz), config)
+            _emit(str(uz), args)
         return 0
     polynomial = char_poly(matrix)
     content, factors = factor_over_Q(polynomial)
@@ -258,8 +233,8 @@ def cmd_class(config: CommandConfig) -> int:
     )
     if content != 1:
         factored = f"{content} · {factored}"
-    _note(f"{matrix.rows}×{matrix.cols} matrix, {len(factors)} irreducible factors", config)
-    if config.json_output:
+    _note(f"{matrix.rows}×{matrix.cols} matrix, {len(factors)} irreducible factors", args)
+    if args.json:
         payload = {
             "class": _encode_uz(uz),
             "characteristic_polynomial": str(polynomial),
@@ -271,32 +246,32 @@ def cmd_class(config: CommandConfig) -> int:
                 ],
             },
         }
-        _emit(_dump_json(payload), config)
+        _emit(_dump_json(payload), args)
     else:
         _emit(
             f"{uz}\ncharacteristic polynomial: {polynomial}\nfactorization: {factored}",
-            config,
+            args,
         )
     return 0
 
 
-def cmd_invariants(config: CommandConfig) -> int:
-    complex_data = _load_input_complex(config.arguments[0])
+def cmd_invariants(args: argparse.Namespace) -> int:
+    complex_data = _load_input_complex(args.input)
     _note(
         f"loaded complex ({len(complex_data.classes)} iso classes, "
         f"group order {complex_data.group.order})",
-        config,
+        args,
     )
-    if config.json_output:
-        _emit(_dump_json(build_report(complex_data)), config)
+    if args.json:
+        _emit(_dump_json(build_report(complex_data)), args)
     else:
-        _emit(render_report(complex_data), config)
+        _emit(render_report(complex_data), args)
     return 0
 
 
-def cmd_realize(config: CommandConfig) -> int:
-    a = _parse_square_matrix(config.arguments[0], "matrix a")
-    b_prime = _parse_square_matrix(config.arguments[1], "matrix b'")
+def cmd_realize(args: argparse.Namespace) -> int:
+    a = _parse_square_matrix(args.a, "matrix a")
+    b_prime = _parse_square_matrix(args.b_prime, "matrix b'")
     target = RealizationTarget(a, b_prime)
     complex_data = realize(target)
     entry = universal_invariant(complex_data).entries[0]
@@ -309,19 +284,19 @@ def cmd_realize(config: CommandConfig) -> int:
     _note(
         f"realized [a ({a.rows}×{a.rows})] − [b' ({b_prime.rows}×{b_prime.rows})]; "
         "round trip verified",
-        config,
+        args,
     )
     document = serialize_complex(complex_data)
-    if config.json_output:
+    if args.json:
         payload = {
             "class": _encode_uz(entry.uz_image),
             "verified": True,
             "document": document,
         }
-        _emit(_dump_json(payload), config)
+        _emit(_dump_json(payload), args)
         return 0
-    if config.output:
-        pathlib.Path(config.output).write_text(
+    if args.output:
+        pathlib.Path(args.output).write_text(
             _dump_json(document) + "\n", encoding="utf-8"
         )
         print(str(entry.uz_image))
@@ -331,55 +306,46 @@ def cmd_realize(config: CommandConfig) -> int:
     return 0
 
 
-def cmd_check(config: CommandConfig) -> int:
-    complex_data = _load_input_complex(config.arguments[0])
+def cmd_check(args: argparse.Namespace) -> int:
+    complex_data = _load_input_complex(args.input)
     summary = {
         "valid": True,
         "iso_classes": len(complex_data.classes),
         "group_order": complex_data.group.order,
         "fixed_points": len(complex_data.fixed_points),
     }
-    if config.json_output:
-        _emit(_dump_json(summary), config)
+    if args.json:
+        _emit(_dump_json(summary), args)
     else:
         _emit(
             f"OK: {summary['iso_classes']} iso classes, group order "
             f"{summary['group_order']}, {summary['fixed_points']} fixed points",
-            config,
+            args,
         )
     return 0
 
 
-def cmd_example(config: CommandConfig) -> int:
-    name = config.arguments[0]
-    document = serialize_complex(load_builtin(name))
-    _emit(_dump_json(document), config)
+def cmd_example(args: argparse.Namespace) -> int:
+    document = serialize_complex(load_builtin(args.name))
+    _emit(_dump_json(document), args)
     return 0
-
-
-_DISPATCH = {
-    "class": cmd_class,
-    "factor": cmd_class,
-    "invariants": cmd_invariants,
-    "realize": cmd_realize,
-    "check": cmd_check,
-    "example": cmd_example,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = _parse_config(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        return _DISPATCH[config.subcommand](config)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if args.verbose:
+            traceback.print_exc()
         return 2
 
 

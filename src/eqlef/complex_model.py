@@ -8,13 +8,15 @@ chain map, and optional boundary operators.  Everything is validated on
 load; the loaded :class:`EquivariantComplex` is immutable.
 
 Integers anywhere in a document may be written either as JSON numbers or
-as decimal strings; values beyond the double-precision-safe range are
+as decimal strings (an optional sign and ASCII digits, surrounding
+whitespace ignored); values beyond the double-precision-safe range are
 serialized back as strings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Any, Mapping, Sequence
 
 from .corpus import BUILTIN_COMPLEXES
@@ -43,6 +45,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 _JSON_SAFE_BOUND = 2**53 - 1
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +78,13 @@ def _decode_int(value: Any, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value.strip(), 10)
-        except ValueError:
-            raise ValueError(f"expected an integer at {where}, got {value!r}.")
+        text = value.strip()
+        if _DECIMAL.fullmatch(text):
+            try:
+                return int(text)
+            except ValueError:  # more digits than the interpreter converts
+                pass
+        raise ValueError(f"expected an integer at {where}, got {value!r}.")
     raise ValueError(f"expected an integer at {where}, got {type(value).__name__}.")
 
 
@@ -255,19 +261,11 @@ class IsoClassData:
         members = ", ".join(self.subgroup.member_labels)
         return f"(subgroup {{{members}}}, component '{self.component}')"
 
-    @property
-    def max_degree(self) -> int:
-        return max((entry.degree for entry in self.degrees), default=-1)
-
     def entry_at(self, degree: int) -> ChainDegree | None:
         for entry in self.degrees:
             if entry.degree == degree:
                 return entry
         return None
-
-    def rank_at(self, degree: int) -> int:
-        entry = self.entry_at(degree)
-        return entry.rank if entry is not None else 0
 
     def pi1_aut(self) -> AutGroup:
         """The translation-only automorphism group used for expanded matrices."""
@@ -361,18 +359,6 @@ class EquivariantComplex:
     description: str | None
     classes: tuple[IsoClassData, ...]
     fixed_points: tuple[FixedPointDatum, ...]
-
-    def class_for(
-        self, subgroup_labels: Sequence[str], component: str
-    ) -> IsoClassData:
-        subgroup = Subgroup.from_labels(self.group, subgroup_labels)
-        for iso in self.classes:
-            if iso.key == (subgroup.members, component):
-                return iso
-        raise ValueError(
-            f"no isotropy class (subgroup {{{', '.join(subgroup.member_labels)}}}, "
-            f"component '{component}') in the complex."
-        )
 
     def fixed_points_for(self, iso: IsoClassData) -> tuple[FixedPointDatum, ...]:
         return tuple(
@@ -625,8 +611,7 @@ def _load_iso_class(
     if pi1_rank < 0:
         raise ValueError(f"pi1_rank at {where} must be nonnegative, got {pi1_rank}.")
 
-    raw_action = raw.get("action", {})
-    raw_action = _require_mapping(raw_action, f"{where}.action") if raw_action else {}
+    raw_action = _require_mapping(raw.get("action", {}), f"{where}.action")
     action_matrices = []
     for w in range(weyl.order):
         label = weyl.labels[w]

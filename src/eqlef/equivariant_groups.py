@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .exact_algebra import IntMatrix
 
@@ -266,9 +266,6 @@ class Subgroup:
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.parent.labels[m] for m in self.members)
 
-    def contains(self, element: int) -> bool:
-        return element in self.members
-
     def conjugate_by(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, (self.parent.conjugate(g, m) for m in self.members))
 
@@ -367,15 +364,6 @@ class WeylGroup:
     subgroup: Subgroup
     coset_representatives: tuple[int, ...]
     cosets: tuple[tuple[int, ...], ...]
-
-    def coset_index_of(self, parent_element: int) -> int:
-        """Quotient index of the coset containing a normalizer element."""
-        for i, coset in enumerate(self.cosets):
-            if parent_element in coset:
-                return i
-        raise ValueError(
-            f"element '{self.parent.labels[parent_element]}' does not normalize the subgroup."
-        )
 
 
 def weyl_group(g: FiniteGroup, h: Subgroup) -> WeylGroup:
@@ -549,21 +537,17 @@ class TwistData:
     """The translation-part matrix of a self-map's action on automorphisms.
 
     ``phi_pi`` is the k×k integer matrix through which the map acts on the
-    translation subgroup ℤᵏ; the map is assumed to fix the Weyl component,
-    which is what makes the twisted conjugacy relation well defined.
+    translation subgroup ℤᵏ.  Only self-maps that fix the Weyl component are
+    modelled, which is what makes the twisted conjugacy relation well
+    defined, so the Weyl part of the twist is always the identity.
     """
 
     phi_pi: IntMatrix
-    fixes_weyl_component: bool = True
 
     def __post_init__(self) -> None:
         if not self.phi_pi.is_square:
             raise ValueError(
                 f"twist matrix must be square, got {self.phi_pi.rows}×{self.phi_pi.cols}."
-            )
-        if not self.fixes_weyl_component:
-            raise ValueError(
-                "only twists fixing the Weyl component are supported."
             )
 
     def validate_against(self, aut: AutGroup) -> None:

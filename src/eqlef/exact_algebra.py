@@ -8,9 +8,8 @@ floating point is used anywhere.  The module provides:
 * :class:`IntMatrix` -- immutable integer matrices in row-major order,
 * :func:`char_poly` -- division-free characteristic polynomials via the
   Berkowitz algorithm,
-* :func:`smith_normal_form` -- Smith normal form together with the
-  unimodular row and column transforms,
-* :func:`kernel_basis` -- a primitive basis of the integer kernel lattice,
+* :func:`inverse_unimodular` -- exact inverses of unimodular matrices as
+  det · adj, with the determinant by Bareiss elimination,
 * :func:`factor_over_Q` -- factorization into irreducible factors over the
   rationals (content split off, factors in a deterministic canonical order).
 """
@@ -19,18 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import sympy
 
 __all__ = [
     "IntPolynomial",
     "IntMatrix",
-    "SmithNormalForm",
     "char_poly",
-    "smith_normal_form",
     "factor_over_Q",
-    "kernel_basis",
     "companion_matrix",
     "block_diagonal",
     "block_upper_triangular",
@@ -89,12 +85,6 @@ class IntPolynomial:
     def constant(cls, c: int) -> "IntPolynomial":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError(f"monomial degree must be nonnegative, got {degree}.")
-        return cls((0,) * degree + (coefficient,))
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -132,29 +122,6 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             result = result * value + c
         return result
-
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coefficients:
-            g = _gcd(g, c)
-        return g
-
-    def primitive_part(self) -> "IntPolynomial":
-        """The polynomial divided by its content, sign of the leading term kept.
-
-        >>> str(IntPolynomial((2, 0, 4)).primitive_part())
-        '2x²+1'
-        """
-        if self.is_zero:
-            return self
-        g = self.content()
-        return IntPolynomial(tuple(c // g for c in self.coefficients))
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(
-            tuple(i * c for i, c in enumerate(self.coefficients) if i > 0)
-        )
 
     # -- ring operations ----------------------------------------------
 
@@ -255,13 +222,6 @@ class IntPolynomial:
         return rendered
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclasses.dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix stored row-major.
@@ -333,11 +293,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def iter_entries(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(self.rows):
-            for j in range(self.cols):
-                yield i, j, self.entries[i * self.cols + j]
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -389,13 +344,6 @@ class IntMatrix:
         return tuple(
             sum(self.entry(i, j) * vector[j] for j in range(self.cols))
             for i in range(self.rows)
-        )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
     def trace(self) -> int:
@@ -455,31 +403,6 @@ class IntMatrix:
         return f"[{body}]"
 
 
-@dataclasses.dataclass(frozen=True)
-class SmithNormalForm:
-    """Smith normal form ``left · input · right = diagonal``.
-
-    ``diagonal`` lists only the nonzero invariant factors d₁ | d₂ | … | d_r,
-    all positive; ``left`` and ``right`` are unimodular.
-    """
-
-    diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.diagonal)
-
-    def diagonal_matrix(self) -> IntMatrix:
-        """The full (rows × cols) diagonal matrix ``left · input · right``."""
-        rows, cols = self.left.rows, self.right.rows
-        entries = [0] * (rows * cols)
-        for i, d in enumerate(self.diagonal):
-            entries[i * cols + i] = d
-        return IntMatrix(rows, cols, tuple(entries))
-
-
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI − m), monic, by Berkowitz's algorithm.
 
@@ -525,127 +448,6 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
             extended[i] = total
         coeffs = extended
     return IntPolynomial(tuple(reversed(coeffs)))
-
-
-def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Smith normal form with unimodular transforms.
-
-    Returns :class:`SmithNormalForm` with positive invariant factors
-    satisfying the divisibility chain and ``left · m · right`` equal to the
-    rectangular diagonal matrix.
-
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
-    (1, 6)
-    >>> smith_normal_form(IntMatrix.zeros(2, 3)).diagonal
-    ()
-    """
-    n, c = m.rows, m.cols
-    a = m.to_rows()
-    left = IntMatrix.identity(n).to_rows()
-    right = IntMatrix.identity(c).to_rows()
-
-    def row_add(i: int, j: int, q: int) -> None:
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x + q * y for x, y in zip(left[i], left[j])]
-
-    def col_add(j: int, i: int, q: int) -> None:
-        for k in range(n):
-            a[k][j] += q * a[k][i]
-        for k in range(c):
-            right[k][j] += q * right[k][i]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for k in range(n):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(c):
-            right[k][i], right[k][j] = right[k][j], right[k][i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    limit = min(n, c)
-    for t in range(limit):
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, c):
-                v = a[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                row_negate(t)
-            p = a[t][t]
-            moved = False
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        moved = True
-                        break
-            if moved:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                if any(a[i][j] % p != 0 for j in range(t + 1, c)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-    diagonal = tuple(a[i][i] for i in range(limit) if a[i][i] != 0)
-    return SmithNormalForm(
-        diagonal=diagonal,
-        left=IntMatrix.from_rows(left) if n else IntMatrix.zeros(0, 0),
-        right=IntMatrix.from_rows(right) if c else IntMatrix.zeros(0, 0),
-    )
-
-
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """A primitive basis of the integer kernel lattice of ``m``.
-
-    The vectors are the columns of the Smith right transform beyond the
-    rank, hence a saturated (primitive) basis of {v : m·v = 0}; each vector
-    is normalized so its first nonzero entry is positive.
-
-    >>> kernel_basis(IntMatrix.identity(2))
-    []
-    >>> kernel_basis(IntMatrix.from_rows([[1, 1], [1, 1]]))
-    [(1, -1)]
-    """
-    snf = smith_normal_form(m)
-    basis = []
-    for j in range(snf.rank, m.cols):
-        vector = snf.right.column(j)
-        leading = next((v for v in vector if v != 0), 0)
-        if leading < 0:
-            vector = tuple(-v for v in vector)
-        basis.append(vector)
-    return basis
 
 
 def polynomial_sort_key(p: IntPolynomial) -> tuple:
@@ -737,8 +539,8 @@ def block_upper_triangular(top_left: IntMatrix, top_right: IntMatrix, bottom_rig
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix.
 
-    Uses the Smith transforms: when all invariant factors are 1,
-    ``left · m · right = I`` so the inverse is ``right · left``.
+    The inverse is adj(m) / det(m); since det(m) = ±1 that equals
+    det(m) · adj(m), with every cofactor a Bareiss determinant.
 
     >>> u = IntMatrix.from_rows([[2, 1], [1, 1]])
     >>> inverse_unimodular(u) @ u == IntMatrix.identity(2)
@@ -746,7 +548,15 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """
     if not m.is_square:
         raise ValueError(f"inverse requires a square matrix, got {m.rows}×{m.cols}.")
-    snf = smith_normal_form(m)
-    if snf.rank != m.rows or any(d != 1 for d in snf.diagonal):
-        raise ValueError("matrix is not unimodular (invariant factors differ from 1).")
-    return snf.right @ snf.left
+    det = m.det()
+    if det not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (determinant {det}, not ±1).")
+    n = m.rows
+    indices = range(n)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = m.submatrix([r for r in indices if r != i], [c for c in indices if c != j])
+        return (-1) ** (i + j) * minor.det()
+
+    # adj(m)[i][j] is the (j, i) cofactor.
+    return IntMatrix(n, n, tuple(det * cofactor(j, i) for i in indices for j in indices))

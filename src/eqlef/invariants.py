@@ -645,9 +645,13 @@ def klein_williams(c: EquivariantComplex) -> EllInvariant:
     along the Weyl action of the component's stabilizer, multiply by the
     orbit size, and add into the slot of the subgroup conjugacy class.
     """
+    return _ell_from_traces(c, [reidemeister_trace(iso) for iso in c.classes])
+
+
+def _ell_from_traces(c: EquivariantComplex, traces: Sequence[ClassSum]) -> EllInvariant:
+    """ℓ assembled from the Reidemeister traces of ``c.classes``, in order."""
     slot_data: dict[tuple[int, ...], dict] = {}
-    for iso in c.classes:
-        trace = reidemeister_trace(iso)
+    for iso, trace in zip(c.classes, traces):
         full_classes = twisted_classes(iso.aut, iso.twist, use_weyl=True)
         projected: dict[tuple[int, ...], int] = {}
         for vector, coefficient in trace.terms:
@@ -867,8 +871,10 @@ def vanishing_report(c: EquivariantComplex) -> dict:
     >>> vanishing_report(load_builtin("example1"))
     {'ell_zero': True, 'lambda_zero': True, 'consistent': True}
     """
-    ell = klein_williams(c)
-    lam = lambda_invariant(c)
+    return _vanishing(klein_williams(c), lambda_invariant(c))
+
+
+def _vanishing(ell: EllInvariant, lam: LambdaVector) -> dict:
     ell_zero = ell.is_zero
     lambda_zero = lam.is_zero
     return {
@@ -876,6 +882,33 @@ def vanishing_report(c: EquivariantComplex) -> dict:
         "lambda_zero": lambda_zero,
         "consistent": ell_zero == lambda_zero,
     }
+
+
+@dataclasses.dataclass(frozen=True)
+class _Analysis:
+    """Every invariant of one complex, each computed once.
+
+    ``rows`` holds one ``(class, u entry, λ entry, R, L)`` tuple per
+    isotropy class, in document order.
+    """
+
+    rows: tuple[tuple[IsoClassData, UniversalEntry, LambdaEntry, ClassSum, int], ...]
+    ell: EllInvariant
+    vanishing: dict
+
+
+def _analyze(c: EquivariantComplex) -> _Analysis:
+    traces = tuple(reidemeister_trace(iso) for iso in c.classes)
+    lam = lambda_invariant(c)
+    ell = _ell_from_traces(c, traces)
+    rows = zip(
+        c.classes,
+        universal_invariant(c).entries,
+        lam.entries,
+        traces,
+        [lefschetz_number(iso) for iso in c.classes],
+    )
+    return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell, lam))
 
 
 def _encode_class_sum(value: ClassSum) -> list[dict]:
@@ -901,12 +934,9 @@ def _encode_uz(value: UZClass) -> dict:
 
 def build_report(c: EquivariantComplex) -> dict:
     """A deterministic JSON-ready report of every invariant of the complex."""
-    universal = universal_invariant(c)
-    lam = lambda_invariant(c)
-    ell = klein_williams(c)
+    analysis = _analyze(c)
     classes = []
-    for iso, u_entry, l_entry in zip(c.classes, universal.entries, lam.entries):
-        trace = reidemeister_trace(iso)
+    for iso, u_entry, l_entry, trace, lefschetz in analysis.rows:
         entry = {
             "subgroup_class": list(iso.subgroup.member_labels),
             "component": iso.component,
@@ -923,7 +953,7 @@ def build_report(c: EquivariantComplex) -> dict:
             },
             "lambda": _encode_class_sum(l_entry.value),
             "reidemeister": _encode_class_sum(trace),
-            "lefschetz": _encode_int(lefschetz_number(iso)),
+            "lefschetz": _encode_int(lefschetz),
         }
         if u_entry.uz_image is not None:
             entry["u"]["uz_image"] = _encode_uz(u_entry.uz_image)
@@ -932,7 +962,7 @@ def build_report(c: EquivariantComplex) -> dict:
         "group": {"order": c.group.order, "labels": list(c.group.labels)},
         "classes": classes,
         "ell": {
-            "rendered": str(ell),
+            "rendered": str(analysis.ell),
             "slots": [
                 {
                     "subgroup_class": list(slot.subgroup_labels),
@@ -946,10 +976,10 @@ def build_report(c: EquivariantComplex) -> dict:
                         for contribution in slot.contributions
                     ],
                 }
-                for slot in ell.slots
+                for slot in analysis.ell.slots
             ],
         },
-        "vanishing": vanishing_report(c),
+        "vanishing": analysis.vanishing,
     }
     if c.name is not None:
         report["name"] = c.name
@@ -958,23 +988,20 @@ def build_report(c: EquivariantComplex) -> dict:
 
 def render_report(c: EquivariantComplex) -> str:
     """A human-readable summary of every invariant of the complex."""
-    universal = universal_invariant(c)
-    lam = lambda_invariant(c)
-    ell = klein_williams(c)
-    vanishing = vanishing_report(c)
+    analysis = _analyze(c)
+    vanishing = analysis.vanishing
     lines = []
     title = c.name if c.name is not None else "complex"
     lines.append(f"{title} (group order {c.group.order})")
-    for iso, u_entry, l_entry in zip(c.classes, universal.entries, lam.entries):
-        trace = reidemeister_trace(iso)
+    for iso, u_entry, l_entry, trace, lefschetz in analysis.rows:
         lines.append(f"  {iso.label}:")
         lines.append(f"    u = {u_entry.kclass}")
         if u_entry.uz_image is not None:
             lines.append(f"    u integer class = {u_entry.uz_image}")
         lines.append(f"    lambda = {l_entry.value}")
         lines.append(f"    R = {trace}")
-        lines.append(f"    L = {lefschetz_number(iso)}")
-    lines.append(f"  ell = {ell}")
+        lines.append(f"    L = {lefschetz}")
+    lines.append(f"  ell = {analysis.ell}")
     lines.append(
         "  vanishing: ell zero: {}; lambda zero: {}; consistent: {}".format(
             "yes" if vanishing["ell_zero"] else "no",

@@ -118,6 +118,20 @@ def test_class_rejects_unparseable(capsys):
     assert "could not parse matrix" in err
 
 
+@pytest.mark.parametrize("entry", ["1_0", "٣"])
+def test_class_rejects_loose_integer_strings(capsys, entry):
+    code, out, err = run(capsys, ["class", json.dumps([[entry]])])
+    assert code == 1
+    assert out == ""
+    assert "matrix entry (0, 0) must be an integer" in err
+
+
+def test_class_accepts_signed_decimal_strings(capsys):
+    code, out, _ = run(capsys, ["class", '[[" -7 "]]'])
+    assert code == 0
+    assert out.splitlines()[0] == "+1·(x+7)"
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -242,6 +256,15 @@ def test_check_reports_boundary_failure(capsys):
     )
 
 
+@pytest.mark.parametrize("action", [[], 0, False, ""])
+def test_check_rejects_falsy_action(capsys, action):
+    document = broken_square_document()
+    document["iso_classes"][0]["action"] = action
+    code, _, err = run(capsys, ["check", json.dumps(document)])
+    assert code == 1
+    assert "expected an object at iso_classes[0].action" in err
+
+
 # ---------------------------------------------------------------------------
 # example and argument handling
 
@@ -269,6 +292,23 @@ def test_missing_argument_exits_one(capsys):
     code, _, err = run(capsys, ["class"])
     assert code == 1
     assert "required: matrix" in err
+
+
+def test_internal_error_traceback_only_under_verbose(capsys, monkeypatch):
+    from eqlef import cli
+
+    def broken_handler(args):
+        raise RuntimeError("handler exploded")
+
+    monkeypatch.setattr(cli, "cmd_check", broken_handler)
+    code, out, err = run(capsys, ["check", "example1"])
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: handler exploded\n"
+    code, _, err = run(capsys, ["check", "--verbose", "example1"])
+    assert code == 2
+    assert err.startswith("internal error: handler exploded\nTraceback (most recent call last):")
+    assert err.endswith("RuntimeError: handler exploded\n")
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,17 @@ def test_round_trip_of_oversize_integers():
     json.dumps(emitted)
 
 
+def test_integer_strings_take_a_sign_and_ascii_digits():
+    document = minimal_document()
+    document["iso_classes"][0]["chain"][0]["map"] = [[" -7 "]]
+    entry = load_complex(document).classes[0].degrees[0].chain_map.entry(0, 0)
+    assert entry.augmentation() == -7
+    for loose in ("1_0", "٣", "+-1", "0x10", ""):
+        document["iso_classes"][0]["chain"][0]["map"] = [[loose]]
+        with pytest.raises(ValueError, match="expected an integer at"):
+            load_complex(document)
+
+
 def test_empty_complex_loads():
     c = load_complex({"format_version": 1, "group": {"builtin": "trivial"}, "iso_classes": []})
     assert c.classes == ()

@@ -115,7 +115,6 @@ def test_weyl_group_of_reflection_subgroup():
     w = weyl_group(g, h)
     assert w.group.order == 2
     assert w.cosets == ((0, 1), (2, 3))
-    assert w.coset_index_of(3) == 1
 
 
 def test_weyl_group_trivial_cases():

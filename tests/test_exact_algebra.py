@@ -1,12 +1,10 @@
 """Exact integer linear algebra, cross-checked against independent oracles.
 
 Oracles used here are deliberately naive re-derivations: cofactor-expansion
-determinants, determinantal-divisor Smith forms, and brute-force divisor
-searches.  Frozen values were computed by hand.
+determinants and brute-force divisor searches.  Frozen values were computed
+by hand.
 """
 
-import itertools
-import math
 import random
 
 import pytest
@@ -20,9 +18,7 @@ from eqlef.exact_algebra import (
     companion_matrix,
     factor_over_Q,
     inverse_unimodular,
-    kernel_basis,
     polynomial_sort_key,
-    smith_normal_form,
 )
 
 
@@ -61,22 +57,6 @@ def poly_laplace_det(rows):
             term = -term
         total = total + term
     return total
-
-
-def determinantal_divisors(matrix):
-    """gcd of all k×k minors for every k, via brute-force enumeration."""
-    rows = matrix.to_rows()
-    divisors = []
-    for k in range(1, min(matrix.rows, matrix.cols) + 1):
-        g = 0
-        for row_set in itertools.combinations(range(matrix.rows), k):
-            for col_set in itertools.combinations(range(matrix.cols), k):
-                minor = laplace_det(
-                    [[rows[i][j] for j in col_set] for i in row_set]
-                )
-                g = math.gcd(g, minor)
-        divisors.append(g)
-    return divisors
 
 
 def random_matrix(rng, n, m=None, bound=5):
@@ -165,62 +145,7 @@ def test_determinant_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def test_smith_form_transforms_and_divisibility():
-    rng = random.Random(105)
-    for _ in range(150):
-        n, m = rng.randint(0, 4), rng.randint(0, 4)
-        a = random_matrix(rng, n, m)
-        snf = smith_normal_form(a)
-        assert abs(snf.left.det()) == 1
-        assert abs(snf.right.det()) == 1
-        assert snf.left @ a @ snf.right == snf.diagonal_matrix()
-        for d, e in zip(snf.diagonal, snf.diagonal[1:]):
-            assert d > 0 and e % d == 0
-        assert not snf.diagonal or snf.diagonal[-1] > 0
-
-
-def test_smith_invariant_factors_match_determinantal_divisors():
-    rng = random.Random(106)
-    for _ in range(120):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
-        a = random_matrix(rng, n, m)
-        snf = smith_normal_form(a)
-        divisors = determinantal_divisors(a)
-        previous = 1
-        expected = []
-        for d in divisors:
-            if d == 0:
-                break
-            expected.append(d // previous)
-            previous = d
-        assert list(snf.diagonal) == expected
-
-
-def test_smith_frozen_example():
-    snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    assert snf.diagonal == (2, 4)
-
-
-# ---------------------------------------------------------------------------
-# kernels and unimodular inverses
-
-
-def test_kernel_basis_annihilates_and_has_correct_size():
-    rng = random.Random(107)
-    for _ in range(150):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, n, m)
-        basis = kernel_basis(a)
-        assert len(basis) == m - smith_normal_form(a).rank
-        for vector in basis:
-            assert a.apply_to_vector(vector) == (0,) * n
-
-
-def test_kernel_of_identity_is_empty():
-    assert kernel_basis(IntMatrix.identity(3)) == []
+# unimodular inverses
 
 
 def test_inverse_unimodular_round_trip():

@@ -488,3 +488,100 @@ def test_universal_invariant_lookup_and_render():
     assert "[integer class: +1·(x−1)]" in str(u)
     with pytest.raises(ValueError, match="no universal-class entry"):
         u.entry_for(("1",), "nonexistent")
+
+
+RENDERED_BUILTINS = {
+    "example1": """\
+example1 (group order 2)
+  (subgroup {1}, component 'sphere'):
+    u = +[−g]
+    lambda = 0
+    R = 0
+    L = 0
+  (subgroup {1, g}, component 'circle'):
+    u = 0
+    lambda = 0
+    R = 0
+    L = 0
+  ell = 0 ⊕ 0
+  vanishing: ell zero: yes; lambda zero: yes; consistent: yes""",
+    "example2": """\
+example2 (group order 2)
+  (subgroup {1}, component 'S3'):
+    u = −[−1]
+    lambda = 1[1]
+    R = 2[1]
+    L = 2
+  (subgroup {1, g}, component 'S2'):
+    u = +2·[−1] +2·[1] −[0, −1; −1, 0]
+    u integer class = +1·(x−1) +1·(x+1)
+    lambda = 0
+    R = 0
+    L = 0
+  ell = 2[1] ⊕ 0
+  vanishing: ell zero: no; lambda zero: no; consistent: yes""",
+    "example3": """\
+example3 (group order 4)
+  (subgroup {1}, component 'sphere'):
+    u = +[1]
+    lambda = 1[1]
+    R = 2[1]
+    L = 2
+  (subgroup {1, h}, component 'circle-h'):
+    u = −[1]
+    lambda = −1[0]
+    R = 0
+    L = 0
+  (subgroup {1, g}, component 'circle-g'):
+    u = −[1]
+    lambda = −1[0]
+    R = 0
+    L = 0
+  (subgroup {1, g, h, gh}, component 'pole-a'):
+    u = +[1]
+    u integer class = +1·(x−1)
+    lambda = 1[1]
+    R = 1[1]
+    L = 1
+  (subgroup {1, g, h, gh}, component 'pole-b'):
+    u = +[1]
+    u integer class = +1·(x−1)
+    lambda = 1[1]
+    R = 1[1]
+    L = 1
+  ell = 2[1] ⊕ 0 ⊕ 0 ⊕ 2[1]
+  vanishing: ell zero: no; lambda zero: no; consistent: yes""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED_BUILTINS))
+def test_render_report_full_text(name):
+    assert render_report(load_builtin(name)) == RENDERED_BUILTINS[name]
+
+
+@pytest.mark.parametrize("report", [build_report, render_report])
+def test_report_computes_each_invariant_once(monkeypatch, report):
+    from eqlef import invariants
+
+    calls = {}
+
+    def counting(name):
+        original = getattr(invariants, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("reidemeister_trace", "lefschetz_number", "lambda_invariant", "universal_invariant"):
+        monkeypatch.setattr(invariants, name, counting(name))
+    c = load_builtin("example3")
+    report(c)
+    per_class = len(c.classes)
+    assert calls == {
+        "reidemeister_trace": per_class,
+        "lefschetz_number": per_class,
+        "lambda_invariant": 1,
+        "universal_invariant": 1,
+    }
