@@ -32,6 +32,7 @@ from typing import Any, Sequence
 from .complex_model import (
     EquivariantComplex,
     _decode_int,
+    _TooManyDigits,
     load_builtin,
     load_complex,
     serialize_complex,
@@ -146,6 +147,8 @@ def _parse_matrix(text: str) -> IntMatrix:
         for j, entry in enumerate(row):
             try:
                 converted.append(_decode_int(entry, f"matrix entry ({i}, {j})"))
+            except _TooManyDigits:
+                raise
             except ValueError as exc:
                 raise _InputError(
                     f"matrix entry ({i}, {j}) must be an integer, got {entry!r}."

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 from typing import Any, Mapping, Sequence
 
 from .corpus import BUILTIN_COMPLEXES
@@ -72,6 +73,10 @@ def _check_allowed_keys(mapping: Mapping, allowed: set[str], where: str) -> None
             )
 
 
+class _TooManyDigits(ValueError):
+    """A decimal string longer than the interpreter converts to an integer."""
+
+
 def _decode_int(value: Any, where: str) -> int:
     if isinstance(value, bool):
         raise ValueError(f"expected an integer at {where}, got a boolean.")
@@ -83,7 +88,10 @@ def _decode_int(value: Any, where: str) -> int:
             try:
                 return int(text)
             except ValueError:  # more digits than the interpreter converts
-                pass
+                raise _TooManyDigits(
+                    f"integer at {where} has {len(text.lstrip('+-'))} digits, more than "
+                    f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}."
+                ) from None
         raise ValueError(f"expected an integer at {where}, got {value!r}.")
     raise ValueError(f"expected an integer at {where}, got {type(value).__name__}.")
 

@@ -4,8 +4,9 @@ Computes, for a validated :class:`~eqlef.complex_model.EquivariantComplex`:
 
 * :func:`universal_invariant` -- the universal class u, a per-isotropy-class
   formal sum of group-ring matrices in a Grothendieck-style normal form
-  (block splitting, cancellation), with an integer-class image when the
-  automorphism data is trivial,
+  (block splitting, an exact permutation-canonical form per block,
+  cancellation), with an integer-class image when the automorphism data is
+  trivial; different normal forms stay inconclusive (see :class:`KClass`),
 * :func:`lambda_invariant` -- the generalized Lefschetz class λ, the
   projected alternating group-ring trace per isotropy class,
 * :func:`reidemeister_trace` / :func:`reidemeister_from_fixed_points` --
@@ -25,7 +26,6 @@ Computes, for a validated :class:`~eqlef.complex_model.EquivariantComplex`:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Any, Iterable, Mapping, Sequence
 
 from .complex_model import (
@@ -71,8 +71,6 @@ __all__ = [
 
 _MINUS = "−"
 _MIDDLE_DOT = "·"
-
-_CANONICAL_BLOCK_LIMIT = 7
 
 
 # ---------------------------------------------------------------------------
@@ -165,53 +163,6 @@ class ClassSum:
 # the universal class and its normal form
 
 
-def _strongly_connected_components(size: int, edges: dict[int, set[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; returns components as sorted index lists."""
-    index_counter = itertools.count()
-    indices: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-
-    for root in range(size):
-        if root in indices:
-            continue
-        work = [(root, iter(sorted(edges[root])))]
-        indices[root] = lowlink[root] = next(index_counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in indices:
-                    indices[successor] = lowlink[successor] = next(index_counter)
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(sorted(edges[successor]))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return components
-
-
 def _matrix_sort_key(matrix: GroupRingMatrix):
     return (
         matrix.rows,
@@ -219,55 +170,75 @@ def _matrix_sort_key(matrix: GroupRingMatrix):
     )
 
 
-def _permuted_key(matrix: GroupRingMatrix, permutation: Sequence[int]):
-    return tuple(
-        matrix.entry(permutation[i], permutation[j]).terms
-        for i in range(matrix.rows)
-        for j in range(matrix.rows)
-    )
+def _canonical_block(matrix: GroupRingMatrix) -> GroupRingMatrix:
+    """The simultaneous renumbering of the block with the least row-major key.
 
-
-def _canonical_block(matrix: GroupRingMatrix) -> tuple[GroupRingMatrix, bool]:
-    """Return a permutation-canonical form of the block and an exactness flag.
-
-    Blocks up to the size limit are canonicalized by minimizing over all
-    simultaneous row/column permutations; larger blocks fall back to a
-    deterministic signature ordering, which is stable but not guaranteed to
-    identify all permutation-equivalent blocks (flag False).
+    Individualization-refinement (McKay–Piperno): row r is picked from the
+    first cell of an ordered partition of the unplaced indices.  A
+    candidate's row key is its entries against the placed rows, its diagonal
+    entry, then the sorted entries within each remaining cell, in cell order;
+    only least keys are branched on, a branch whose key is worse than the
+    best at its depth is pruned, and the chosen row splits every cell by its
+    entries, ascending.  A leaf equal to the best leaf is an automorphism:
+    the search jumps back to where the two diverge and skips the orbits of
+    explored candidates.  Exact at every size; the work is exponential only
+    in ties that no automorphism explains.
     """
     n = matrix.rows
-    if n <= 1:
-        return matrix, True
-    if n <= _CANONICAL_BLOCK_LIMIT:
-        best_perm = min(
-            itertools.permutations(range(n)), key=lambda p: _permuted_key(matrix, p)
-        )
-        entries = tuple(
-            matrix.entry(best_perm[i], best_perm[j])
-            for i in range(n)
-            for j in range(n)
-        )
-        return GroupRingMatrix(matrix.aut, n, n, entries), True
-    signatures: list[Any] = [matrix.entry(i, i).terms for i in range(n)]
-    for _ in range(n):
-        signatures = [
-            (
-                signatures[i],
-                tuple(
-                    sorted(
-                        (signatures[j], matrix.entry(i, j).terms, matrix.entry(j, i).terms)
-                        for j in range(n)
-                        if j != i
-                    )
-                ),
-            )
-            for i in range(n)
-        ]
-    order = sorted(range(n), key=lambda i: (signatures[i], i))
-    entries = tuple(
-        matrix.entry(order[i], order[j]) for i in range(n) for j in range(n)
-    )
-    return GroupRingMatrix(matrix.aut, n, n, entries), False
+    rank = {terms: i for i, terms in enumerate(sorted({e.terms for e in matrix.entries}))}
+    table = [[rank[matrix.entry(i, j).terms] for j in range(n)] for i in range(n)]
+    best_keys: list[tuple[int, ...]] = []
+    best_order: list[int] = []
+    automorphisms: list[dict[int, int]] = []
+
+    def search(placed: list[int], cells: list[list[int]]) -> int:
+        """Explore below ``placed``; return the depth to resume at."""
+        depth = len(placed)
+        if depth == n:
+            if not best_order:
+                best_order.extend(placed)
+                return depth
+            automorphisms.append(dict(zip(best_order, placed)))
+            return next(i for i in range(n) if placed[i] != best_order[i])
+        candidates = []
+        for p in cells[0]:
+            row = table[p]
+            refined = [
+                [q for q in cell if row[q] == value]
+                for cell in [[q for q in cells[0] if q != p]] + cells[1:]
+                for value in sorted({row[q] for q in cell})
+            ]
+            # each refined cell holds one value, ascending within its old cell
+            row_key = tuple(row[q] for q in placed) + (row[p],)
+            row_key += tuple(row[c[0]] for c in refined for _ in c)
+            candidates.append((row_key, p, refined))
+        least = min(row_key for row_key, _, _ in candidates)
+        if depth < len(best_keys) and least > best_keys[depth]:
+            return depth
+        if depth == len(best_keys) or least < best_keys[depth]:
+            del best_keys[depth:]
+            best_order.clear()
+            best_keys.append(least)
+        explored: set[int] = set()
+        for row_key, p, refined in candidates:
+            if row_key != least or p in explored:
+                continue
+            resume = search(placed + [p], refined)
+            if resume < depth:
+                return resume
+            explored.add(p)
+            stabilizer = [g for g in automorphisms if all(g[q] == q for q in placed)]
+            size = 0
+            while size < len(explored):
+                size = len(explored)
+                explored |= {g[x] for g in stabilizer for x in explored}
+        return depth
+
+    search([], [list(range(n))])
+    if best_order == list(range(n)):
+        return matrix
+    entries = tuple(matrix.entry(i, j) for i in best_order for j in best_order)
+    return GroupRingMatrix(matrix.aut, n, n, entries)
 
 
 def _split_blocks(matrix: GroupRingMatrix) -> list[GroupRingMatrix]:
@@ -277,14 +248,18 @@ def _split_blocks(matrix: GroupRingMatrix) -> list[GroupRingMatrix]:
     of its diagonal blocks, so only the component submatrices survive.
     """
     n = matrix.rows
-    edges = {
-        j: {i for i in range(n) if i != j and not matrix.entry(j, i).is_zero}
-        for j in range(n)
-    }
-    return [
-        matrix.submatrix(component, component)
-        for component in _strongly_connected_components(n, edges)
-    ]
+    edges = [[i for i in range(n) if not matrix.entry(j, i).is_zero] for j in range(n)]
+    reach = []
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for i in edges[frontier.pop()]:
+                if i not in seen:
+                    seen.add(i)
+                    frontier.append(i)
+        reach.append(seen)
+    components = {tuple(i for i in sorted(reach[j]) if j in reach[i]) for j in range(n)}
+    return [matrix.submatrix(list(c), list(c)) for c in sorted(components)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,22 +267,22 @@ class KClass:
     """A formal integer combination of square group-ring matrices.
 
     The normal form splits each matrix along the strongly connected
-    components of its support digraph, canonicalizes each block by
-    permutation, merges coefficients of identical blocks, and drops zero
-    coefficients and empty matrices.  Equality of normal forms implies
-    equality of classes; inequality of normal forms is inconclusive, so
-    :meth:`compare` answers either ``"equal"`` or ``"not provably equal"``.
+    components of its support digraph, replaces each block by its exact
+    permutation-canonical form (one search at every size), merges
+    coefficients of identical blocks, and drops zero coefficients and empty
+    matrices.  Equality of normal forms implies equality of classes;
+    inequality is inconclusive, since conjugations that are not permutations
+    are not seen, so :meth:`compare` answers ``"equal"`` or ``"not provably equal"``.
     """
 
     terms: tuple[tuple[GroupRingMatrix, int], ...] = ()
-    exact: bool = True
+    exact = True  # every normal form is exact; a constant, not a field
 
     @classmethod
     def from_terms(
         cls, terms: Iterable[tuple[GroupRingMatrix, int]]
     ) -> "KClass":
         accumulated: dict[GroupRingMatrix, int] = {}
-        exact = True
         for matrix, coefficient in terms:
             if not matrix.is_square:
                 raise ValueError(
@@ -315,8 +290,7 @@ class KClass:
                     f"{matrix.rows}×{matrix.cols}."
                 )
             for block in _split_blocks(matrix):
-                canonical, block_exact = _canonical_block(block)
-                exact = exact and block_exact
+                canonical = _canonical_block(block)
                 accumulated[canonical] = accumulated.get(canonical, 0) + coefficient
         normalized = tuple(
             sorted(
@@ -324,7 +298,7 @@ class KClass:
                 key=lambda term: _matrix_sort_key(term[0]),
             )
         )
-        return cls(terms=normalized, exact=exact)
+        return cls(terms=normalized)
 
     @classmethod
     def zero(cls) -> "KClass":
@@ -335,11 +309,10 @@ class KClass:
         return not self.terms
 
     def __add__(self, other: "KClass") -> "KClass":
-        combined = KClass.from_terms(self.terms + other.terms)
-        return dataclasses.replace(combined, exact=combined.exact and self.exact and other.exact)
+        return KClass.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "KClass":
-        return KClass(tuple((m, -c) for m, c in self.terms), self.exact)
+        return KClass(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other: "KClass") -> "KClass":
         return self + (-other)
@@ -499,9 +472,18 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
     classes (support elements with nontrivial Weyl part vanish), and degrees
     alternate in sign.
     """
+    return _lambda_vector(c, _weyl_class_sets(c))
+
+
+def _weyl_class_sets(c: EquivariantComplex) -> list[TwistedClassSet]:
+    """The Weyl-merged twisted class set of each class of ``c``, in order."""
+    return [twisted_classes(iso.aut, iso.twist, use_weyl=True) for iso in c.classes]
+
+
+def _lambda_vector(c: EquivariantComplex, class_sets: Sequence[TwistedClassSet]) -> LambdaVector:
+    """λ with the Weyl-merged class sets of ``c.classes`` given, in order."""
     entries = []
-    for iso in c.classes:
-        classes = twisted_classes(iso.aut, iso.twist, use_weyl=True)
+    for iso, classes in zip(c.classes, class_sets):
         accumulated: dict[tuple[int, ...], int] = {}
         for i, entry in enumerate(iso.degrees):
             trace = _unmasked_submatrix(iso, i).trace()
@@ -645,14 +627,16 @@ def klein_williams(c: EquivariantComplex) -> EllInvariant:
     along the Weyl action of the component's stabilizer, multiply by the
     orbit size, and add into the slot of the subgroup conjugacy class.
     """
-    return _ell_from_traces(c, [reidemeister_trace(iso) for iso in c.classes])
+    traces = [reidemeister_trace(iso) for iso in c.classes]
+    return _ell_from_traces(c, traces, _weyl_class_sets(c))
 
 
-def _ell_from_traces(c: EquivariantComplex, traces: Sequence[ClassSum]) -> EllInvariant:
-    """ℓ assembled from the Reidemeister traces of ``c.classes``, in order."""
+def _ell_from_traces(
+    c: EquivariantComplex, traces: Sequence[ClassSum], class_sets: Sequence[TwistedClassSet]
+) -> EllInvariant:
+    """ℓ from the Reidemeister traces and Weyl-merged class sets of ``c.classes``."""
     slot_data: dict[tuple[int, ...], dict] = {}
-    for iso, trace in zip(c.classes, traces):
-        full_classes = twisted_classes(iso.aut, iso.twist, use_weyl=True)
+    for iso, trace, full_classes in zip(c.classes, traces, class_sets):
         projected: dict[tuple[int, ...], int] = {}
         for vector, coefficient in trace.terms:
             representative = full_classes.representative(vector)
@@ -899,8 +883,9 @@ class _Analysis:
 
 def _analyze(c: EquivariantComplex) -> _Analysis:
     traces = tuple(reidemeister_trace(iso) for iso in c.classes)
-    lam = lambda_invariant(c)
-    ell = _ell_from_traces(c, traces)
+    class_sets = _weyl_class_sets(c)
+    lam = _lambda_vector(c, class_sets)
+    ell = _ell_from_traces(c, traces, class_sets)
     rows = zip(
         c.classes,
         universal_invariant(c).entries,

@@ -126,6 +126,33 @@ def test_class_rejects_loose_integer_strings(capsys, entry):
     assert "matrix entry (0, 0) must be an integer" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer-string digit limit"
+)
+@pytest.mark.parametrize("form", ["matrix", "document"])
+def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
+    digits = "9" * 5000
+    if form == "matrix":
+        argv = ["class", json.dumps([[digits]])]
+        where = "matrix entry (0, 0)"
+    else:
+        document = broken_square_document()
+        document["iso_classes"][0]["chain"] = [
+            {"degree": 0, "rank": 1, "relative_mask": [False], "map": [[digits]]}
+        ]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = ["invariants", str(path)]
+        where = "map[0][0]"
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert where in err
+    assert "5000 digits" in err
+    assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
+
+
 def test_class_accepts_signed_decimal_strings(capsys):
     code, out, _ = run(capsys, ["class", '[[" -7 "]]'])
     assert code == 0

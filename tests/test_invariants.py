@@ -8,10 +8,14 @@ class.  They are asserted verbatim so any drift in the pipeline is caught.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqlef import (
     ClassSum,
@@ -55,6 +59,24 @@ def int_ring_matrix(rows, aut=TRIVIAL_AUT):
 
 def random_int_rows(rng, n, bound=3):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def renumbered(rows, sigma):
+    """The simultaneous row/column renumbering of ``rows`` by ``sigma``."""
+    n = len(rows)
+    return [[rows[sigma[j]][sigma[i]] for i in range(n)] for j in range(n)]
+
+
+def exhaustive_canonical_block(matrix):
+    """Reference oracle: the least row-major key over all n! renumberings."""
+    n = matrix.rows
+
+    def key(p):
+        return tuple(matrix.entry(p[i], p[j]).terms for i in range(n) for j in range(n))
+
+    best = min(itertools.permutations(range(n)), key=key)
+    entries = tuple(matrix.entry(i, j) for i in best for j in best)
+    return GroupRingMatrix(matrix.aut, n, n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +325,52 @@ def test_kclass_arithmetic_and_render():
     assert str(doubled) == "+2·[1]"
 
 
-def test_kclass_large_block_is_flagged_inexact():
-    n = 9
+@pytest.mark.parametrize("n", [9, 12])
+def test_kclass_renumbered_long_cycle_compares_equal(n):
+    rng = random.Random(404 + n)
     cycle = [[1 if i == (j + 1) % n else 0 for i in range(n)] for j in range(n)]
-    first = KClass.from_terms([(int_ring_matrix(cycle), 1)])
-    second = KClass.from_terms([(int_ring_matrix(cycle), 1)])
-    assert not first.exact
-    assert first.compare(second) == "equal"
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    original = KClass.from_terms([(int_ring_matrix(cycle), 1)])
+    renumbered_cycle = KClass.from_terms([(int_ring_matrix(renumbered(cycle, sigma)), 1)])
+    assert renumbered_cycle.compare(original) == "equal"
+
+
+@st.composite
+def tied_blocks(draw, max_size):
+    """A square integer matrix with few distinct entries, and a renumbering.
+
+    Half of the matrices are circulant, so that many renumberings fix them.
+    """
+    n = draw(st.integers(1, max_size))
+    entries = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[0][(j - i) % n] for j in range(n)] for i in range(n)]
+    return rows, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_blocks(max_size=6))
+@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2]], [0, 1, 2, 3]))
+def test_kclass_normal_form_matches_exhaustive_oracle(block):
+    from eqlef import invariants
+
+    rows, _ = block
+    matrix = int_ring_matrix(rows)
+    assert invariants._canonical_block(matrix) == exhaustive_canonical_block(matrix)
+    with mock.patch.object(invariants, "_canonical_block", exhaustive_canonical_block):
+        expected = KClass.from_terms([(matrix, 1)])
+    assert KClass.from_terms([(matrix, 1)]) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_blocks(max_size=10))
+def test_kclass_normal_form_ignores_renumbering(block):
+    rows, sigma = block
+    original = KClass.from_terms([(int_ring_matrix(rows), 1)])
+    moved = KClass.from_terms([(int_ring_matrix(renumbered(rows, sigma)), 1)])
+    assert moved == original
 
 
 def test_kclass_rejects_rectangular_terms():
@@ -574,14 +635,23 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
 
         return wrapper
 
-    for name in ("reidemeister_trace", "lefschetz_number", "lambda_invariant", "universal_invariant"):
+    counted = (
+        "reidemeister_trace",
+        "lefschetz_number",
+        "_lambda_vector",
+        "universal_invariant",
+        "twisted_classes",
+    )
+    for name in counted:
         monkeypatch.setattr(invariants, name, counting(name))
     c = load_builtin("example3")
     report(c)
     per_class = len(c.classes)
+    # one class set without Weyl moves (R) and one Weyl-merged set (λ and ℓ)
     assert calls == {
         "reidemeister_trace": per_class,
         "lefschetz_number": per_class,
-        "lambda_invariant": 1,
+        "_lambda_vector": 1,
         "universal_invariant": 1,
+        "twisted_classes": 2 * per_class,
     }
