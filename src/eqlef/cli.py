@@ -134,11 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
 # input parsing
 
 
-def _parse_matrix(text: str) -> IntMatrix:
+def _json_loads(text: str, name: str, shown: str) -> Any:
+    """``json.loads``, with its failures as input errors naming the input.
+
+    ``shown`` is how a syntax error names the input; ``name`` is how an
+    overlong bare number names it, without echoing the text.
+    """
     try:
-        value = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _InputError(f"could not parse matrix {text!r}: {exc}.") from exc
+        raise _InputError(f"could not parse {shown}: {exc}.") from exc
+    except ValueError:  # a bare JSON number beyond the interpreter's digit limit
+        raise _InputError(
+            f"{name} has an integer with more digits than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}."
+        ) from None
+
+
+def _parse_matrix(text: str) -> IntMatrix:
+    value = _json_loads(text, "matrix input", f"matrix {text!r}")
     if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
         raise _InputError(f"matrix input must be a JSON list of rows, got {text!r}.")
     rows = []
@@ -176,17 +190,13 @@ def _load_input_complex(text: str) -> EquivariantComplex:
         return load_builtin(text)
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            document = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"could not parse inline JSON document: {exc}.") from exc
+        document = _json_loads(stripped, "inline JSON document", "inline JSON document")
         return load_complex(document)
     path = pathlib.Path(text)
     if path.exists():
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"could not parse document {text!r}: {exc}.") from exc
+        document = _json_loads(
+            path.read_text(encoding="utf-8"), f"document {text!r}", f"document {text!r}"
+        )
         return load_complex(document)
     builtin_names = ", ".join(sorted(BUILTIN_COMPLEXES))
     raise _InputError(

@@ -30,7 +30,7 @@ from .equivariant_groups import (
     Subgroup,
     TwistData,
     WeylGroup,
-    conjugacy_classes_of_subgroups,
+    _check_group_order,
     weyl_group,
 )
 
@@ -250,7 +250,11 @@ def _coset_representatives(
 
 @dataclasses.dataclass(frozen=True)
 class IsoClassData:
-    """The validated data of one isotropy class of a twisted self-map."""
+    """The validated data of one isotropy class of a twisted self-map.
+
+    The expanded chain maps and boundaries are computed once per instance
+    and shared by load-time validation, R and L.
+    """
 
     subgroup: Subgroup
     component: str
@@ -259,6 +263,9 @@ class IsoClassData:
     twist: TwistData
     orbit_size: int
     degrees: tuple[ChainDegree, ...]
+    _expansions: dict[tuple[str, int], GroupRingMatrix | None] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def key(self) -> tuple[tuple[int, ...], str]:
@@ -277,7 +284,7 @@ class IsoClassData:
 
     def pi1_aut(self) -> AutGroup:
         """The translation-only automorphism group used for expanded matrices."""
-        return AutGroup(self.aut.pi1_rank, FiniteGroup.builtin("trivial"))
+        return AutGroup.translations(self.aut.pi1_rank)
 
     def expanded_basis(self, entry: ChainDegree) -> list[tuple[int, int]]:
         """Pairs (row index, Weyl coset representative) indexing the expansion."""
@@ -301,49 +308,58 @@ class IsoClassData:
         r·w modulo the target stabilizer.
         """
         pi1 = self.pi1_aut()
+        weyl = self.aut.weyl
         source_basis = self.expanded_basis(source)
         target_basis = self.expanded_basis(target) if target is not None else []
         position = {key: p for p, key in enumerate(target_basis)}
-        accumulated: dict[tuple[int, int], list] = {
-            (a, b): [] for a in range(len(source_basis)) for b in range(len(target_basis))
-        }
+        accumulated: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
         for a, (j, r) in enumerate(source_basis):
-            for i in range(matrix.cols):
-                for vector, w, coefficient in matrix.entry(j, i).terms:
-                    stabilizer = (
-                        target.stabilizers[i] if target is not None else (self.aut.weyl.identity,)
-                    )
-                    rep = _coset_representative(
-                        self.aut.weyl, self.aut.weyl.multiply(r, w), stabilizer
-                    )
+            for i, element in enumerate(matrix.row(j)):
+                stabilizer = target.stabilizers[i] if target is not None else (weyl.identity,)
+                for vector, w, coefficient in element.terms:
+                    rep = _coset_representative(weyl, weyl.multiply(r, w), stabilizer)
                     b = position.get((i, rep))
                     if b is None:
                         raise ValueError(
                             f"internal expansion error at {self.label}: "
                             f"missing target coset for row {i}."
                         )
-                    accumulated[(a, b)].append((self.aut.act(r, vector), 0, coefficient))
+                    sums = accumulated.setdefault((a, b), {})
+                    key = (self.aut.act(r, vector), pi1.weyl.identity)
+                    sums[key] = sums.get(key, 0) + coefficient
+        zero = GroupRingElement.zero(pi1)
         entries = tuple(
-            GroupRingElement(pi1, accumulated[(a, b)])
+            GroupRingElement._from_sums(pi1, accumulated[(a, b)])
+            if (a, b) in accumulated
+            else zero
             for a in range(len(source_basis))
             for b in range(len(target_basis))
         )
         return GroupRingMatrix(pi1, len(source_basis), len(target_basis), entries)
 
     def expanded_chain_map(self, degree: int) -> GroupRingMatrix:
-        """The chain map at ``degree``, expanded over Weyl cosets."""
-        entry = self.entry_at(degree)
-        if entry is None:
-            pi1 = self.pi1_aut()
-            return GroupRingMatrix.zeros(pi1, 0, 0)
-        return self.expand_matrix(entry.chain_map, entry, entry)
+        """The chain map at ``degree``, expanded over Weyl cosets (computed once)."""
+        key = ("map", degree)
+        if key not in self._expansions:
+            entry = self.entry_at(degree)
+            self._expansions[key] = (
+                GroupRingMatrix.zeros(self.pi1_aut(), 0, 0)
+                if entry is None
+                else self.expand_matrix(entry.chain_map, entry, entry)
+            )
+        return self._expansions[key]
 
     def expanded_boundary(self, degree: int) -> GroupRingMatrix | None:
-        """The boundary at ``degree`` expanded over Weyl cosets, if provided."""
-        entry = self.entry_at(degree)
-        if entry is None or entry.boundary is None:
-            return None
-        return self.expand_matrix(entry.boundary, entry, self.entry_at(degree - 1))
+        """The boundary at ``degree`` expanded over Weyl cosets, if provided (computed once)."""
+        key = ("boundary", degree)
+        if key not in self._expansions:
+            entry = self.entry_at(degree)
+            self._expansions[key] = (
+                None
+                if entry is None or entry.boundary is None
+                else self.expand_matrix(entry.boundary, entry, self.entry_at(degree - 1))
+            )
+        return self._expansions[key]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,7 +406,9 @@ def _load_group(spec: Any) -> FiniteGroup:
     _check_allowed_keys(spec, {"labels", "table"}, "group")
     if "labels" not in spec or "table" not in spec:
         raise ValueError("group must give either 'builtin' or both 'labels' and 'table'.")
-    labels = [str(v) for v in _require_list(spec["labels"], "group.labels")]
+    raw_labels = _require_list(spec["labels"], "group.labels")
+    _check_group_order(len(raw_labels), "group.labels")
+    labels = [str(v) for v in raw_labels]
     table_rows = _require_list(spec["table"], "group.table")
     table = [
         [_decode_int(v, f"group.table[{i}][{j}]") for j, v in enumerate(_require_list(row, f"group.table[{i}]"))]
@@ -561,12 +579,7 @@ def _validate_chain_algebra(iso: IsoClassData) -> None:
             )
 
 
-def _load_iso_class(
-    raw: Any,
-    group: FiniteGroup,
-    canonical_reps: dict[tuple[int, ...], Subgroup],
-    where: str,
-) -> IsoClassData:
+def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
     raw = _require_mapping(raw, where)
     _check_allowed_keys(
         raw,
@@ -589,9 +602,7 @@ def _load_iso_class(
     subgroup = Subgroup.from_labels(
         group, [str(v) for v in _require_list(raw["subgroup_class"], f"{where}.subgroup_class")]
     )
-    canonical = canonical_reps.get(subgroup.members)
-    if canonical is None:
-        raise ValueError(f"internal error: subgroup not found in conjugacy classes at {where}.")
+    canonical = subgroup.least_conjugate()
     if canonical.members != subgroup.members:
         raise ValueError(
             f"subgroup_class {list(subgroup.member_labels)} at {where} is not the "
@@ -751,15 +762,10 @@ def load_complex(document: Mapping) -> EquivariantComplex:
         raise ValueError("document needs 'iso_classes' (possibly empty).")
     raw_classes = _require_list(document["iso_classes"], "iso_classes")
 
-    canonical_reps: dict[tuple[int, ...], Subgroup] = {}
-    for representative, members in conjugacy_classes_of_subgroups(group):
-        for member in members:
-            canonical_reps[member.members] = representative
-
     classes: list[IsoClassData] = []
     seen_keys: set[tuple[tuple[int, ...], str]] = set()
     for i, raw_class in enumerate(raw_classes):
-        iso = _load_iso_class(raw_class, group, canonical_reps, f"iso_classes[{i}]")
+        iso = _load_iso_class(raw_class, group, f"iso_classes[{i}]")
         if iso.key in seen_keys:
             raise ValueError(f"duplicate isotropy class {iso.label} at iso_classes[{i}].")
         seen_keys.add(iso.key)

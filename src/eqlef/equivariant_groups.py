@@ -4,9 +4,11 @@ The module supplies the group-theoretic layer used by the invariant
 computations:
 
 * :class:`FiniteGroup` -- multiplication-table groups with validated axioms
-  and named builtins ("Z2", "Z2xZ2", "Zn:k", "Sym:n"),
+  and named builtins ("Z2", "Z2xZ2", "Zn:k", "Sym:n"), of order at most
+  :data:`MAX_GROUP_ORDER`,
 * :class:`Subgroup`, :func:`conjugacy_classes_of_subgroups`,
-  :func:`weyl_group` -- subgroup enumeration and normalizer quotients,
+  :func:`weyl_group` -- subgroup enumeration, canonical conjugates and
+  normalizer quotients,
 * :class:`AutGroup` -- split extensions ℤᵏ ⋊ W with an integral W-action,
 * :class:`TwistData`, :class:`TwistedClassSet`, :func:`twisted_classes` --
   twisted conjugacy a ∼ θ(w)·a + (φ_π − I)·m with canonical representatives,
@@ -14,17 +16,30 @@ computations:
   integer combinations of automorphism-group elements and matrices of them,
 * :func:`pi1_projection` -- the trace projection onto twisted classes of the
   translation subgroup.
+
+Group-ring terms are validated once, where they enter: the public
+:class:`GroupRingElement` constructor, which documents are decoded through.
+Arithmetic (sums, products, negation, scaling, twists, coset reduction,
+traces and the Weyl expansion) builds its results from terms it already
+trusts and does not check them again.  Products and traces walk only the
+nonzero entries of each row and collect each result entry in one dict keyed
+by (vector, w); θ(w) is applied only when w is not the identity.  The
+translation-only group of each rank is one shared :class:`AutGroup`
+(:meth:`AutGroup.translations`), so same-group checks are identity tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from typing import Iterable, Sequence
+import operator
+from typing import Iterable, Mapping, Sequence
 
 from .exact_algebra import IntMatrix
 
 __all__ = [
+    "MAX_GROUP_ORDER",
     "FiniteGroup",
     "Subgroup",
     "WeylGroup",
@@ -42,6 +57,23 @@ __all__ = [
 _MINUS = "−"
 _MIDDLE_DOT = "·"
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
+
+MAX_GROUP_ORDER = 120
+"""The largest group order accepted: Sym:5 (order 120) loads, Sym:6 does not.
+
+A group of order n costs an n×n table and an O(n³) associativity check, and
+loading enumerates conjugates and Weyl quotients over it, so the order is
+checked before anything of that size is built.
+"""
+
+
+def _check_group_order(order: int, what: str) -> None:
+    """Raise unless a group of ``order`` elements is within :data:`MAX_GROUP_ORDER`."""
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"{what} has {order} elements; groups are limited to "
+            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements."
+        )
 
 
 class FiniteGroup:
@@ -61,6 +93,7 @@ class FiniteGroup:
     __slots__ = ("labels", "table", "identity", "_inverses")
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]) -> None:
+        _check_group_order(len(labels), "the group")
         label_tuple = tuple(str(label) for label in labels)
         n = len(label_tuple)
         if n == 0:
@@ -135,6 +168,7 @@ class FiniteGroup:
                 raise ValueError(f"malformed cyclic group name '{name}'; expected 'Zn:k'.")
             if k < 1:
                 raise ValueError(f"cyclic group order must be positive, got {k}.")
+            _check_group_order(k, f"'{name}'")
             labels = tuple("1" if i == 0 else f"r{i}" for i in range(k))
             table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
             return cls(labels, table)
@@ -145,6 +179,14 @@ class FiniteGroup:
                 raise ValueError(f"malformed symmetric group name '{name}'; expected 'Sym:n'.")
             if n < 1:
                 raise ValueError(f"symmetric group degree must be positive, got {n}.")
+            order = 1
+            for m in range(2, n + 1):  # stops at the first factor past the cap
+                order *= m
+                if order > MAX_GROUP_ORDER:
+                    raise ValueError(
+                        f"'{name}' has {n}! elements; groups are limited to "
+                        f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements."
+                    )
             perms = sorted(itertools.permutations(range(n)))
             index = {p: i for i, p in enumerate(perms)}
             labels = tuple("".join(str(v) for v in p) for p in perms)
@@ -268,6 +310,22 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, (self.parent.conjugate(g, m) for m in self.members))
+
+    def least_conjugate(self) -> "Subgroup":
+        """The conjugate with the least ``members`` tuple, in O(|G|·|H|).
+
+        This is the representative :func:`conjugacy_classes_of_subgroups`
+        picks for the class of this subgroup.
+
+        >>> g = FiniteGroup.builtin("Sym:3")
+        >>> Subgroup.from_labels(g, ["012", "210"]).least_conjugate()
+        Subgroup(['012', '021'])
+        """
+        g = self.parent
+        least = min(
+            tuple(sorted(g.conjugate(x, m) for m in self.members)) for x in range(g.order)
+        )
+        return self if least == self.members else Subgroup(g, least)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -467,7 +525,17 @@ class AutGroup:
 
     @classmethod
     def trivial(cls) -> "AutGroup":
-        return cls(0, FiniteGroup.builtin("trivial"))
+        return cls.translations(0)
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)  # keyed by rank alone, so it stays small
+    def translations(cls, rank: int) -> "AutGroup":
+        """The translation-only group ℤᵏ (trivial W), one shared instance per rank.
+
+        >>> AutGroup.translations(2) is AutGroup.translations(2)
+        True
+        """
+        return cls(rank, FiniteGroup.builtin("trivial"))
 
     @property
     def identity(self) -> tuple[tuple[int, ...], int]:
@@ -478,6 +546,8 @@ class AutGroup:
         return self.pi1_rank == 0 and self.weyl.order == 1
 
     def act(self, w: int, vector: Sequence[int]) -> tuple[int, ...]:
+        if w == self.weyl.identity:
+            return tuple(vector)
         return self.action[w].apply_to_vector(tuple(vector))
 
     def multiply(
@@ -486,9 +556,8 @@ class AutGroup:
         b: tuple[tuple[int, ...], int],
     ) -> tuple[tuple[int, ...], int]:
         (va, wa), (vb, wb) = a, b
-        moved = self.act(wa, vb)
         return (
-            tuple(x + y for x, y in zip(va, moved)),
+            tuple(map(operator.add, va, self.act(wa, vb))),
             self.weyl.multiply(wa, wb),
         )
 
@@ -519,7 +588,7 @@ class AutGroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AutGroup):
             return NotImplemented
-        return (
+        return self is other or (
             self.pi1_rank == other.pi1_rank
             and self.weyl == other.weyl
             and self.action == other.action
@@ -530,6 +599,35 @@ class AutGroup:
 
     def __repr__(self) -> str:
         return f"AutGroup(pi1_rank={self.pi1_rank}, weyl_order={self.weyl.order})"
+
+
+def _require_same_aut(a: AutGroup, b: AutGroup) -> None:
+    if a is not b and a != b:
+        raise ValueError("cannot combine elements over different automorphism groups.")
+
+
+_TERM_ORDER = operator.itemgetter(1, 0)  # terms sort by (Weyl index, vector)
+
+
+def _accumulate_product(
+    aut: AutGroup,
+    sums: dict[tuple[tuple[int, ...], int], int],
+    left: Sequence[tuple[tuple[int, ...], int, int]],
+    right: Sequence[tuple[tuple[int, ...], int, int]],
+) -> None:
+    """Add the product of two term sequences into ``sums``, keyed by (vector, w)."""
+    identity = aut.weyl.identity
+    add = operator.add
+    for v1, w1, c1 in left:
+        if w1 == identity:  # (v1, 1)·(v2, w2) = (v1 + v2, w2): no θ
+            for v2, w2, c2 in right:
+                key = (tuple(map(add, v1, v2)), w2)
+                sums[key] = sums.get(key, 0) + c1 * c2
+        else:
+            products = aut.weyl.table[w1]
+            for v2, w2, c2 in right:
+                key = (tuple(map(add, v1, aut.act(w1, v2))), products[w2])
+                sums[key] = sums.get(key, 0) + c1 * c2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -684,7 +782,10 @@ class GroupRingElement:
     """A finitely supported integer combination of automorphism-group elements.
 
     Terms are stored as sorted ``(vector, weyl_index, coefficient)`` triples
-    with zero coefficients dropped.
+    with zero coefficients dropped.  This constructor validates every term
+    (vector length, Weyl index) and is where document data enters; the
+    arithmetic below builds its results through the unchecked
+    :meth:`_from_sums`, since terms made from valid terms are valid.
 
     >>> aut = AutGroup(0, FiniteGroup.builtin("Z2"))
     >>> e = GroupRingElement.basis(aut, (), 1)
@@ -714,17 +815,26 @@ class GroupRingElement:
                 combined[key] = combined.get(key, 0) + int(coefficient)
         self.aut = aut
         self.terms = tuple(
-            sorted(
-                ((vector, w, coefficient) for (vector, w), coefficient in combined.items() if coefficient),
-                key=lambda term: (term[1], term[0]),
-            )
+            sorted(((v, w, c) for (v, w), c in combined.items() if c), key=_TERM_ORDER)
         )
+
+    @classmethod
+    def _from_sums(
+        cls, aut: AutGroup, sums: Mapping[tuple[tuple[int, ...], int], int]
+    ) -> "GroupRingElement":
+        """The element Σ c·(v, w) over ``sums``, whose keys are trusted as valid."""
+        element = object.__new__(cls)
+        element.aut = aut
+        element.terms = tuple(
+            sorted(((v, w, c) for (v, w), c in sums.items() if c), key=_TERM_ORDER)
+        )
+        return element
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, aut: AutGroup) -> "GroupRingElement":
-        return cls(aut, ())
+        return cls._from_sums(aut, {})
 
     @classmethod
     def identity(cls, aut: AutGroup) -> "GroupRingElement":
@@ -756,44 +866,37 @@ class GroupRingElement:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _require_same_aut(self, other: "GroupRingElement") -> None:
-        if self.aut != other.aut:
-            raise ValueError("cannot combine elements over different automorphism groups.")
-
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._require_same_aut(other)
-        return GroupRingElement(self.aut, self.terms + other.terms)
+        _require_same_aut(self.aut, other.aut)
+        sums = {(v, w): c for v, w, c in self.terms}
+        for v, w, c in other.terms:
+            sums[(v, w)] = sums.get((v, w), 0) + c
+        return GroupRingElement._from_sums(self.aut, sums)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(
-            self.aut, tuple((v, w, -c) for v, w, c in self.terms)
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def scale(self, factor: int) -> "GroupRingElement":
-        return GroupRingElement(
-            self.aut, tuple((v, w, factor * c) for v, w, c in self.terms)
+        return GroupRingElement._from_sums(
+            self.aut, {(v, w): factor * c for v, w, c in self.terms}
         )
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._require_same_aut(other)
-        products = []
-        for v1, w1, c1 in self.terms:
-            for v2, w2, c2 in other.terms:
-                vector, w = self.aut.multiply((v1, w1), (v2, w2))
-                products.append((vector, w, c1 * c2))
-        return GroupRingElement(self.aut, products)
+        _require_same_aut(self.aut, other.aut)
+        sums: dict[tuple[tuple[int, ...], int], int] = {}
+        _accumulate_product(self.aut, sums, self.terms, other.terms)
+        return GroupRingElement._from_sums(self.aut, sums)
 
     def apply_twist(self, twist: TwistData) -> "GroupRingElement":
         """Apply (v, w) ↦ (φ_π·v, w) to every support element."""
-        return GroupRingElement(
-            self.aut,
-            tuple(
-                (twist.phi_pi.apply_to_vector(v), w, c) for v, w, c in self.terms
-            ),
-        )
+        sums: dict[tuple[tuple[int, ...], int], int] = {}
+        for v, w, c in self.terms:
+            key = (twist.phi_pi.apply_to_vector(v), w)
+            sums[key] = sums.get(key, 0) + c
+        return GroupRingElement._from_sums(self.aut, sums)
 
     def coset_reduce(self, stabilizer: Sequence[int]) -> "GroupRingElement":
         """Canonical form modulo right multiplication by a Weyl stabilizer.
@@ -802,11 +905,11 @@ class GroupRingElement:
         the vector part is unchanged because the stabilizer acts trivially
         on translations.
         """
-        reduced = []
+        sums: dict[tuple[tuple[int, ...], int], int] = {}
         for vector, w, coefficient in self.terms:
-            w_min = min(self.aut.weyl.multiply(w, s) for s in stabilizer)
-            reduced.append((vector, w_min, coefficient))
-        return GroupRingElement(self.aut, reduced)
+            key = (vector, min(self.aut.weyl.multiply(w, s) for s in stabilizer))
+            sums[key] = sums.get(key, 0) + coefficient
+        return GroupRingElement._from_sums(self.aut, sums)
 
     # -- rendering ----------------------------------------------------
 
@@ -829,7 +932,7 @@ class GroupRingElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.aut == other.aut and self.terms == other.terms
+        return self.terms == other.terms and (self.aut is other.aut or self.aut == other.aut)
 
     def __hash__(self) -> int:
         return hash((self.aut, self.terms))
@@ -845,6 +948,10 @@ class GroupRingMatrix:
     element ``i`` in the image of source basis element ``j``, so a map
     C → C' with source rank r and target rank r' is an r×r' matrix and
     composition "first M, then N with twist ψ" is ``ψ(M) @ N``.
+
+    Entries are stored densely, but products and traces are sparse: they
+    walk only the nonzero entries of each row and build each result entry
+    once, from one dict of (vector, w) sums.
     """
 
     __slots__ = ("aut", "rows", "cols", "entries")
@@ -864,7 +971,7 @@ class GroupRingMatrix:
                 f"expected {rows * cols} entries for {rows}×{cols}, got {len(entries)}."
             )
         for entry in entries:
-            if entry.aut != aut:
+            if entry.aut is not aut and entry.aut != aut:
                 raise ValueError("matrix entries must share the matrix's automorphism group.")
         self.aut = aut
         self.rows = rows
@@ -906,13 +1013,20 @@ class GroupRingMatrix:
     def row(self, i: int) -> tuple[GroupRingElement, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def _nonzero_rows(self) -> list[list[tuple[int, GroupRingElement]]]:
+        """Per row, the ``(column, entry)`` pairs of its nonzero entries."""
+        return [
+            [(i, entry) for i, entry in enumerate(self.row(j)) if entry.terms]
+            for j in range(self.rows)
+        ]
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     @property
     def is_zero(self) -> bool:
-        return all(entry.is_zero for entry in self.entries)
+        return not any(entry.terms for entry in self.entries)
 
     def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -939,31 +1053,38 @@ class GroupRingMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}×{self.cols} by {other.rows}×{other.cols}."
             )
-        zero = GroupRingElement.zero(self.aut)
-        products = []
-        for j in range(self.rows):
-            for l in range(other.cols):
-                total = zero
-                for i in range(self.cols):
-                    total = total + self.entry(j, i) * other.entry(i, l)
-                products.append(total)
-        return GroupRingMatrix(self.aut, self.rows, other.cols, tuple(products))
+        aut = self.aut
+        _require_same_aut(aut, other.aut)
+        right_rows = other._nonzero_rows()
+        zero = GroupRingElement.zero(aut)
+        products: list[GroupRingElement] = []
+        for left_row in self._nonzero_rows():
+            row_sums: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
+            for i, left in left_row:
+                for l, right in right_rows[i]:
+                    _accumulate_product(aut, row_sums.setdefault(l, {}), left.terms, right.terms)
+            products.extend(
+                GroupRingElement._from_sums(aut, row_sums[l]) if l in row_sums else zero
+                for l in range(other.cols)
+            )
+        return GroupRingMatrix(aut, self.rows, other.cols, products)
 
     def apply_twist(self, twist: TwistData) -> "GroupRingMatrix":
         return GroupRingMatrix(
             self.aut,
             self.rows,
             self.cols,
-            tuple(entry.apply_twist(twist) for entry in self.entries),
+            tuple(entry.apply_twist(twist) if entry.terms else entry for entry in self.entries),
         )
 
     def trace(self) -> GroupRingElement:
         if not self.is_square:
             raise ValueError(f"trace requires a square matrix, got {self.rows}×{self.cols}.")
-        total = GroupRingElement.zero(self.aut)
+        sums: dict[tuple[tuple[int, ...], int], int] = {}
         for i in range(self.rows):
-            total = total + self.entry(i, i)
-        return total
+            for v, w, c in self.entries[i * (self.cols + 1)].terms:
+                sums[(v, w)] = sums.get((v, w), 0) + c
+        return GroupRingElement._from_sums(self.aut, sums)
 
     def augmented(self) -> IntMatrix:
         """The integer matrix of entrywise augmentations."""
@@ -1022,7 +1143,7 @@ def pi1_projection(
     >>> pi1_projection(GroupRingElement.basis(aut, (), 0, -1), classes)
     {(): -1}
     """
-    if element.aut != classes.aut:
+    if element.aut is not classes.aut and element.aut != classes.aut:
         raise ValueError("element and class set live over different automorphism groups.")
     identity_w = element.aut.weyl.identity
     projected: dict[tuple[int, ...], int] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from typing import Iterable, Sequence
 
 import sympy
@@ -341,10 +342,7 @@ class IntMatrix:
             raise ValueError(
                 f"vector of length {len(vector)} does not match {self.rows}×{self.cols}."
             )
-        return tuple(
-            sum(self.entry(i, j) * vector[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
     def trace(self) -> int:
         if not self.is_square:

@@ -129,27 +129,34 @@ def test_class_rejects_loose_integer_strings(capsys, entry):
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no integer-string digit limit"
 )
-@pytest.mark.parametrize("form", ["matrix", "document"])
+@pytest.mark.parametrize(
+    "form", ["matrix", "document", "bare-matrix", "bare-document", "bare-inline"]
+)
 def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
-    digits = "9" * 5000
-    if form == "matrix":
-        argv = ["class", json.dumps([[digits]])]
-        where = "matrix entry (0, 0)"
+    """5000 digits, as a decimal string or as a bare JSON number (json.loads fails)."""
+    bare = form.startswith("bare")
+    number = "9" * 5000 if bare else '"' + "9" * 5000 + '"'
+    if form.endswith("matrix"):
+        argv = ["class", f"[[{number}]]"]
+        where = "matrix input" if bare else "matrix entry (0, 0)"
     else:
         document = broken_square_document()
         document["iso_classes"][0]["chain"] = [
-            {"degree": 0, "rank": 1, "relative_mask": [False], "map": [[digits]]}
+            {"degree": 0, "rank": 1, "relative_mask": [False], "map": [["N"]]}
         ]
+        text = json.dumps(document).replace('"N"', number)
         path = tmp_path / "long.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        argv = ["invariants", str(path)]
-        where = "map[0][0]"
+        path.write_text(text, encoding="utf-8")
+        argv = ["invariants", text if form == "bare-inline" else str(path)]
+        where = {"bare-inline": "inline JSON document", "bare-document": repr(str(path))}.get(
+            form, "map[0][0]"
+        )
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and len(err) < 300
     assert where in err
-    assert "5000 digits" in err
+    assert bare or "5000 digits" in err
     assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
 
 

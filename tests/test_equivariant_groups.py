@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eqlef.complex_model import load_complex, load_builtin
 from eqlef.exact_algebra import IntMatrix
 from eqlef.equivariant_groups import (
+    MAX_GROUP_ORDER,
     AutGroup,
     FiniteGroup,
     GroupRingElement,
@@ -70,6 +74,29 @@ def test_invalid_table_rejected():
         FiniteGroup(["1"], [[0, 0]])  # ragged table
 
 
+@pytest.mark.parametrize(
+    "name, shown", [("Sym:6", "6!"), ("Sym:9", "9!"), ("Zn:121", "121"), ("Zn:1000000", "1000000")]
+)
+def test_group_order_cap_rejects_builtins_by_name(name, shown):
+    # the cap is checked on the name alone; no oversized group is built
+    with pytest.raises(ValueError, match=f"has {shown} elements.*MAX_GROUP_ORDER = 120"):
+        FiniteGroup.builtin(name)
+
+
+def test_group_order_cap_admits_sym5_and_rejects_explicit_tables_by_shape():
+    assert MAX_GROUP_ORDER == 120  # Sym:5 has 5! = 120 elements
+    labels = [f"x{i}" for i in range(10_000)]
+    with pytest.raises(ValueError, match="10000 elements.*MAX_GROUP_ORDER = 120"):
+        FiniteGroup(labels, [])
+    document = {
+        "format_version": 1,
+        "group": {"labels": labels, "table": "never decoded"},
+        "iso_classes": [],
+    }
+    with pytest.raises(ValueError, match="group.labels has 10000 elements"):
+        load_complex(document)
+
+
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError, match="builtin"):
         FiniteGroup.builtin("Q8")
@@ -107,6 +134,14 @@ def test_conjugacy_classes_of_subgroups():
     for representative, members in sym3:
         assert representative in members
         assert representative == min(members, key=lambda s: s.members)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2", "Sym:3", "Sym:4", "Zn:12"])
+def test_least_conjugate_is_the_class_representative(name):
+    g = FiniteGroup.builtin(name)
+    for representative, members in conjugacy_classes_of_subgroups(g):
+        for member in members:
+            assert member.least_conjugate() == representative
 
 
 def test_weyl_group_of_reflection_subgroup():
@@ -367,3 +402,80 @@ def test_pi1_projection_merges_twisted_classes():
         + GroupRingElement.basis(aut, (3,), 0, 4)  # ~ (1,)
     )
     assert pi1_projection(element, classes) == {(0,): 2, (1,): 4}
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against a dense reference
+
+
+def test_translation_groups_are_interned():
+    assert AutGroup.translations(3) is AutGroup.translations(3)
+    assert AutGroup.trivial() is AutGroup.translations(0)
+    assert AutGroup.translations(2) == AutGroup(2, FiniteGroup.builtin("trivial"))
+    iso = load_builtin("example2").classes[0]
+    assert iso.pi1_aut() is AutGroup.translations(iso.aut.pi1_rank)
+
+
+def dense_product(a, b):
+    """Every (j, i, l) entry product, θ applied to every term, summed by the constructor."""
+    aut = a.aut
+    entries = []
+    for j in range(a.rows):
+        for l in range(b.cols):
+            terms = []
+            for i in range(a.cols):
+                for v1, w1, c1 in a.entry(j, i).terms:
+                    for v2, w2, c2 in b.entry(i, l).terms:
+                        moved = aut.action[w1].apply_to_vector(v2)
+                        vector = tuple(x + y for x, y in zip(v1, moved))
+                        terms.append((vector, aut.weyl.multiply(w1, w2), c1 * c2))
+            entries.append(GroupRingElement(aut, terms))
+    return GroupRingMatrix(aut, a.rows, b.cols, entries)
+
+
+def dense_trace(m):
+    return GroupRingElement(m.aut, [t for i in range(m.rows) for t in m.entry(i, i).terms])
+
+
+KERNEL_AUTS = (
+    AutGroup(2, FiniteGroup.builtin("Z2"), [IntMatrix.identity(2), IntMatrix.from_rows([[-1, 0], [0, -1]])]),
+    AutGroup(0, FiniteGroup.builtin("Sym:3")),
+)
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    """Two composable matrices over a nontrivial AutGroup, about two thirds zero entries."""
+    aut = draw(st.sampled_from(KERNEL_AUTS))
+    term = st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * aut.pi1_rank),
+        st.integers(0, aut.weyl.order - 1),
+        st.integers(-3, 3),
+    )
+
+    def matrix(rows, cols):
+        entries = [
+            GroupRingElement(aut, draw(st.lists(term, min_size=1, max_size=3)))
+            if draw(st.integers(0, 2)) == 0
+            else GroupRingElement.zero(aut)
+            for _ in range(rows * cols)
+        ]
+        return GroupRingMatrix(aut, rows, cols, entries)
+
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    return matrix(n, m), matrix(m, p), matrix(n, n)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sparse_matrix_pairs())
+def test_sparse_matmul_and_trace_match_dense_reference(matrices):
+    a, b, square = matrices
+    product = a @ b
+    assert product == dense_product(a, b)
+    assert square.trace() == dense_trace(square)
+    if b.is_square:
+        assert product @ b == dense_product(dense_product(a, b), b)
+    if a.rows and a.cols and b.cols:
+        assert a.entry(0, 0) * b.entry(0, 0) == dense_product(
+            a.submatrix([0], [0]), b.submatrix([0], [0])
+        ).entry(0, 0)
