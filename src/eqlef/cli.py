@@ -13,16 +13,20 @@ Subcommands:
 
 Flags ``--json``, ``--output PATH``, ``--verbose`` are accepted by every
 subcommand; ``--verbose`` prints progress notes, and the traceback of an
-internal error, to stderr.  Each subparser names its handler through
-``set_defaults(handler=...)``, and handlers read the parsed namespace
-directly.  Exit codes: 0 success, 1 validation/parse failure, 2 internal
-error.  JSON output is byte-stable: keys are sorted and all ordering is
-canonical.
+internal error, to stderr.  :func:`main` parses with one parser per
+process, built on its first call; :func:`build_parser` returns a fresh one.
+Each subparser names its handler function through
+``set_defaults(handler="cmd_...")``, and :func:`main` looks that name up in
+this module when it dispatches, so the shared parser holds no function.
+Handlers read the parsed namespace directly.  Exit codes: 0 success, 1
+validation/parse failure, 2 internal error.  JSON output is byte-stable:
+keys are sorted and all ordering is canonical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -90,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             "matrix",
             help='square integer matrix as JSON rows, e.g. "[[0,-1],[1,0]]"',
         )
-        sub.set_defaults(handler=cmd_class)
+        sub.set_defaults(handler="cmd_class")
 
     sub = subparsers.add_parser(
         "invariants",
@@ -98,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute every invariant of a complex (builtin name, file, or inline JSON)",
     )
     sub.add_argument("input", help="builtin name, document path, or inline JSON")
-    sub.set_defaults(handler=cmd_invariants)
+    sub.set_defaults(handler="cmd_invariants")
 
     sub = subparsers.add_parser(
         "realize",
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "b_prime", help='square integer matrix b\' as JSON rows ("[]" for empty)'
     )
-    sub.set_defaults(handler=cmd_realize)
+    sub.set_defaults(handler="cmd_realize")
 
     sub = subparsers.add_parser(
         "check",
@@ -117,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate a complex document without computing invariants",
     )
     sub.add_argument("input", help="builtin name, document path, or inline JSON")
-    sub.set_defaults(handler=cmd_check)
+    sub.set_defaults(handler="cmd_check")
 
     sub = subparsers.add_parser(
         "example",
@@ -125,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a builtin example document",
     )
     sub.add_argument("name", choices=sorted(BUILTIN_COMPLEXES), help="builtin name")
-    sub.set_defaults(handler=cmd_example)
+    sub.set_defaults(handler="cmd_example")
 
     return parser
 
@@ -344,14 +348,20 @@ def cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

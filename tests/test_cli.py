@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from eqlef import load_complex
-from eqlef.cli import main
+from eqlef.cli import build_parser, main
 
 MINUS = "−"
 OPLUS = "⊕"
@@ -299,6 +300,62 @@ def test_check_rejects_falsy_action(capsys, action):
     assert "expected an object at iso_classes[0].action" in err
 
 
+def group_document(group):
+    return json.dumps({"format_version": 1, "group": group, "iso_classes": []})
+
+
+# A Latin square with identity 'e' in which every element is its own inverse:
+# the smallest kind of loop that is not a group (order 5).
+LOOP_LABELS = ["e", "a", "b", "c", "d"]
+LOOP_TABLE = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def test_check_rejects_non_associative_loop(capsys):
+    assert all(sorted(row) == list(range(5)) for row in LOOP_TABLE)
+    assert all(sorted(col) == list(range(5)) for col in zip(*LOOP_TABLE))
+    document = group_document({"labels": LOOP_LABELS, "table": LOOP_TABLE})
+    code, out, err = run(capsys, ["check", document])
+    assert code == 1
+    assert out == ""
+    match = re.fullmatch(
+        r"error: multiplication table is not associative at "
+        r"\('(\w)', '(\w)', '(\w)'\)\.\n",
+        err,
+    )
+    assert match is not None, err
+    a, b, c = (LOOP_LABELS.index(label) for label in match.groups())
+    t = LOOP_TABLE
+    assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+@pytest.mark.parametrize("name", ["Zn:1_2", "Sym:٣", "Zn:+4", "Zn: 4"])
+def test_check_rejects_loose_builtin_group_numbers(capsys, name):
+    code, out, err = run(capsys, ["check", group_document({"builtin": name})])
+    assert code == 1
+    assert out == ""
+    assert "malformed" in err and f"'{name}'" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer-string digit limit"
+)
+@pytest.mark.parametrize("prefix", ["Sym:", "Zn:"])
+def test_overlong_builtin_group_number_names_the_digit_limit(capsys, prefix):
+    name = prefix + "9" * 5000
+    code, out, err = run(capsys, ["check", group_document({"builtin": name})])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert "5000 digits" in err
+    assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
+
+
 # ---------------------------------------------------------------------------
 # example and argument handling
 
@@ -343,6 +400,46 @@ def test_internal_error_traceback_only_under_verbose(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("internal error: handler exploded\nTraceback (most recent call last):")
     assert err.endswith("RuntimeError: handler exploded\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_keeps_no_output_options_between_calls(capsys, tmp_path):
+    path = tmp_path / "class.json"
+    code, out, _ = run(capsys, ["class", "[[2]]", "--json", "--output", str(path)])
+    assert code == 0
+    assert out == ""
+    written = path.read_text(encoding="utf-8")
+    assert json.loads(written)["class"]["rendered"] == f"+1·(x{MINUS}2)"
+    code, out, _ = run(capsys, ["class", "[[2]]"])
+    assert code == 0
+    assert out.splitlines()[0] == f"+1·(x{MINUS}2)"
+    assert path.read_text(encoding="utf-8") == written
+
+
+def test_shared_parser_recovers_after_a_usage_error(capsys):
+    code, _, err = run(capsys, ["class"])
+    assert code == 1
+    assert "required: matrix" in err
+    code, out, err = run(capsys, ["check", "example1"])
+    assert code == 0
+    assert out.strip() == "OK: 2 iso classes, group order 2, 2 fixed points"
+    assert err == ""
+
+
+def test_shared_parser_keeps_no_verbose_between_calls(capsys):
+    code, _, err = run(capsys, ["invariants", "--verbose", "example1"])
+    assert code == 0
+    assert "loaded complex" in err
+    code, _, err = run(capsys, ["invariants", "example1"])
+    assert code == 0
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Finite groups, Weyl data, twisted conjugacy, and group-ring arithmetic."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,127 @@ def test_unknown_builtin_rejected():
 
 
 # ---------------------------------------------------------------------------
+# associativity against an n³ reference
+
+
+def brute_force_associative(table):
+    """The test-only reference: (a·b)·c = a·(b·c) for every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def random_loop(rng, n):
+    """A random Latin square with identity 0, filled cell by cell with backtracking."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        symbols = [s for s in range(n) if s not in used]
+        rng.shuffle(symbols)
+        for s in symbols:
+            table[i][j] = s
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def turn_intercalate(rng, table):
+    """Swap the symbols of one 2×2 Latin subsquare that avoids the identity 0.
+
+    The result is still a Latin square with identity 0 and the same
+    two-sided inverses; it is usually no longer associative.
+    """
+    n = len(table)
+    intercalates = [
+        (i, j, k, l)
+        for i, j in itertools.combinations(range(1, n), 2)
+        for k, l in itertools.combinations(range(1, n), 2)
+        if table[i][k] == table[j][l] != 0
+        and table[i][l] == table[j][k] != 0
+    ]
+    if intercalates:
+        i, j, k, l = rng.choice(intercalates)
+        table[i][k], table[i][l] = table[i][l], table[i][k]
+        table[j][k], table[j][l] = table[j][l], table[j][k]
+    return table
+
+
+SMALL_GROUPS = ("trivial", "Z2", "Zn:3", "Z2xZ2", "Zn:4", "Zn:5", "Zn:6", "Sym:3")
+
+
+@st.composite
+def latin_squares_with_identity(draw):
+    """Random loops, relabelled small groups, and groups with an intercalate turned."""
+    rng = draw(st.randoms(use_true_random=False))
+    source = draw(st.sampled_from(["loop", "group", "turned group"]))
+    if source == "loop":
+        table = random_loop(rng, draw(st.integers(1, 6)))
+    else:
+        group = FiniteGroup.builtin(draw(st.sampled_from(SMALL_GROUPS)))
+        table = [list(row) for row in group.table]
+        if source == "turned group":
+            table = turn_intercalate(rng, table)
+    n = len(table)
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    relabelled = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return relabelled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(latin_squares_with_identity())
+def test_associativity_verdict_matches_brute_force(table):
+    labels = [f"x{i}" for i in range(len(table))]
+    associative = brute_force_associative(table)
+    try:
+        FiniteGroup(labels, table)
+    except ValueError as exc:
+        assert not associative
+        match = re.fullmatch(
+            r"multiplication table is not associative at \('x(\d+)', 'x(\d+)', 'x(\d+)'\)\.",
+            str(exc),
+        )
+        if match is None:
+            assert re.fullmatch(r"element 'x\d+' has no inverse\.", str(exc))
+        else:
+            a, b, c = map(int, match.groups())
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+    else:
+        assert associative
+
+
+def test_turned_groups_reach_the_associativity_check():
+    """Turned groups keep their inverses, so Light's test is what rejects them.
+
+    Of the groups of order at most 6, only Zn:6 and Sym:3 have an
+    intercalate that avoids the identity.
+    """
+    rng = random.Random(5)
+    for name in ("Zn:6", "Sym:3"):
+        for _ in range(10):
+            table = turn_intercalate(rng, [list(row) for row in FiniteGroup.builtin(name).table])
+            assert not brute_force_associative(table)
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteGroup([str(i) for i in range(len(table))], table)
+
+
+# ---------------------------------------------------------------------------
 # subgroups, conjugacy classes, Weyl groups
 
 
@@ -150,6 +273,33 @@ def test_weyl_group_of_reflection_subgroup():
     w = weyl_group(g, h)
     assert w.group.order == 2
     assert w.cosets == ((0, 1), (2, 3))
+
+
+def reference_weyl_table(g, h):
+    """Cosets sorted by least element, and the quotient table by sorting each product's coset."""
+    normalizer = [
+        n for n in range(g.order) if all(g.conjugate(n, m) in h.members for m in h.members)
+    ]
+
+    def coset_of(n):
+        return tuple(sorted(g.table[n][m] for m in h.members))
+
+    cosets = sorted({coset_of(n) for n in normalizer})
+    representatives = [coset[0] for coset in cosets]
+    table = tuple(
+        tuple(cosets.index(coset_of(g.table[a][b])) for b in representatives)
+        for a in representatives
+    )
+    return tuple(cosets), tuple(g.labels[r] for r in representatives), table
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2", "Sym:3", "Sym:4", "Zn:12"])
+def test_weyl_group_matches_sorted_coset_reference(name):
+    g = FiniteGroup.builtin(name)
+    for h in all_subgroups(g):
+        w = weyl_group(g, h)
+        assert (w.cosets, w.group.labels, w.group.table) == reference_weyl_table(g, h)
+        assert w.coset_representatives == tuple(coset[0] for coset in w.cosets)
 
 
 def test_weyl_group_trivial_cases():
