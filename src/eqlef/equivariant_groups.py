@@ -83,12 +83,19 @@ def _name_number(name: str, kind: str, form: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"malformed {kind} group name '{name}'; expected '{form}'.")
     try:
-        return int(digits)
+        number = int(digits)
     except ValueError:  # more digits than the interpreter converts
         raise ValueError(
             f"{kind} group name has {len(digits)} digits after the colon, more than "
             f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}."
         ) from None
+    significant = digits.lstrip("0")
+    if len(significant) > 20:  # far past the cap: name its length, do not echo it
+        raise ValueError(
+            f"{kind} group name has a {len(significant)}-digit number after the colon; "
+            f"groups are limited to MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements."
+        )
+    return number
 
 
 def _generating_set(table: tuple[tuple[int, ...], ...], identity: int) -> list[int]:
@@ -213,7 +220,7 @@ class FiniteGroup:
             k = _name_number(name, "cyclic", "Zn:k")
             if k < 1:
                 raise ValueError(f"cyclic group order must be positive, got {k}.")
-            _check_group_order(k, f"'{name}'")
+            _check_group_order(k, f"'Zn:{k}'")
             labels = tuple("1" if i == 0 else f"r{i}" for i in range(k))
             table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
             return cls(labels, table)
@@ -226,7 +233,7 @@ class FiniteGroup:
                 order *= m
                 if order > MAX_GROUP_ORDER:
                     raise ValueError(
-                        f"'{name}' has {n}! elements; groups are limited to "
+                        f"'Sym:{n}' has {n}! elements; groups are limited to "
                         f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements."
                     )
             perms = sorted(itertools.permutations(range(n)))
@@ -739,37 +746,33 @@ def _echelon_columns(
 
 
 class TwistedClassSet:
-    """Canonical representatives for a ∼ θ(w)·a + (φ_π − I)·m.
+    """Canonical representatives for a ∼ θ(w)·a + (φ_π − I)·m, w in the Weyl group.
 
-    With ``use_weyl=False`` only the lattice moves a ∼ a + (φ_π − I)·m are
-    used (the component-map Reidemeister relation); with ``use_weyl=True``
-    the Weyl moves are included as well.  Representatives are computed by
-    reducing top-down against a column-echelon basis of the image lattice
-    of (φ_π − I), which picks the unique coset element whose pivot-row
-    entries lie in ``[0, pivot)``; when Weyl moves are enabled the result
-    is then minimized lexicographically over the Weyl orbit.
+    The relation is chosen by the group passed in: over an :class:`AutGroup`
+    with Weyl group W the moves are the lattice moves a ∼ a + (φ_π − I)·m
+    and the Weyl moves a ∼ θ(w)·a; over the translation-only group
+    (:meth:`AutGroup.translations`) only the lattice moves remain, which is
+    the Reidemeister relation of the component map.  Representatives are
+    computed by reducing top-down against a column-echelon basis of the
+    image lattice of (φ_π − I), which picks the unique coset element whose
+    pivot-row entries lie in ``[0, pivot)``, and then minimizing
+    lexicographically over the Weyl orbit.
 
-    >>> aut = AutGroup(1, FiniteGroup.builtin("trivial"))
-    >>> classes = twisted_classes(aut, TwistData(IntMatrix.from_rows([[-1]])), use_weyl=False)
-    >>> classes.enumerate_representatives()
-    [(0,), (1,)]
+    >>> phi = IntMatrix.from_rows([[-1]])
+    >>> classes = twisted_classes(AutGroup.translations(1), TwistData(phi))
+    >>> classes.representative((7,)), classes.representative((-4,))
+    ((1,), (0,))
     """
 
-    __slots__ = ("aut", "twist", "use_weyl", "_basis")
+    __slots__ = ("aut", "twist", "_basis")
 
-    def __init__(self, aut: AutGroup, twist: TwistData, use_weyl: bool = True) -> None:
+    def __init__(self, aut: AutGroup, twist: TwistData) -> None:
         twist.validate_against(aut)
         self.aut = aut
         self.twist = twist
-        self.use_weyl = use_weyl
         k = aut.pi1_rank
         difference = twist.phi_pi - IntMatrix.identity(k)
         self._basis = _echelon_columns(k, (difference.column(j) for j in range(k)))
-
-    @property
-    def is_finite(self) -> bool:
-        """True when the set of classes is finite (full-rank φ_π − I)."""
-        return len(self._basis) == self.aut.pi1_rank
 
     def _lattice_reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         reduced = list(vector)
@@ -786,38 +789,25 @@ class TwistedClassSet:
                 f"vector of length {len(vector)} does not match rank {self.aut.pi1_rank}."
             )
         reduced = self._lattice_reduce(vector)
-        if not self.use_weyl or self.aut.weyl.order == 1:
+        if self.aut.weyl.order == 1:
             return reduced
         return min(
             self._lattice_reduce(self.aut.act(w, reduced))
             for w in range(self.aut.weyl.order)
         )
 
-    def enumerate_representatives(self) -> list[tuple[int, ...]]:
-        """All class representatives, sorted; only available when finite."""
-        if not self.is_finite:
-            raise ValueError(
-                "the twisted class set is infinite (φ_π − I is singular); "
-                "enumeration is unavailable."
-            )
-        seen = set()
-        pivots = [column[row] for row, column in self._basis]
-        for box in itertools.product(*(range(p) for p in pivots)):
-            seen.add(self.representative(box))
-        return sorted(seen)
 
-    def count(self) -> int:
-        return len(self.enumerate_representatives())
+def twisted_classes(aut: AutGroup, twist: TwistData) -> TwistedClassSet:
+    """The twisted class set over ``aut``, whose Weyl group gives the Weyl moves.
 
-
-def twisted_classes(aut: AutGroup, twist: TwistData, use_weyl: bool = True) -> TwistedClassSet:
-    """Build the twisted conjugacy class set for the given data.
+    λ and ℓ pass a class's own group; the Reidemeister trace passes the
+    translation-only group of the same rank, so it uses lattice moves only.
 
     >>> classes = twisted_classes(AutGroup.trivial(), TwistData(IntMatrix.zeros(0, 0)))
     >>> classes.representative(())
     ()
     """
-    return TwistedClassSet(aut, twist, use_weyl=use_weyl)
+    return TwistedClassSet(aut, twist)
 
 
 class GroupRingElement:

@@ -40,12 +40,11 @@ from .complex_model import (
 from .equivariant_groups import (
     FiniteGroup,
     GroupRingMatrix,
-    TwistData,
     TwistedClassSet,
     pi1_projection,
     twisted_classes,
 )
-from .uz import UZClass, class_of_matrix, uz_add, uz_neg
+from .uz import UZClass, class_of_matrix
 
 __all__ = [
     "ClassSum",
@@ -407,12 +406,15 @@ def universal_invariant(c: EquivariantComplex) -> UniversalInvariant:
         )
         uz_image = None
         if iso.aut.is_trivial:
-            uz_image = UZClass.zero()
-            for i, entry in enumerate(iso.degrees):
-                term = class_of_matrix(_unmasked_submatrix(iso, i).augmented())
-                if _sign(entry.degree) < 0:
-                    term = uz_neg(term)
-                uz_image = uz_add(uz_image, term)
+            uz_image = UZClass(
+                tuple(
+                    (polynomial, _sign(entry.degree) * coefficient)
+                    for i, entry in enumerate(iso.degrees)
+                    for polynomial, coefficient in class_of_matrix(
+                        _unmasked_submatrix(iso, i).augmented()
+                    ).terms
+                )
+            )
         entries.append(
             UniversalEntry(
                 subgroup_labels=iso.subgroup.member_labels,
@@ -477,32 +479,35 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
 
 def _weyl_class_sets(c: EquivariantComplex) -> list[TwistedClassSet]:
     """The Weyl-merged twisted class set of each class of ``c``, in order."""
-    return [twisted_classes(iso.aut, iso.twist, use_weyl=True) for iso in c.classes]
+    return [twisted_classes(iso.aut, iso.twist) for iso in c.classes]
+
+
+def _alternating_projection(
+    iso: IsoClassData, matrices: Iterable[GroupRingMatrix], classes: TwistedClassSet
+) -> ClassSum:
+    """Σ_p (−1)^p [projected trace of the degree-p matrix], one matrix per degree of ``iso``."""
+    return ClassSum(
+        tuple(
+            (vector, _sign(entry.degree) * coefficient)
+            for entry, matrix in zip(iso.degrees, matrices)
+            for vector, coefficient in pi1_projection(matrix.trace(), classes).items()
+        )
+    )
 
 
 def _lambda_vector(c: EquivariantComplex, class_sets: Sequence[TwistedClassSet]) -> LambdaVector:
     """λ with the Weyl-merged class sets of ``c.classes`` given, in order."""
-    entries = []
-    for iso, classes in zip(c.classes, class_sets):
-        accumulated: dict[tuple[int, ...], int] = {}
-        for i, entry in enumerate(iso.degrees):
-            trace = _unmasked_submatrix(iso, i).trace()
-            for vector, coefficient in pi1_projection(trace, classes).items():
-                accumulated[vector] = accumulated.get(vector, 0) + _sign(entry.degree) * coefficient
-        entries.append(
+    return LambdaVector(
+        entries=tuple(
             LambdaEntry(
                 subgroup_labels=iso.subgroup.member_labels,
                 component=iso.component,
-                value=ClassSum.from_mapping(accumulated),
+                value=_alternating_projection(
+                    iso, (_unmasked_submatrix(iso, i) for i in range(len(iso.degrees))), classes
+                ),
             )
+            for iso, classes in zip(c.classes, class_sets)
         )
-    return LambdaVector(entries=tuple(entries))
-
-
-def _component_class_set(iso: IsoClassData) -> TwistedClassSet:
-    """Twisted classes of the component map: lattice moves only, no Weyl moves."""
-    return twisted_classes(
-        iso.pi1_aut(), TwistData(iso.twist.phi_pi), use_weyl=False
     )
 
 
@@ -511,16 +516,15 @@ def reidemeister_trace(d: IsoClassData) -> ClassSum:
 
     The chain modules are restricted to the translation group ring along
     Weyl coset representatives (the expansion), and the alternating sum of
-    diagonal coefficients is projected to the twisted classes of the
-    translation subgroup (no Weyl identification).
+    diagonal coefficients is projected to the twisted classes over the
+    translation-only group ``d.pi1_aut()``: lattice moves only, no Weyl
+    identification.
     """
-    classes = _component_class_set(d)
-    accumulated: dict[tuple[int, ...], int] = {}
-    for entry in d.degrees:
-        expanded = d.expanded_chain_map(entry.degree)
-        for vector, coefficient in pi1_projection(expanded.trace(), classes).items():
-            accumulated[vector] = accumulated.get(vector, 0) + _sign(entry.degree) * coefficient
-    return ClassSum.from_mapping(accumulated)
+    return _alternating_projection(
+        d,
+        (d.expanded_chain_map(entry.degree) for entry in d.degrees),
+        twisted_classes(d.pi1_aut(), d.twist),
+    )
 
 
 def reidemeister_from_fixed_points(
@@ -531,13 +535,9 @@ def reidemeister_from_fixed_points(
     >>> reidemeister_from_fixed_points([], None).is_zero
     True
     """
-    accumulated: dict[tuple[int, ...], int] = {}
-    for point in data:
-        if classes is None:
-            raise ValueError("a twisted class set is required for nonempty fixed-point data.")
-        representative = classes.representative(point.path)
-        accumulated[representative] = accumulated.get(representative, 0) + point.index
-    return ClassSum.from_mapping(accumulated)
+    if data and classes is None:
+        raise ValueError("a twisted class set is required for nonempty fixed-point data.")
+    return ClassSum(tuple((classes.representative(point.path), point.index) for point in data))
 
 
 def lefschetz_number(d: IsoClassData) -> int:
@@ -635,35 +635,26 @@ def _ell_from_traces(
     c: EquivariantComplex, traces: Sequence[ClassSum], class_sets: Sequence[TwistedClassSet]
 ) -> EllInvariant:
     """ℓ from the Reidemeister traces and Weyl-merged class sets of ``c.classes``."""
-    slot_data: dict[tuple[int, ...], dict] = {}
-    for iso, trace, full_classes in zip(c.classes, traces, class_sets):
-        projected: dict[tuple[int, ...], int] = {}
-        for vector, coefficient in trace.terms:
-            representative = full_classes.representative(vector)
-            projected[representative] = projected.get(representative, 0) + coefficient
-        value = ClassSum.from_mapping(projected).scale(iso.orbit_size)
-        slot = slot_data.setdefault(
-            iso.subgroup.members,
-            {"labels": iso.subgroup.member_labels, "total": ClassSum.zero(), "contributions": []},
-        )
-        slot["total"] = slot["total"] + value
-        slot["contributions"].append(
+    slots: dict[tuple[int, ...], list[EllContribution]] = {}
+    for iso, trace, classes in zip(c.classes, traces, class_sets):
+        slots.setdefault(iso.subgroup.members, []).append(
             EllContribution(
                 subgroup_labels=iso.subgroup.member_labels,
                 component=iso.component,
                 orbit_size=iso.orbit_size,
-                value=value,
+                value=ClassSum(
+                    tuple((classes.representative(v), iso.orbit_size * n) for v, n in trace.terms)
+                ),
             )
         )
-    ordered = sorted(slot_data.items(), key=lambda item: (len(item[0]), item[0]))
     return EllInvariant(
         [
             EllSlot(
-                subgroup_labels=data["labels"],
-                total=data["total"],
-                contributions=tuple(data["contributions"]),
+                subgroup_labels=contributions[0].subgroup_labels,
+                total=ClassSum(tuple(t for part in contributions for t in part.value.terms)),
+                contributions=tuple(contributions),
             )
-            for _, data in ordered
+            for _, contributions in sorted(slots.items(), key=lambda item: (len(item[0]), item[0]))
         ]
     )
 
@@ -747,6 +738,28 @@ def _relabel_document(document: Mapping, mapping: Mapping[str, str]) -> dict:
     return relabeled
 
 
+def _push_forward(ell: EllInvariant, relabel: Mapping[str, str], factor: int) -> EllInvariant:
+    """ℓ with subgroup labels relabelled and orbit sizes, contributions and totals × ``factor``."""
+    return EllInvariant(
+        [
+            EllSlot(
+                subgroup_labels=tuple(map(relabel.__getitem__, slot.subgroup_labels)),
+                total=slot.total.scale(factor),
+                contributions=tuple(
+                    dataclasses.replace(
+                        part,
+                        subgroup_labels=tuple(map(relabel.__getitem__, part.subgroup_labels)),
+                        orbit_size=part.orbit_size * factor,
+                        value=part.value.scale(factor),
+                    )
+                    for part in slot.contributions
+                ),
+            )
+            for slot in ell.slots
+        ]
+    )
+
+
 def induce(
     c: EquivariantComplex, g_group: FiniteGroup, embedding: Mapping[str, str]
 ) -> tuple[EquivariantComplex, EllInvariant]:
@@ -758,47 +771,21 @@ def induce(
     the source's ℓ; it equals ``klein_williams`` of the induced complex.
     """
     mapping = _validate_embedding(c.group, g_group, embedding)
-    ell = klein_williams(c)
-
-    if c.group.order == g_group.order:
-        document = serialize_complex(c)
-        relabeled = _relabel_document(document, mapping)
-        relabeled["group"] = {
-            "labels": list(g_group.labels),
-            "table": [list(row) for row in g_group.table],
-        }
-        induced = load_complex(relabeled)
-        induced_ell = EllInvariant(
-            [
-                EllSlot(
-                    subgroup_labels=tuple(mapping[label] for label in slot.subgroup_labels),
-                    total=slot.total,
-                    contributions=tuple(
-                        EllContribution(
-                            subgroup_labels=tuple(
-                                mapping[label] for label in contribution.subgroup_labels
-                            ),
-                            component=contribution.component,
-                            orbit_size=contribution.orbit_size,
-                            value=contribution.value,
-                        )
-                        for contribution in slot.contributions
-                    ),
-                )
-                for slot in ell.slots
-            ]
+    if c.group.order not in (1, g_group.order):
+        raise ValueError(
+            "induction is supported for isomorphisms and for trivial source groups; "
+            f"got source order {c.group.order} inside target order {g_group.order}."
         )
-        return induced, induced_ell
-
-    if c.group.order == 1:
+    ell = klein_williams(c)
+    document = serialize_complex(c)
+    group = {"labels": list(g_group.labels), "table": [list(row) for row in g_group.table]}
+    if c.group.order == g_group.order:
+        induced_doc = {**_relabel_document(document, mapping), "group": group}
+    else:
         identity_label = g_group.labels[g_group.identity]
-        document = serialize_complex(c)
         induced_doc = {
             "format_version": document["format_version"],
-            "group": {
-                "labels": list(g_group.labels),
-                "table": [list(row) for row in g_group.table],
-            },
+            "group": group,
             "iso_classes": [],
         }
         if c.name is not None:
@@ -816,32 +803,9 @@ def induce(
                 chain.append(degree)
             induced_class["chain"] = chain
             induced_doc["iso_classes"].append(induced_class)
-        induced = load_complex(induced_doc)
-        factor = g_group.order
-        induced_ell = EllInvariant(
-            [
-                EllSlot(
-                    subgroup_labels=(identity_label,),
-                    total=slot.total.scale(factor),
-                    contributions=tuple(
-                        EllContribution(
-                            subgroup_labels=(identity_label,),
-                            component=contribution.component,
-                            orbit_size=contribution.orbit_size * factor,
-                            value=contribution.value.scale(factor),
-                        )
-                        for contribution in slot.contributions
-                    ),
-                )
-                for slot in ell.slots
-            ]
-        )
-        return induced, induced_ell
-
-    raise ValueError(
-        "induction is supported for isomorphisms and for trivial source groups; "
-        f"got source order {c.group.order} inside target order {g_group.order}."
-    )
+    # An isomorphism pushes ℓ along its label map with factor 1; a trivial
+    # source's one label maps to the identity, and every orbit grows |G|-fold.
+    return load_complex(induced_doc), _push_forward(ell, mapping, g_group.order // c.group.order)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ class UZClass:
     """A finitely supported integer combination of irreducible monic polynomials.
 
     ``terms`` maps each canonical irreducible polynomial to its (nonzero)
-    integer coefficient; the zero class has no terms.  Terms are kept in
+    integer coefficient; the zero class has no terms.  Equal polynomials are
+    combined and zero coefficients dropped on construction.  Terms are kept in
     canonical order: by degree, then by coefficient magnitudes, then by
     signed coefficients (so x−1 precedes x+1, which precedes x−3).
 
@@ -47,7 +48,7 @@ class UZClass:
     terms: tuple[tuple[IntPolynomial, int], ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
+        combined: dict[IntPolynomial, int] = {}
         for polynomial, coefficient in self.terms:
             if coefficient == 0:
                 continue
@@ -55,8 +56,11 @@ class UZClass:
                 raise ValueError(
                     f"universal-class keys must be monic polynomials, got {polynomial}."
                 )
-            cleaned.append((polynomial, int(coefficient)))
-        cleaned.sort(key=lambda pair: polynomial_sort_key(pair[0]))
+            combined[polynomial] = combined.get(polynomial, 0) + int(coefficient)
+        cleaned = sorted(
+            ((p, c) for p, c in combined.items() if c != 0),
+            key=lambda pair: polynomial_sort_key(pair[0]),
+        )
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
@@ -109,10 +113,7 @@ def class_of_matrix(a: IntMatrix) -> UZClass:
 
 def uz_add(a: UZClass, b: UZClass) -> UZClass:
     """Coefficient-wise sum of two classes."""
-    combined: dict[IntPolynomial, int] = {}
-    for polynomial, coefficient in a.terms + b.terms:
-        combined[polynomial] = combined.get(polynomial, 0) + coefficient
-    return UZClass.from_mapping(combined)
+    return UZClass(a.terms + b.terms)
 
 
 def uz_neg(a: UZClass) -> UZClass:

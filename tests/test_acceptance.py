@@ -192,7 +192,7 @@ def test_criterion_1():
     assert (matrix.rows, matrix.cols) == (1, 1)
     assert str(matrix) == f"[{MINUS}g]"
     iso = c.classes[0]
-    classes = twisted_classes(iso.aut, iso.twist, use_weyl=False)
+    classes = twisted_classes(iso.aut, iso.twist)
     assert pi1_projection(matrix.trace(), classes) == {}
 
     assert time.monotonic() - start < 1.0

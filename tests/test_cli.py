@@ -356,6 +356,17 @@ def test_overlong_builtin_group_number_names_the_digit_limit(capsys, prefix):
     assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
 
 
+@pytest.mark.parametrize("prefix", ["Sym:", "Zn:"])
+def test_long_builtin_group_number_names_its_length(capsys, prefix):
+    name = prefix + "9" * 4000  # within the interpreter's digit limit
+    code, out, err = run(capsys, ["check", group_document({"builtin": name})])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert "4000-digit number" in err
+    assert "MAX_GROUP_ORDER = 120" in err
+
+
 # ---------------------------------------------------------------------------
 # example and argument handling
 

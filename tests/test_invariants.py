@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from eqlef import (
     ClassSum,
     KClass,
-    TwistData,
     build_report,
     induce,
     klein_williams,
@@ -37,7 +36,12 @@ from eqlef import (
     universal_invariant,
     vanishing_report,
 )
+from eqlef.corpus import BUILTIN_COMPLEXES
 from eqlef.equivariant_groups import AutGroup, FiniteGroup, GroupRingElement, GroupRingMatrix
+from eqlef.exact_algebra import IntMatrix
+from eqlef.realize import RealizationTarget, realize
+
+from test_torus import torus_document
 
 MINUS = "−"
 OPLUS = "⊕"
@@ -115,7 +119,7 @@ def test_example1_sphere_term_detail():
     assert coefficient == 1
     assert (matrix.rows, matrix.cols) == (1, 1)
     assert str(matrix) == f"[{MINUS}g]"
-    classes = twisted_classes(iso.aut, iso.twist, use_weyl=False)
+    classes = twisted_classes(iso.aut, iso.twist)
     assert pi1_projection(matrix.trace(), classes) == {}
     assert not entry.kclass.is_zero
 
@@ -232,9 +236,7 @@ def test_reidemeister_trace_matches_fixed_point_data():
     for name in ("example1", "example2", "example3"):
         c = load_builtin(name)
         for iso in c.classes:
-            classes = twisted_classes(
-                iso.pi1_aut(), TwistData(iso.twist.phi_pi), use_weyl=False
-            )
+            classes = twisted_classes(iso.pi1_aut(), iso.twist)
             from_points = reidemeister_from_fixed_points(c.fixed_points_for(iso), classes)
             assert from_points == reidemeister_trace(iso), (name, iso.label())
 
@@ -500,6 +502,58 @@ def test_induce_rejects_unsupported_embeddings():
         ValueError, match="source order 2 inside target order 4"
     ):
         induce(c, z4, {"1": "1", "g": "r2"})
+
+
+FREE_TARGETS = ("Z2", "Z2xZ2", "Sym:3") + tuple(f"Zn:{k}" for k in range(1, 13))
+LABEL_POOL = ("1", "g", "h", "gh", "a", "b", "c", "d")
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 2))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def inductions(draw):
+    """(source, target group, embedding): a free induction or a relabelling isomorphism."""
+    if draw(st.booleans()):
+        target = FiniteGroup.builtin(draw(st.sampled_from(FREE_TARGETS)))
+        if draw(st.booleans()):
+            source = realize(RealizationTarget(draw(square_matrices()), draw(square_matrices())))
+        else:
+            degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=2))
+            source = load_complex(torus_document(degrees))
+        return source, target, {"1": target.labels[target.identity]}
+    source = load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES))))
+    labels = draw(st.permutations(LABEL_POOL))[: source.group.order]
+    target = FiniteGroup(labels, source.group.table)  # same table, renamed elements
+    return source, target, dict(zip(source.group.labels, labels))
+
+
+def ell_structure(ell):
+    """Every field of ℓ, not only the slot totals that ``EllInvariant.__eq__`` compares."""
+    return [
+        (
+            slot.subgroup_labels,
+            slot.total,
+            [(p.subgroup_labels, p.component, p.orbit_size, p.value) for p in slot.contributions],
+        )
+        for slot in ell.slots
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(inductions())
+def test_induced_ell_is_the_pushforward_of_ell(case):
+    # functoriality: ℓ pushed along the embedding is ℓ of the induced complex
+    source, target, embedding = case
+    induced, pushed = induce(source, target, embedding)
+    assert ell_structure(pushed) == ell_structure(klein_williams(induced))
+    for iso in induced.classes:
+        assert reidemeister_trace(iso).total() == lefschetz_number(iso)
+    assert vanishing_report(induced)["consistent"]
 
 
 # ---------------------------------------------------------------------------

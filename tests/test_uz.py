@@ -32,6 +32,18 @@ def test_frozen_renderings():
     assert str(combination) == "+1·(x−1) +1·(x+1) −1·(x−3)"
 
 
+def test_equal_polynomials_are_combined():
+    x_minus_1 = class_of_matrix(IntMatrix.identity(1)).terms[0][0]
+    cancelled = UZClass(((x_minus_1, 1), (x_minus_1, -1)))
+    assert cancelled.is_zero
+    assert str(cancelled) == "0"
+    assert uz_eq(cancelled, UZClass.zero())
+    doubled = UZClass(((x_minus_1, 1), (x_minus_1, 1)))
+    assert doubled.terms == ((x_minus_1, 2),)
+    assert doubled.coefficient(x_minus_1) == 2
+    assert uz_eq(doubled, class_of_matrix(IntMatrix.identity(2)))
+
+
 def test_group_laws():
     rng = random.Random(201)
     classes = [
