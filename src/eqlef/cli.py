@@ -42,10 +42,10 @@ from .complex_model import (
     serialize_complex,
 )
 from .corpus import BUILTIN_COMPLEXES
-from .exact_algebra import IntMatrix, char_poly, factor_over_Q
+from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, char_poly, factor_over_Q
 from .invariants import _encode_uz, build_report, render_report, universal_invariant
 from .realize import RealizationTarget, realize
-from .uz import class_of_matrix, uz_add, uz_eq, uz_neg
+from .uz import UZClass, class_of_matrix, uz_add, uz_eq, uz_neg
 
 __all__ = ["main", "build_parser"]
 
@@ -186,6 +186,11 @@ def _parse_square_matrix(text: str, name: str) -> IntMatrix:
         raise _InputError(
             f"{name} must be square, got {matrix.rows}×{matrix.cols}."
         )
+    if matrix.rows > MAX_MATRIX_ORDER:
+        raise _InputError(
+            f"{name} is {matrix.rows}×{matrix.cols}; matrices are limited to "
+            f"MAX_MATRIX_ORDER = {MAX_MATRIX_ORDER} rows."
+        )
     return matrix
 
 
@@ -235,8 +240,8 @@ def _note(message: str, args: argparse.Namespace) -> None:
 
 def cmd_class(args: argparse.Namespace) -> int:
     matrix = _parse_square_matrix(args.matrix, "matrix")
-    uz = class_of_matrix(matrix)
     if matrix.rows == 0:
+        uz = class_of_matrix(matrix)
         if args.json:
             _emit(_dump_json({"class": _encode_uz(uz)}), args)
         else:
@@ -244,6 +249,7 @@ def cmd_class(args: argparse.Namespace) -> int:
         return 0
     polynomial = char_poly(matrix)
     content, factors = factor_over_Q(polynomial)
+    uz = UZClass(factors)  # what class_of_matrix computes, without factoring again
     factored = " · ".join(
         f"({factor})" + ("" if multiplicity == 1 else f"^{multiplicity}")
         for factor, multiplicity in factors

@@ -16,12 +16,13 @@ serialized back as strings.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .corpus import BUILTIN_COMPLEXES
-from .exact_algebra import IntMatrix
+from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix
 from .equivariant_groups import (
     AutGroup,
     FiniteGroup,
@@ -59,27 +60,61 @@ def _require_mapping(value: Any, where: str) -> Mapping:
     return value
 
 
+class _Malformed(ValueError):
+    """A malformed document value; its message names the value's location.
+
+    Decoders of the values inside a matrix raise it with a location relative
+    to the value they were given, and each enclosing decoder prefixes its own
+    part with :meth:`within` on the way out, so a location is formatted only
+    when decoding fails.
+    """
+
+    def __init__(self, where: str, describe: Callable[[str], str]) -> None:
+        super().__init__()
+        self.where = where
+        self._describe = describe
+
+    def within(self, prefix: str) -> None:
+        self.where = prefix + self.where
+
+    def __str__(self) -> str:
+        return self._describe(self.where)
+
+
+class _TooManyDigits(_Malformed):
+    """A decimal string longer than the interpreter converts to an integer."""
+
+
 def _require_list(value: Any, where: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected an array at {where}, got {type(value).__name__}.")
+    if type(value) is list:
+        return value
+    if not isinstance(value, tuple):
+        raise _Malformed(
+            where, lambda at: f"expected an array at {at}, got {type(value).__name__}."
+        )
     return list(value)
 
 
 def _check_allowed_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
     for key in mapping:
         if key not in allowed:
-            raise ValueError(
-                f"unknown field '{key}' at {where}; allowed fields: {sorted(allowed)}."
+            raise _Malformed(
+                where,
+                lambda at: f"unknown field '{key}' at {at}; allowed fields: {sorted(allowed)}.",
             )
 
 
-class _TooManyDigits(ValueError):
-    """A decimal string longer than the interpreter converts to an integer."""
+def _decode_int(value: Any, where: str = "") -> int:
+    """An integer written as a JSON number or a decimal string.
 
-
-def _decode_int(value: Any, where: str) -> int:
+    ``where`` locates the value in messages; a caller that knows the
+    location only on failure passes ``""`` and prefixes it with
+    :meth:`_Malformed.within`.
+    """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
-        raise ValueError(f"expected an integer at {where}, got a boolean.")
+        raise _Malformed(where, lambda at: f"expected an integer at {at}, got a boolean.")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
@@ -88,31 +123,60 @@ def _decode_int(value: Any, where: str) -> int:
             try:
                 return int(text)
             except ValueError:  # more digits than the interpreter converts
+                digits = len(text.lstrip("+-"))
                 raise _TooManyDigits(
-                    f"integer at {where} has {len(text.lstrip('+-'))} digits, more than "
-                    f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}."
+                    where,
+                    lambda at: f"integer at {at} has {digits} digits, more than "
+                    f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}.",
                 ) from None
-        raise ValueError(f"expected an integer at {where}, got {value!r}.")
-    raise ValueError(f"expected an integer at {where}, got {type(value).__name__}.")
+        raise _Malformed(where, lambda at: f"expected an integer at {at}, got {value!r}.")
+    raise _Malformed(
+        where, lambda at: f"expected an integer at {at}, got {type(value).__name__}."
+    )
 
 
 def _encode_int(value: int) -> int | str:
     return value if abs(value) <= _JSON_SAFE_BOUND else str(value)
 
 
-def _decode_int_matrix(value: Any, rows: int, cols: int, where: str) -> IntMatrix:
+def _decode_rows(
+    value: Any,
+    where: str,
+    decode: Callable[[Any], Any],
+    shape: tuple[int, int] | None = None,
+) -> list[list]:
+    """The rows of the array of arrays at ``where``, each entry decoded by ``decode``.
+
+    ``decode`` raises :class:`_Malformed` with a location relative to the
+    entry, which gets the prefix ``where[i][j]`` on the way out.  With
+    ``shape = (rows, cols)``, the array must have exactly that shape.
+    """
     raw_rows = _require_list(value, where)
-    if len(raw_rows) != rows:
-        raise ValueError(f"expected {rows} rows at {where}, got {len(raw_rows)}.")
-    entries = []
-    for i, raw_row in enumerate(raw_rows):
-        row = _require_list(raw_row, f"{where}[{i}]")
-        if len(row) != cols:
-            raise ValueError(
-                f"expected {cols} entries in row {i} at {where}, got {len(row)}."
-            )
-        entries.extend(_decode_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row))
-    return IntMatrix(rows, cols, tuple(entries))
+    if shape is not None and len(raw_rows) != shape[0]:
+        raise ValueError(f"expected {shape[0]} rows at {where}, got {len(raw_rows)}.")
+    rows = []
+    i = j = None
+    try:
+        for i, raw_row in enumerate(raw_rows):
+            j = None
+            row = _require_list(raw_row, "")
+            if shape is not None and len(row) != shape[1]:
+                raise ValueError(
+                    f"expected {shape[1]} entries in row {i} at {where}, got {len(row)}."
+                )
+            decoded = []
+            for j, item in enumerate(row):
+                decoded.append(decode(item))
+            rows.append(decoded)
+    except _Malformed as exc:
+        exc.within(f"{where}[{i}]" if j is None else f"{where}[{i}][{j}]")
+        raise
+    return rows
+
+
+def _decode_int_matrix(value: Any, rows: int, cols: int, where: str) -> IntMatrix:
+    decoded = _decode_rows(value, where, _decode_int, (rows, cols))
+    return IntMatrix(rows, cols, tuple(itertools.chain.from_iterable(decoded)))
 
 
 def _encode_int_matrix(matrix: IntMatrix) -> list[list[int | str]]:
@@ -125,41 +189,60 @@ def _encode_int_matrix(matrix: IntMatrix) -> list[list[int | str]]:
 # ---------------------------------------------------------------------------
 # group-ring entry coding
 
+_TERM_FIELDS = {"coeff", "vector", "weyl_elem"}
 
-def _decode_term(item: Any, aut: AutGroup, where: str) -> tuple[tuple[int, ...], int, int]:
-    if isinstance(item, Mapping):
-        _check_allowed_keys(item, {"coeff", "vector", "weyl_elem"}, where)
-        coefficient = _decode_int(item.get("coeff", 1), f"{where}.coeff")
+
+def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
+    """One term c·(v, w) of an entry; failures are located relative to the term.
+
+    A term is an integer c, or an object with ``coeff`` (default 1),
+    ``vector`` (default 0) and ``weyl_elem`` (default the identity).
+    """
+    if type(item) is dict or (type(item) is not int and isinstance(item, Mapping)):
+        _check_allowed_keys(item, _TERM_FIELDS, "")
+        coefficient = _decode_int(item.get("coeff", 1), ".coeff")
         raw_vector = item.get("vector")
         if raw_vector is None:
             vector = (0,) * aut.pi1_rank
         else:
-            vector_list = _require_list(raw_vector, f"{where}.vector")
+            vector_list = _require_list(raw_vector, ".vector")
             if len(vector_list) != aut.pi1_rank:
-                raise ValueError(
-                    f"vector at {where} has length {len(vector_list)}; "
-                    f"expected {aut.pi1_rank}."
+                raise _Malformed(
+                    "",
+                    lambda at: f"vector at {at} has length {len(vector_list)}; "
+                    f"expected {aut.pi1_rank}.",
                 )
-            vector = tuple(
-                _decode_int(v, f"{where}.vector[{i}]") for i, v in enumerate(vector_list)
-            )
+            decoded = []
+            i = 0
+            try:
+                for i, v in enumerate(vector_list):
+                    decoded.append(_decode_int(v))
+            except _Malformed as exc:
+                exc.within(f".vector[{i}]")
+                raise
+            vector = tuple(decoded)
         raw_weyl = item.get("weyl_elem")
         if raw_weyl is None:
             w = aut.weyl.identity
         elif isinstance(raw_weyl, str):
             w = aut.weyl.element_index(raw_weyl)
         else:
-            raise ValueError(f"expected a Weyl element label at {where}.weyl_elem.")
+            raise _Malformed(".weyl_elem", lambda at: f"expected a Weyl element label at {at}.")
         return (vector, w, coefficient)
-    coefficient = _decode_int(item, where)
-    return ((0,) * aut.pi1_rank, aut.weyl.identity, coefficient)
+    return ((0,) * aut.pi1_rank, aut.weyl.identity, _decode_int(item))
 
 
-def _decode_entry(value: Any, aut: AutGroup, where: str) -> GroupRingElement:
-    items = value if isinstance(value, (list, tuple)) else [value]
-    terms = [
-        _decode_term(item, aut, f"{where}[term {i}]") for i, item in enumerate(items)
-    ]
+def _decode_entry(value: Any, aut: AutGroup) -> GroupRingElement:
+    """A group-ring entry, one term or a list of them; failures name ``[term k]``."""
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    terms = []
+    k = 0
+    try:
+        for k, item in enumerate(items):
+            terms.append(_decode_term(item, aut))
+    except _Malformed as exc:
+        exc.within(f"[term {k}]")
+        raise
     return GroupRingElement(aut, terms)
 
 
@@ -189,20 +272,25 @@ def _encode_entry(element: GroupRingElement) -> Any:
 def _decode_group_ring_matrix(
     value: Any, aut: AutGroup, rows: int, cols: int, where: str
 ) -> GroupRingMatrix:
-    raw_rows = _require_list(value, where)
-    if len(raw_rows) != rows:
-        raise ValueError(f"expected {rows} rows at {where}, got {len(raw_rows)}.")
-    entries = []
-    for i, raw_row in enumerate(raw_rows):
-        row = _require_list(raw_row, f"{where}[{i}]")
-        if len(row) != cols:
-            raise ValueError(
-                f"expected {cols} entries in row {i} at {where}, got {len(row)}."
-            )
-        entries.extend(
-            _decode_entry(v, aut, f"{where}[{i}][{j}]") for j, v in enumerate(row)
-        )
-    return GroupRingMatrix(aut, rows, cols, tuple(entries))
+    """The ``rows``×``cols`` matrix over ℤ[ℤᵏ ⋊ W] at ``where``.
+
+    All entries written as the same integer share one validated
+    :class:`GroupRingElement`, which is safe because elements are immutable:
+    no method reassigns ``aut`` or ``terms``, and ``terms`` is a tuple.  An
+    entry's location is formatted only when the entry fails to decode.
+    """
+    shared: dict[int, GroupRingElement] = {}
+
+    def decode(item: Any) -> GroupRingElement:
+        if type(item) is not int:
+            return _decode_entry(item, aut)
+        element = shared.get(item)
+        if element is None:
+            element = shared[item] = _decode_entry(item, aut)
+        return element
+
+    decoded = _decode_rows(value, where, decode, (rows, cols))
+    return GroupRingMatrix(aut, rows, cols, tuple(itertools.chain.from_iterable(decoded)))
 
 
 def _encode_group_ring_matrix(matrix: GroupRingMatrix) -> list[list[Any]]:
@@ -409,12 +497,7 @@ def _load_group(spec: Any) -> FiniteGroup:
     raw_labels = _require_list(spec["labels"], "group.labels")
     _check_group_order(len(raw_labels), "group.labels")
     labels = [str(v) for v in raw_labels]
-    table_rows = _require_list(spec["table"], "group.table")
-    table = [
-        [_decode_int(v, f"group.table[{i}][{j}]") for j, v in enumerate(_require_list(row, f"group.table[{i}]"))]
-        for i, row in enumerate(table_rows)
-    ]
-    return FiniteGroup(labels, table)
+    return FiniteGroup(labels, _decode_rows(spec["table"], "group.table", _decode_int))
 
 
 def _load_stabilizer(
@@ -446,6 +529,11 @@ def _load_chain_degree(
         raise ValueError(f"chain degree must be nonnegative at {where}, got {degree}.")
     if rank < 0:
         raise ValueError(f"chain rank must be nonnegative at {where}, got {rank}.")
+    if rank > MAX_MATRIX_ORDER:
+        raise ValueError(
+            f"chain rank at {where} is {rank}; ranks are limited to "
+            f"MAX_MATRIX_ORDER = {MAX_MATRIX_ORDER}."
+        )
 
     raw_mask = _require_list(raw.get("relative_mask", [False] * rank), f"{where}.relative_mask")
     if len(raw_mask) != rank:

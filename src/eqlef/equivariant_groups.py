@@ -77,11 +77,23 @@ def _check_group_order(order: int, what: str) -> None:
         )
 
 
+_MAX_SHOWN_NAME = 64
+
+
+def _shown_name(name: str) -> str:
+    """A builtin group name for a message: quoted, or its length once it is long."""
+    if len(name) > _MAX_SHOWN_NAME:
+        return f"({len(name)} characters)"
+    return f"'{name}'"
+
+
 def _name_number(name: str, kind: str, form: str) -> int:
     """The ASCII decimal number after the colon of a builtin name like 'Zn:12'."""
     digits = name.split(":", 1)[1]
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"malformed {kind} group name '{name}'; expected '{form}'.")
+        raise ValueError(
+            f"malformed {kind} group name {_shown_name(name)}; expected '{form}'."
+        )
     try:
         number = int(digits)
     except ValueError:  # more digits than the interpreter converts
@@ -245,7 +257,7 @@ class FiniteGroup:
             )
             return cls(labels, table)
         raise ValueError(
-            f"unknown builtin group '{name}'; expected one of "
+            f"unknown builtin group {_shown_name(name)}; expected one of "
             "'Z2', 'Z2xZ2', 'Zn:k', 'Sym:n', 'trivial'."
         )
 

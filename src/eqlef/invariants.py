@@ -703,29 +703,44 @@ def _relabel_matrix(value: Any, mapping: Mapping[str, str]) -> Any:
     return value
 
 
-def _relabel_document(document: Mapping, mapping: Mapping[str, str]) -> dict:
-    """Replace group element labels in the label-bearing document fields."""
+def _relabel_document(
+    document: Mapping, mapping: Mapping[str, str], g_group: FiniteGroup
+) -> dict:
+    """Replace group element labels in the label-bearing document fields.
+
+    A Weyl element is labelled by the least element of its coset, and an
+    isomorphism need not send least elements to least elements, so each
+    Weyl label becomes the label of the least element of its image coset.
+    """
     relabeled = dict(document)
     classes = []
     for raw_class in document.get("iso_classes", []):
         updated = dict(raw_class)
         updated["subgroup_class"] = [mapping[v] for v in raw_class["subgroup_class"]]
+        image = [g_group.element_index(v) for v in updated["subgroup_class"]]
+        weyl_mapping = {
+            label: g_group.labels[
+                min(g_group.multiply(g_group.element_index(target), m) for m in image)
+            ]
+            for label, target in mapping.items()
+        }
         if "weyl" in updated:
-            updated["weyl"] = [mapping[v] for v in updated["weyl"]]
+            updated["weyl"] = [weyl_mapping[v] for v in updated["weyl"]]
         if "action" in updated:
             updated["action"] = {
-                mapping[label]: matrix for label, matrix in updated["action"].items()
+                weyl_mapping[label]: matrix for label, matrix in updated["action"].items()
             }
         chain = []
         for raw_degree in raw_class.get("chain", []):
             degree = dict(raw_degree)
             if "stabilizers" in degree:
                 degree["stabilizers"] = [
-                    [mapping[v] for v in stabilizer] for stabilizer in degree["stabilizers"]
+                    [weyl_mapping[v] for v in stabilizer]
+                    for stabilizer in degree["stabilizers"]
                 ]
             for key in ("map", "boundary"):
                 if key in degree:
-                    degree[key] = _relabel_matrix(degree[key], mapping)
+                    degree[key] = _relabel_matrix(degree[key], weyl_mapping)
             chain.append(degree)
         updated["chain"] = chain
         classes.append(updated)
@@ -738,26 +753,34 @@ def _relabel_document(document: Mapping, mapping: Mapping[str, str]) -> dict:
     return relabeled
 
 
-def _push_forward(ell: EllInvariant, relabel: Mapping[str, str], factor: int) -> EllInvariant:
-    """ℓ with subgroup labels relabelled and orbit sizes, contributions and totals × ``factor``."""
-    return EllInvariant(
-        [
-            EllSlot(
-                subgroup_labels=tuple(map(relabel.__getitem__, slot.subgroup_labels)),
-                total=slot.total.scale(factor),
-                contributions=tuple(
-                    dataclasses.replace(
-                        part,
-                        subgroup_labels=tuple(map(relabel.__getitem__, part.subgroup_labels)),
-                        orbit_size=part.orbit_size * factor,
-                        value=part.value.scale(factor),
-                    )
-                    for part in slot.contributions
-                ),
-            )
-            for slot in ell.slots
-        ]
-    )
+def _push_forward(
+    ell: EllInvariant, relabel: Mapping[str, str], g_group: FiniteGroup, factor: int
+) -> EllInvariant:
+    """ℓ along a label map into ``g_group``, with orbit sizes and values × ``factor``.
+
+    An isomorphism may move element indices, so each slot's labels are put
+    in ``g_group``'s element order and the slots are sorted as
+    :func:`_ell_from_traces` sorts them.
+    """
+    slots = []
+    for slot in ell.slots:
+        members = tuple(sorted(g_group.element_index(relabel[v]) for v in slot.subgroup_labels))
+        labels = tuple(g_group.labels[m] for m in members)
+        pushed = EllSlot(
+            subgroup_labels=labels,
+            total=slot.total.scale(factor),
+            contributions=tuple(
+                dataclasses.replace(
+                    part,
+                    subgroup_labels=labels,
+                    orbit_size=part.orbit_size * factor,
+                    value=part.value.scale(factor),
+                )
+                for part in slot.contributions
+            ),
+        )
+        slots.append(((len(members), members), pushed))
+    return EllInvariant([pushed for _, pushed in sorted(slots, key=lambda item: item[0])])
 
 
 def induce(
@@ -780,7 +803,7 @@ def induce(
     document = serialize_complex(c)
     group = {"labels": list(g_group.labels), "table": [list(row) for row in g_group.table]}
     if c.group.order == g_group.order:
-        induced_doc = {**_relabel_document(document, mapping), "group": group}
+        induced_doc = {**_relabel_document(document, mapping, g_group), "group": group}
     else:
         identity_label = g_group.labels[g_group.identity]
         induced_doc = {
@@ -805,7 +828,8 @@ def induce(
             induced_doc["iso_classes"].append(induced_class)
     # An isomorphism pushes ℓ along its label map with factor 1; a trivial
     # source's one label maps to the identity, and every orbit grows |G|-fold.
-    return load_complex(induced_doc), _push_forward(ell, mapping, g_group.order // c.group.order)
+    pushed = _push_forward(ell, mapping, g_group, g_group.order // c.group.order)
+    return load_complex(induced_doc), pushed
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
 
@@ -117,6 +118,38 @@ def test_class_rejects_unparseable(capsys):
     code, _, err = run(capsys, ["class", "nonsense"])
     assert code == 1
     assert "could not parse matrix" in err
+
+
+def test_class_computes_the_characteristic_polynomial_and_its_factors_once(
+    capsys, monkeypatch
+):
+    calls = {"char_poly": 0, "factor_over_Q": 0}
+    for name in calls:
+        original = getattr(eqlef.exact_algebra, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):  # every binding, not only eqlef.cli's
+            if module.__name__.startswith("eqlef") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, ["class", "--json", "[[0,-1],[1,0]]"])
+    assert code == 0
+    assert calls == {"char_poly": 1, "factor_over_Q": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["class", "ZEROS"], ["realize", "ZEROS", "[]"], ["realize", "[[1]]", "ZEROS"]],
+)
+def test_matrix_order_is_limited(capsys, argv):
+    zeros = json.dumps([[0] * 65] * 65)
+    code, out, err = run(capsys, [zeros if arg == "ZEROS" else arg for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "65×65" in err and "MAX_MATRIX_ORDER = 64" in err
 
 
 @pytest.mark.parametrize("entry", ["1_0", "٣"])
@@ -365,6 +398,17 @@ def test_long_builtin_group_number_names_its_length(capsys, prefix):
     assert len(err.splitlines()) == 1 and len(err) < 300
     assert "4000-digit number" in err
     assert "MAX_GROUP_ORDER = 120" in err
+
+
+@pytest.mark.parametrize(
+    "name", ["Q" * 4000, "Zn:" + "9" * 4000 + "x"], ids=["unknown", "malformed"]
+)
+def test_long_unknown_or_malformed_group_name_names_its_length(capsys, name):
+    code, out, err = run(capsys, ["check", group_document({"builtin": name})])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert f"({len(name)} characters)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,25 @@
 
 import copy
 import json
+import sys
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlef.complex_model import (
     load_builtin,
     load_complex,
     serialize_complex,
 )
+from eqlef.corpus import BUILTIN_COMPLEXES
+from eqlef.equivariant_groups import FiniteGroup
+from eqlef.exact_algebra import IntMatrix
+from eqlef.invariants import induce
+from eqlef.realize import RealizationTarget, realize
+
+from test_torus import torus_document
 
 
 def minimal_document():
@@ -381,6 +392,13 @@ def test_rejects_degenerate_degree_order():
         load_complex(document)
 
 
+def test_rejects_rank_past_the_matrix_order_limit():
+    document = minimal_document()
+    document["iso_classes"][0]["chain"][0] = {"degree": 0, "rank": 65}  # no map is read
+    with pytest.raises(ValueError, match=r"chain\[0\] is 65; .*MAX_MATRIX_ORDER = 64"):
+        load_complex(document)
+
+
 def test_rejects_boolean_masquerading_as_integer():
     document = minimal_document()
     document["iso_classes"][0]["chain"][0]["map"] = [[True]]
@@ -397,3 +415,213 @@ def test_stabilizer_row_invariance_enforced():
     document["iso_classes"][0]["chain"][0]["map"] = [[1, 1], [0, 1]]
     with pytest.raises(ValueError, match="not invariant under its stabilizer"):
         load_complex(document)
+
+
+# ---------------------------------------------------------------------------
+# pinned decoding diagnostics
+
+
+def z2_table_document():
+    """A ℤ₂ document with an explicit table, a rank-1 π₁ and a boundary."""
+    return {
+        "format_version": 1,
+        "group": {"labels": ["1", "g"], "table": [[0, 1], [1, 0]]},
+        "iso_classes": [
+            {
+                "subgroup_class": ["1"],
+                "component": "c",
+                "pi1_rank": 1,
+                "action": {"g": [[-1]]},
+                "phi_pi": [[1]],
+                "chain": [
+                    {"degree": 0, "rank": 2, "map": [[1, 0], [0, 1]]},
+                    {"degree": 1, "rank": 1, "map": [[1]], "boundary": [[0, 0]]},
+                ],
+            }
+        ],
+    }
+
+
+MAP = ("iso_classes", 0, "chain", 0, "map")
+AT_MAP = "iso_classes[0].chain[0].map"
+AT_ENTRY = f"{AT_MAP}[1][0]"
+MALFORMED = [
+    # (keys of the replaced value, bad value, exact message)
+    ((*MAP, 1, 0), True, f"expected an integer at {AT_ENTRY}[term 0], got a boolean."),
+    ((*MAP, 1, 0), "x", f"expected an integer at {AT_ENTRY}[term 0], got 'x'."),
+    ((*MAP, 1, 0), 1.5, f"expected an integer at {AT_ENTRY}[term 0], got float."),
+    ((*MAP, 1, 0), [[1]], f"expected an integer at {AT_ENTRY}[term 0], got list."),
+    (
+        (*MAP, 1, 0),
+        [1, {"coeff": True}],
+        f"expected an integer at {AT_ENTRY}[term 1].coeff, got a boolean.",
+    ),
+    (
+        (*MAP, 1, 0),
+        {"coef": 1},
+        f"unknown field 'coef' at {AT_ENTRY}[term 0]; "
+        "allowed fields: ['coeff', 'vector', 'weyl_elem'].",
+    ),
+    (
+        (*MAP, 1, 0),
+        {"coeff": 1, "vector": [1, 2]},
+        f"vector at {AT_ENTRY}[term 0] has length 2; expected 1.",
+    ),
+    (
+        (*MAP, 1, 0),
+        {"vector": 3},
+        f"expected an array at {AT_ENTRY}[term 0].vector, got int.",
+    ),
+    (
+        (*MAP, 1, 0),
+        [0, {"coeff": 2, "vector": ["x"]}],
+        f"expected an integer at {AT_ENTRY}[term 1].vector[0], got 'x'.",
+    ),
+    (
+        (*MAP, 1, 0),
+        {"weyl_elem": 1},
+        f"expected a Weyl element label at {AT_ENTRY}[term 0].weyl_elem.",
+    ),
+    (
+        (*MAP, 1, 0),
+        {"weyl_elem": "q"},
+        "unknown group element label 'q'; known labels: ['1', 'g'].",
+    ),
+    ((*MAP, 1), [0], f"expected 2 entries in row 1 at {AT_MAP}, got 1."),
+    ((*MAP, 1), 5, f"expected an array at {AT_MAP}[1], got int."),
+    (MAP, [[1, 0]], f"expected 2 rows at {AT_MAP}, got 1."),
+    (MAP, 5, f"expected an array at {AT_MAP}, got int."),
+    (
+        ("iso_classes", 0, "chain", 1, "boundary", 0, 1),
+        "x",
+        "expected an integer at iso_classes[0].chain[1].boundary[0][1][term 0], got 'x'.",
+    ),
+    (
+        ("iso_classes", 0, "phi_pi", 0, 0),
+        False,
+        "expected an integer at iso_classes[0].phi_pi[0][0], got a boolean.",
+    ),
+    (
+        ("iso_classes", 0, "action", "g", 0, 0),
+        "-x",
+        "expected an integer at iso_classes[0].action['g'][0][0], got '-x'.",
+    ),
+    (("group", "table", 1, 0), True, "expected an integer at group.table[1][0], got a boolean."),
+    (("group", "table", 1, 0), "one", "expected an integer at group.table[1][0], got 'one'."),
+    (("group", "table", 1), 7, "expected an array at group.table[1], got int."),
+]
+if hasattr(sys, "get_int_max_str_digits"):
+    MALFORMED.append(
+        (
+            (*MAP, 1, 0),
+            "9" * 5000,
+            f"integer at {AT_ENTRY}[term 0] has 5000 digits, more than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}.",
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path, value, message", MALFORMED, ids=[message for *_, message in MALFORMED]
+)
+def test_malformed_value_message_is_pinned(path, value, message):
+    document = z2_table_document()
+    load_complex(copy.deepcopy(document))  # the unmodified document is valid
+    *keys, last = path
+    container = document
+    for key in keys:
+        container = container[key]
+    container[last] = value
+    with pytest.raises(ValueError) as info:
+        load_complex(document)
+    assert str(info.value) == message
+
+
+def test_non_dict_mapping_terms_decode():
+    document = z2_table_document()
+    document["iso_classes"][0]["chain"][0]["map"][1][0] = [
+        types.MappingProxyType({"coeff": 3, "vector": [2], "weyl_elem": "g"})
+    ]
+    spelled_as_dict = z2_table_document()
+    spelled_as_dict["iso_classes"][0]["chain"][0]["map"][1][0] = [
+        {"coeff": 3, "vector": [2], "weyl_elem": "g"}
+    ]
+    assert serialize_complex(load_complex(document)) == serialize_complex(
+        load_complex(spelled_as_dict)
+    )
+
+
+# ---------------------------------------------------------------------------
+# serialize ∘ load on every spelling of a document
+
+
+@st.composite
+def canonical_documents(draw):
+    """Serialized wedge realizations, T¹–T³ maps and builtins, or a free induction of one."""
+    kind = draw(st.sampled_from(("wedge", "torus", "builtin")))
+    if kind == "wedge":
+        n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cells = st.integers(-3, 3)
+        a = [[draw(cells) for _ in range(n)] for _ in range(n)]
+        b = [[draw(cells) for _ in range(m)] for _ in range(m)]
+        source = realize(
+            RealizationTarget(
+                IntMatrix.from_rows(a) if n else IntMatrix.zeros(0, 0),
+                IntMatrix.from_rows(b) if m else IntMatrix.zeros(0, 0),
+            )
+        )
+    elif kind == "torus":
+        source = load_complex(
+            torus_document(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3)))
+        )
+    else:
+        return serialize_complex(load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES)))))
+    if draw(st.booleans()):
+        target = FiniteGroup.builtin(draw(st.sampled_from(("Z2", "Zn:3", "Z2xZ2", "Sym:3"))))
+        source, _ = induce(source, target, {"1": target.labels[target.identity]})
+    return serialize_complex(source)
+
+
+@st.composite
+def spellings(draw, entry, rank, identity):
+    """An entry of a serialized group-ring matrix, spelled another equivalent way.
+
+    Each term becomes a literal int or decimal string, a dict with or
+    without its default ``vector`` and ``weyl_elem``, or two dicts whose
+    coefficients add up to it; the entry becomes a bare term or a term list.
+    """
+    spelled = []
+    for item in entry if isinstance(entry, list) else [entry]:
+        term = item if isinstance(item, dict) else {"coeff": item}
+        coeff = term["coeff"]
+        vector, weyl = term.get("vector"), term.get("weyl_elem")
+        full = {"coeff": coeff, "vector": vector or [0] * rank, "weyl_elem": weyl or identity}
+        form = draw(st.sampled_from(("literal", "string", "sparse", "full", "split")))
+        if form in ("literal", "string") and vector is None and weyl is None:
+            spelled.append(coeff if form == "literal" else f" {coeff} ")
+        elif form == "full":
+            spelled.append(full)
+        elif form == "split":
+            part = draw(st.integers(-3, 3))
+            spelled += [{**full, "coeff": part}, {**full, "coeff": int(coeff) - part}]
+        else:
+            spelled.append(term)
+    if len(spelled) == 1 and draw(st.booleans()):
+        return spelled[0]
+    return spelled
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_serialize_load_is_idempotent_on_every_spelling(data):
+    canonical = data.draw(canonical_documents())
+    respelled = copy.deepcopy(canonical)
+    for raw_class, iso in zip(respelled["iso_classes"], load_complex(canonical).classes):
+        identity = iso.aut.weyl.labels[iso.aut.weyl.identity]
+        for raw_degree in raw_class["chain"]:
+            for key in ("map", "boundary"):
+                for row in raw_degree.get(key, []):
+                    row[:] = [data.draw(spellings(e, iso.aut.pi1_rank, identity)) for e in row]
+    once = serialize_complex(load_complex(respelled))
+    assert serialize_complex(load_complex(once)) == once
+    assert once == canonical

@@ -6,6 +6,8 @@ by hand.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +278,11 @@ def test_block_constructors_shapes_and_determinants():
         for i in range(m):
             for j in range(n):
                 assert triangular.entry(n + i, j) == 0
+
+
+def test_loading_a_document_does_not_import_sympy():
+    """sympy costs about 0.4 s to import and is needed only to factor."""
+    code = "import sys, eqlef; eqlef.load_builtin('example1'); print('sympy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from unittest import mock
 
@@ -435,6 +436,21 @@ def test_induce_relabeling_isomorphism():
     assert str(ell) == f"2[1] {OPLUS} 0"
 
 
+def test_induce_along_an_automorphism_that_moves_element_indices():
+    # g ↔ h swaps the indices of two order-2 subgroups of Z2xZ2; ℓ's slots
+    # and their labels must follow the target's element order
+    c = load_builtin("example3")
+    induced, ell = induce(c, c.group, {"1": "1", "g": "h", "h": "g", "gh": "gh"})
+    assert [slot.subgroup_labels for slot in ell.slots] == [
+        ("1",),
+        ("1", "g"),
+        ("1", "h"),
+        ("1", "g", "h", "gh"),
+    ]
+    assert ell == klein_williams(induced)
+    assert ell_structure(ell) == ell_structure(klein_williams(induced))
+
+
 def free_circle_document():
     """A degree-2 self-map of the circle over the trivial group."""
     return {
@@ -515,10 +531,34 @@ def square_matrices(draw):
     return IntMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
 
 
+def cyclic_document(k, entries):
+    """A Zn:k complex with one class per subgroup: a free 0-cell mapped by an entry.
+
+    ``entries`` gives, per divisor d of k in increasing order, the terms
+    (coefficient, Weyl index) of the map of the class whose subgroup has
+    order d; its Weyl group Zn:k/H is labelled by r0..r(k/d − 1).
+    """
+    labels = ["1"] + [f"r{i}" for i in range(1, k)]
+    classes = []
+    for d, terms in zip((d for d in range(1, k + 1) if k % d == 0), entries):
+        entry = [{"coeff": c, "weyl_elem": labels[w % (k // d)]} for c, w in terms]
+        classes.append(
+            {
+                "subgroup_class": labels[:: k // d],
+                "component": f"order-{d}",
+                "pi1_rank": 0,
+                "phi_pi": [],
+                "chain": [{"degree": 0, "rank": 1, "map": [[entry]]}],
+            }
+        )
+    return {"format_version": 1, "group": {"builtin": f"Zn:{k}"}, "iso_classes": classes}
+
+
 @st.composite
 def inductions(draw):
-    """(source, target group, embedding): a free induction or a relabelling isomorphism."""
-    if draw(st.booleans()):
+    """(source, target, embedding): free induction, relabelling, or an index-moving automorphism."""
+    kind = draw(st.sampled_from(("free", "relabel", "automorphism")))
+    if kind == "free":
         target = FiniteGroup.builtin(draw(st.sampled_from(FREE_TARGETS)))
         if draw(st.booleans()):
             source = realize(RealizationTarget(draw(square_matrices()), draw(square_matrices())))
@@ -526,10 +566,21 @@ def inductions(draw):
             degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=2))
             source = load_complex(torus_document(degrees))
         return source, target, {"1": target.labels[target.identity]}
-    source = load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES))))
-    labels = draw(st.permutations(LABEL_POOL))[: source.group.order]
-    target = FiniteGroup(labels, source.group.table)  # same table, renamed elements
-    return source, target, dict(zip(source.group.labels, labels))
+    if kind == "relabel":
+        source = load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES))))
+        labels = draw(st.permutations(LABEL_POOL))[: source.group.order]
+        target = FiniteGroup(labels, source.group.table)  # same table, renamed elements
+        return source, target, dict(zip(source.group.labels, labels))
+    if draw(st.booleans()):
+        source = load_builtin("example3")
+        return source, source.group, {"1": "1", "g": "h", "h": "g", "gh": "gh"}
+    k = draw(st.integers(2, 12))
+    unit = draw(st.sampled_from([u for u in range(1, k) if math.gcd(u, k) == 1]))
+    term = st.tuples(st.integers(-3, 3), st.integers(0, k - 1))
+    entries = draw(st.lists(st.lists(term, min_size=1, max_size=2), min_size=6, max_size=6))
+    source = load_complex(cyclic_document(k, entries))
+    labels = source.group.labels
+    return source, source.group, {labels[i]: labels[unit * i % k] for i in range(k)}
 
 
 def ell_structure(ell):
@@ -544,7 +595,7 @@ def ell_structure(ell):
     ]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(inductions())
 def test_induced_ell_is_the_pushforward_of_ell(case):
     # functoriality: ℓ pushed along the embedding is ℓ of the induced complex
