@@ -463,10 +463,13 @@ class FixedPointDatum:
 
 @dataclasses.dataclass(frozen=True)
 class EquivariantComplex:
-    """A validated equivariant complex document with its twisted self-map."""
+    """A validated equivariant complex document with its twisted self-map.
+
+    ``builtin_group`` is the builtin name the document gave its group, if any.
+    """
 
     group: FiniteGroup
-    group_spec: Any
+    builtin_group: str | None
     name: str | None
     description: str | None
     classes: tuple[IsoClassData, ...]
@@ -837,7 +840,7 @@ def load_complex(document: Mapping) -> EquivariantComplex:
     if "group" not in document:
         raise ValueError("document needs 'group'.")
     group = _load_group(document["group"])
-    group_spec = document["group"]
+    builtin_group = document["group"].get("builtin")
 
     name = document.get("name")
     if name is not None and not isinstance(name, str):
@@ -882,7 +885,7 @@ def load_complex(document: Mapping) -> EquivariantComplex:
 
     return EquivariantComplex(
         group=group,
-        group_spec=group_spec,
+        builtin_group=builtin_group,
         name=name,
         description=description,
         classes=tuple(classes),
@@ -961,8 +964,8 @@ def serialize_complex(complex_data: EquivariantComplex) -> dict:
     always produces the same result as serializing once.
     """
     document: dict[str, Any] = {"format_version": FORMAT_VERSION}
-    if isinstance(complex_data.group_spec, Mapping) and "builtin" in complex_data.group_spec:
-        document["group"] = {"builtin": complex_data.group_spec["builtin"]}
+    if complex_data.builtin_group is not None:
+        document["group"] = {"builtin": complex_data.builtin_group}
     else:
         document["group"] = {
             "labels": list(complex_data.group.labels),

@@ -382,11 +382,17 @@ class Subgroup:
         >>> Subgroup.from_labels(g, ["012", "210"]).least_conjugate()
         Subgroup(['012', '021'])
         """
+        x = self.least_conjugator()
+        return self if x == self.parent.identity else self.conjugate_by(x)
+
+    def least_conjugator(self) -> int:
+        """The identity if H is its least conjugate, else the least x with x·H·x⁻¹ least."""
         g = self.parent
-        least = min(
-            tuple(sorted(g.conjugate(x, m) for m in self.members)) for x in range(g.order)
-        )
-        return self if least == self.members else Subgroup(g, least)
+
+        def key(x: int) -> tuple[tuple[int, ...], bool]:
+            return tuple(sorted(g.conjugate(x, m) for m in self.members)), x != g.identity
+
+        return min(range(g.order), key=key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):

@@ -32,6 +32,7 @@ from .complex_model import (
     EquivariantComplex,
     FixedPointDatum,
     IsoClassData,
+    _coset_representative,
     _encode_group_ring_matrix,
     _encode_int,
     load_complex,
@@ -40,6 +41,7 @@ from .complex_model import (
 from .equivariant_groups import (
     FiniteGroup,
     GroupRingMatrix,
+    Subgroup,
     TwistedClassSet,
     pi1_projection,
     twisted_classes,
@@ -474,12 +476,8 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
     classes (support elements with nontrivial Weyl part vanish), and degrees
     alternate in sign.
     """
-    return _lambda_vector(c, _weyl_class_sets(c))
-
-
-def _weyl_class_sets(c: EquivariantComplex) -> list[TwistedClassSet]:
-    """The Weyl-merged twisted class set of each class of ``c``, in order."""
-    return [twisted_classes(iso.aut, iso.twist) for iso in c.classes]
+    entries = (_lambda_entry(iso, twisted_classes(iso.aut, iso.twist)) for iso in c.classes)
+    return LambdaVector(entries=tuple(entries))
 
 
 def _alternating_projection(
@@ -495,19 +493,14 @@ def _alternating_projection(
     )
 
 
-def _lambda_vector(c: EquivariantComplex, class_sets: Sequence[TwistedClassSet]) -> LambdaVector:
-    """λ with the Weyl-merged class sets of ``c.classes`` given, in order."""
-    return LambdaVector(
-        entries=tuple(
-            LambdaEntry(
-                subgroup_labels=iso.subgroup.member_labels,
-                component=iso.component,
-                value=_alternating_projection(
-                    iso, (_unmasked_submatrix(iso, i) for i in range(len(iso.degrees))), classes
-                ),
-            )
-            for iso, classes in zip(c.classes, class_sets)
-        )
+def _lambda_entry(iso: IsoClassData, classes: TwistedClassSet) -> LambdaEntry:
+    """The λ entry of ``iso``, given its Weyl-merged twisted class set."""
+    return LambdaEntry(
+        subgroup_labels=iso.subgroup.member_labels,
+        component=iso.component,
+        value=_alternating_projection(
+            iso, (_unmasked_submatrix(iso, i) for i in range(len(iso.degrees))), classes
+        ),
     )
 
 
@@ -627,26 +620,37 @@ def klein_williams(c: EquivariantComplex) -> EllInvariant:
     along the Weyl action of the component's stabilizer, multiply by the
     orbit size, and add into the slot of the subgroup conjugacy class.
     """
-    traces = [reidemeister_trace(iso) for iso in c.classes]
-    return _ell_from_traces(c, traces, _weyl_class_sets(c))
+    return _ell(
+        _ell_part(iso, reidemeister_trace(iso), twisted_classes(iso.aut, iso.twist))
+        for iso in c.classes
+    )
 
 
-def _ell_from_traces(
-    c: EquivariantComplex, traces: Sequence[ClassSum], class_sets: Sequence[TwistedClassSet]
-) -> EllInvariant:
-    """ℓ from the Reidemeister traces and Weyl-merged class sets of ``c.classes``."""
+def _ell_part(
+    iso: IsoClassData, trace: ClassSum, classes: TwistedClassSet
+) -> tuple[tuple[int, ...], EllContribution]:
+    """The slot key and ℓ contribution of ``iso``, from R and the Weyl-merged class set."""
+    return iso.subgroup.members, EllContribution(
+        subgroup_labels=iso.subgroup.member_labels,
+        component=iso.component,
+        orbit_size=iso.orbit_size,
+        value=ClassSum(
+            tuple((classes.representative(v), iso.orbit_size * n) for v, n in trace.terms)
+        ),
+    )
+
+
+def _ell(parts: Iterable[tuple[tuple[int, ...], EllContribution]]) -> EllInvariant:
+    """ℓ from ``(subgroup members, contribution)`` pairs; every ℓ is built here.
+
+    Contributions with the same members share one slot, in the order given,
+    and the slot total is their sum.  Slots are ordered by (subgroup order,
+    members), as :func:`~eqlef.equivariant_groups.conjugacy_classes_of_subgroups`
+    orders the classes.
+    """
     slots: dict[tuple[int, ...], list[EllContribution]] = {}
-    for iso, trace, classes in zip(c.classes, traces, class_sets):
-        slots.setdefault(iso.subgroup.members, []).append(
-            EllContribution(
-                subgroup_labels=iso.subgroup.member_labels,
-                component=iso.component,
-                orbit_size=iso.orbit_size,
-                value=ClassSum(
-                    tuple((classes.representative(v), iso.orbit_size * n) for v, n in trace.terms)
-                ),
-            )
-        )
+    for members, part in parts:
+        slots.setdefault(members, []).append(part)
     return EllInvariant(
         [
             EllSlot(
@@ -665,7 +669,8 @@ def _ell_from_traces(
 
 def _validate_embedding(
     h_group: FiniteGroup, g_group: FiniteGroup, embedding: Mapping[str, str]
-) -> dict[str, str]:
+) -> dict[str, int]:
+    """The embedding as source label → target index, checked to be an injective homomorphism."""
     mapping = {str(k): str(v) for k, v in embedding.items()}
     if set(mapping) != set(h_group.labels):
         raise ValueError(
@@ -674,21 +679,15 @@ def _validate_embedding(
         )
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("embedding is not injective.")
-    image_indices = {}
-    for label, target in mapping.items():
-        image_indices[label] = g_group.element_index(target)
+    image = [g_group.element_index(mapping[label]) for label in h_group.labels]
     for a in range(h_group.order):
         for b in range(h_group.order):
-            left = image_indices[h_group.labels[h_group.multiply(a, b)]]
-            right = g_group.multiply(
-                image_indices[h_group.labels[a]], image_indices[h_group.labels[b]]
-            )
-            if left != right:
+            if image[h_group.multiply(a, b)] != g_group.multiply(image[a], image[b]):
                 raise ValueError(
                     "embedding does not preserve multiplication at "
                     f"('{h_group.labels[a]}', '{h_group.labels[b]}')."
                 )
-    return mapping
+    return dict(zip(h_group.labels, image))
 
 
 def _relabel_matrix(value: Any, mapping: Mapping[str, str]) -> Any:
@@ -704,83 +703,86 @@ def _relabel_matrix(value: Any, mapping: Mapping[str, str]) -> Any:
 
 
 def _relabel_document(
-    document: Mapping, mapping: Mapping[str, str], g_group: FiniteGroup
+    document: Mapping, mapping: Mapping[str, int], g_group: FiniteGroup, factor: int
 ) -> dict:
-    """Replace group element labels in the label-bearing document fields.
+    """A ``serialize_complex`` document moved along an embedding, orbit sizes × ``factor``.
 
-    A Weyl element is labelled by the least element of its coset, and an
-    isomorphism need not send least elements to least elements, so each
-    Weyl label becomes the label of the least element of its image coset.
+    The loader wants each class's subgroup to be the least conjugate, so a
+    class on K moves along c_x∘``mapping``, c_x the conjugation by the
+    ``least_conjugator`` x of mapping(K): its subgroup, Weyl labels,
+    ``action`` keys, stabilizers, entries' ``weyl_elem`` and fixed points.
+    A Weyl element is labelled by the least element of its coset, so each
+    Weyl label becomes the least element of its image coset.  The group
+    spec is left to the caller.
     """
-    relabeled = dict(document)
+    subgroups: dict[tuple[str, ...], list[str]] = {}
     classes = []
-    for raw_class in document.get("iso_classes", []):
-        updated = dict(raw_class)
-        updated["subgroup_class"] = [mapping[v] for v in raw_class["subgroup_class"]]
-        image = [g_group.element_index(v) for v in updated["subgroup_class"]]
+    for raw_class in document["iso_classes"]:
+        image = Subgroup(g_group, (mapping[v] for v in raw_class["subgroup_class"]))
+        x = image.least_conjugator()
+        image = image.conjugate_by(x)
         weyl_mapping = {
             label: g_group.labels[
-                min(g_group.multiply(g_group.element_index(target), m) for m in image)
+                _coset_representative(g_group, g_group.conjugate(x, y), image.members)
             ]
-            for label, target in mapping.items()
+            for label, y in mapping.items()
         }
-        if "weyl" in updated:
-            updated["weyl"] = [weyl_mapping[v] for v in updated["weyl"]]
-        if "action" in updated:
+        subgroups[tuple(raw_class["subgroup_class"])] = list(image.member_labels)
+        updated = {
+            **raw_class,
+            "subgroup_class": list(image.member_labels),
+            "weyl": [weyl_mapping[v] for v in raw_class["weyl"]],
+            "orbit_size": raw_class["orbit_size"] * factor,
+        }
+        if "action" in raw_class:
             updated["action"] = {
-                weyl_mapping[label]: matrix for label, matrix in updated["action"].items()
+                weyl_mapping[label]: matrix for label, matrix in raw_class["action"].items()
             }
         chain = []
-        for raw_degree in raw_class.get("chain", []):
+        for raw_degree in raw_class["chain"]:
             degree = dict(raw_degree)
-            if "stabilizers" in degree:
-                degree["stabilizers"] = [
-                    [weyl_mapping[v] for v in stabilizer]
-                    for stabilizer in degree["stabilizers"]
-                ]
+            degree["stabilizers"] = [
+                [weyl_mapping[v] for v in stabilizer] for stabilizer in raw_degree["stabilizers"]
+            ]
             for key in ("map", "boundary"):
                 if key in degree:
                     degree[key] = _relabel_matrix(degree[key], weyl_mapping)
             chain.append(degree)
         updated["chain"] = chain
         classes.append(updated)
-    relabeled["iso_classes"] = classes
+    relabeled = {**document, "iso_classes": classes}
     if "fixed_points" in document:
         relabeled["fixed_points"] = [
-            {**point, "subgroup_class": [mapping[v] for v in point["subgroup_class"]]}
+            {**point, "subgroup_class": subgroups[tuple(point["subgroup_class"])]}
             for point in document["fixed_points"]
         ]
     return relabeled
 
 
 def _push_forward(
-    ell: EllInvariant, relabel: Mapping[str, str], g_group: FiniteGroup, factor: int
+    ell: EllInvariant, mapping: Mapping[str, int], g_group: FiniteGroup, factor: int
 ) -> EllInvariant:
-    """ℓ along a label map into ``g_group``, with orbit sizes and values × ``factor``.
+    """ℓ along an embedding into ``g_group``, with orbit sizes and values × ``factor``.
 
-    An isomorphism may move element indices, so each slot's labels are put
-    in ``g_group``'s element order and the slots are sorted as
-    :func:`_ell_from_traces` sorts them.
+    Each slot moves to the least conjugate of its image, the subgroup
+    :func:`_relabel_document` gives the slot's classes.
     """
-    slots = []
+    parts = []
     for slot in ell.slots:
-        members = tuple(sorted(g_group.element_index(relabel[v]) for v in slot.subgroup_labels))
-        labels = tuple(g_group.labels[m] for m in members)
-        pushed = EllSlot(
-            subgroup_labels=labels,
-            total=slot.total.scale(factor),
-            contributions=tuple(
+        image = Subgroup(g_group, (mapping[v] for v in slot.subgroup_labels)).least_conjugate()
+        parts.extend(
+            (
+                image.members,
                 dataclasses.replace(
                     part,
-                    subgroup_labels=labels,
+                    subgroup_labels=image.member_labels,
                     orbit_size=part.orbit_size * factor,
                     value=part.value.scale(factor),
-                )
-                for part in slot.contributions
-            ),
+                ),
+            )
+            for part in slot.contributions
         )
-        slots.append(((len(members), members), pushed))
-    return EllInvariant([pushed for _, pushed in sorted(slots, key=lambda item: item[0])])
+    return _ell(parts)
 
 
 def induce(
@@ -790,8 +792,10 @@ def induce(
 
     Supported regimes: the embedding is an isomorphism (relabeling), or the
     source group is trivial (free induction: each component acquires a free
-    orbit of |G| copies).  The returned invariant is the induced image of
-    the source's ℓ; it equals ``klein_williams`` of the induced complex.
+    orbit of |G| copies; the name gains ``-induced``, and the description
+    and fixed points are dropped).  Both go through :func:`_relabel_document`
+    with factor |G|/|H|.  The returned invariant is the induced image of the
+    source's ℓ; it equals ``klein_williams`` of the induced complex.
     """
     mapping = _validate_embedding(c.group, g_group, embedding)
     if c.group.order not in (1, g_group.order):
@@ -799,37 +803,18 @@ def induce(
             "induction is supported for isomorphisms and for trivial source groups; "
             f"got source order {c.group.order} inside target order {g_group.order}."
         )
-    ell = klein_williams(c)
-    document = serialize_complex(c)
-    group = {"labels": list(g_group.labels), "table": [list(row) for row in g_group.table]}
-    if c.group.order == g_group.order:
-        induced_doc = {**_relabel_document(document, mapping, g_group), "group": group}
-    else:
-        identity_label = g_group.labels[g_group.identity]
-        induced_doc = {
-            "format_version": document["format_version"],
-            "group": group,
-            "iso_classes": [],
-        }
+    factor = g_group.order // c.group.order
+    document = _relabel_document(serialize_complex(c), mapping, g_group, factor)
+    document["group"] = {
+        "labels": list(g_group.labels),
+        "table": [list(row) for row in g_group.table],
+    }
+    if factor > 1:
+        document.pop("description", None)
+        document.pop("fixed_points", None)
         if c.name is not None:
-            induced_doc["name"] = f"{c.name}-induced"
-        for raw_class in document["iso_classes"]:
-            induced_class = dict(raw_class)
-            induced_class["subgroup_class"] = [identity_label]
-            induced_class["weyl"] = [identity_label]
-            induced_class.pop("action", None)
-            induced_class["orbit_size"] = raw_class.get("orbit_size", 1) * g_group.order
-            chain = []
-            for raw_degree in raw_class["chain"]:
-                degree = dict(raw_degree)
-                degree.pop("stabilizers", None)
-                chain.append(degree)
-            induced_class["chain"] = chain
-            induced_doc["iso_classes"].append(induced_class)
-    # An isomorphism pushes ℓ along its label map with factor 1; a trivial
-    # source's one label maps to the identity, and every orbit grows |G|-fold.
-    pushed = _push_forward(ell, mapping, g_group, g_group.order // c.group.order)
-    return load_complex(induced_doc), pushed
+            document["name"] = f"{c.name}-induced"
+    return load_complex(document), _push_forward(klein_williams(c), mapping, g_group, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -843,17 +828,11 @@ def vanishing_report(c: EquivariantComplex) -> dict:
     >>> vanishing_report(load_builtin("example1"))
     {'ell_zero': True, 'lambda_zero': True, 'consistent': True}
     """
-    return _vanishing(klein_williams(c), lambda_invariant(c))
+    return _vanishing(klein_williams(c).is_zero, lambda_invariant(c).is_zero)
 
 
-def _vanishing(ell: EllInvariant, lam: LambdaVector) -> dict:
-    ell_zero = ell.is_zero
-    lambda_zero = lam.is_zero
-    return {
-        "ell_zero": ell_zero,
-        "lambda_zero": lambda_zero,
-        "consistent": ell_zero == lambda_zero,
-    }
+def _vanishing(ell_zero: bool, lambda_zero: bool) -> dict:
+    return {"ell_zero": ell_zero, "lambda_zero": lambda_zero, "consistent": ell_zero == lambda_zero}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -870,18 +849,15 @@ class _Analysis:
 
 
 def _analyze(c: EquivariantComplex) -> _Analysis:
-    traces = tuple(reidemeister_trace(iso) for iso in c.classes)
-    class_sets = _weyl_class_sets(c)
-    lam = _lambda_vector(c, class_sets)
-    ell = _ell_from_traces(c, traces, class_sets)
-    rows = zip(
-        c.classes,
-        universal_invariant(c).entries,
-        lam.entries,
-        traces,
-        [lefschetz_number(iso) for iso in c.classes],
-    )
-    return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell, lam))
+    rows, parts = [], []
+    for iso, u_entry in zip(c.classes, universal_invariant(c).entries):
+        trace = reidemeister_trace(iso)
+        classes = twisted_classes(iso.aut, iso.twist)
+        parts.append(_ell_part(iso, trace, classes))
+        rows.append((iso, u_entry, _lambda_entry(iso, classes), trace, lefschetz_number(iso)))
+    ell = _ell(parts)
+    lambda_zero = all(l_entry.value.is_zero for _, _, l_entry, _, _ in rows)
+    return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell.is_zero, lambda_zero))
 
 
 def _encode_class_sum(value: ClassSum) -> list[dict]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from .complex_model import EquivariantComplex, _encode_int_matrix, load_complex
-from .exact_algebra import IntMatrix, block_diagonal
+from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, block_diagonal
 
 __all__ = ["RealizationTarget", "realize"]
 
@@ -26,7 +26,9 @@ __all__ = ["RealizationTarget", "realize"]
 class RealizationTarget:
     """A pair of square integer matrices to realize as ``[a] − [b_prime]``.
 
-    Either matrix may be 0×0 (an empty wedge summand).
+    Either matrix may be 0×0 (an empty wedge summand).  The model has one
+    3-cell more than ``b_prime`` has rows, so ``b_prime`` has at most
+    ``MAX_MATRIX_ORDER − 1`` rows.
 
     >>> RealizationTarget(IntMatrix.from_rows([[2]]), IntMatrix.zeros(0, 0)).a.rows
     1
@@ -44,6 +46,12 @@ class RealizationTarget:
             raise ValueError(
                 "realization targets must be square; 'b_prime' is "
                 f"{self.b_prime.rows}×{self.b_prime.cols}."
+            )
+        if self.b_prime.rows > MAX_MATRIX_ORDER - 1:
+            raise ValueError(
+                f"'b_prime' is {self.b_prime.rows}×{self.b_prime.cols}; the wedge model adds "
+                f"one 3-cell, so 'b_prime' is limited to MAX_MATRIX_ORDER − 1 = "
+                f"{MAX_MATRIX_ORDER - 1} rows."
             )
 
 

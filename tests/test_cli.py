@@ -152,6 +152,17 @@ def test_matrix_order_is_limited(capsys, argv):
     assert "65×65" in err and "MAX_MATRIX_ORDER = 64" in err
 
 
+def test_realize_names_the_b_prime_limit(capsys):
+    # the wedge model has one 3-cell more than b' has rows: a 64×64 b' would
+    # make a rank-65 document that the user never wrote
+    code, out, err = run(capsys, ["realize", "[]", json.dumps([[0] * 64] * 64)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "'b_prime' is 64×64" in err and "MAX_MATRIX_ORDER − 1 = 63" in err
+    assert "iso_classes" not in err
+
+
 @pytest.mark.parametrize("entry", ["1_0", "٣"])
 def test_class_rejects_loose_integer_strings(capsys, entry):
     code, out, err = run(capsys, ["class", json.dumps([[entry]])])

@@ -164,6 +164,14 @@ def test_serialize_preserves_builtin_group_spec():
     assert document["group"] == {"builtin": "Z2"}
 
 
+def test_a_loaded_complex_keeps_nothing_of_its_document():
+    document = minimal_document()
+    loaded = load_complex(document)
+    emitted = serialize_complex(loaded)
+    document["group"]["builtin"] = "Z2"
+    assert serialize_complex(loaded) == emitted
+
+
 def test_round_trip_of_oversize_integers():
     document = minimal_document()
     big = 2**80

@@ -8,6 +8,7 @@ class.  They are asserted verbatim so any drift in the pipeline is caught.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -38,7 +39,14 @@ from eqlef import (
     vanishing_report,
 )
 from eqlef.corpus import BUILTIN_COMPLEXES
-from eqlef.equivariant_groups import AutGroup, FiniteGroup, GroupRingElement, GroupRingMatrix
+from eqlef.equivariant_groups import (
+    AutGroup,
+    FiniteGroup,
+    GroupRingElement,
+    GroupRingMatrix,
+    conjugacy_classes_of_subgroups,
+    weyl_group,
+)
 from eqlef.exact_algebra import IntMatrix
 from eqlef.realize import RealizationTarget, realize
 
@@ -497,6 +505,147 @@ def test_induce_free_class_into_order_two_group():
     assert ell == klein_williams(induced)
 
 
+def test_induce_along_an_inner_automorphism_of_sym3():
+    # conjugation by 210 sends {012, 021} to {012, 102}, which is not the least
+    # subgroup of its conjugacy class; the induced class goes back to {012, 021}
+    sym3 = FiniteGroup.builtin("Sym:3")
+    document = {
+        "format_version": 1,
+        "group": {"builtin": "Sym:3"},
+        "iso_classes": [
+            {
+                "subgroup_class": ["012", "021"],
+                "component": "point",
+                "pi1_rank": 0,
+                "phi_pi": [],
+                "chain": [{"degree": 0, "rank": 1, "map": [[1]]}],
+            }
+        ],
+    }
+    source = load_complex(document)
+    induced, pushed = induce(source, sym3, inner_automorphism(sym3, sym3.element_index("210")))
+    assert induced.classes[0].subgroup.member_labels == ("012", "021")
+    assert ell_structure(pushed) == ell_structure(klein_williams(induced))
+
+
+@pytest.mark.parametrize("name", ["Sym:3", "Sym:4"])
+def test_induce_along_every_inner_automorphism(name):
+    group = FiniteGroup.builtin(name)
+    count = len(conjugacy_classes_of_subgroups(group))
+    entries = [[(i + 1, i), (-1, 2 * i + 1)] for i in range(count)]
+    source = load_complex(weyl_labelled_document(name, entries))
+    for x in range(group.order):
+        induced, pushed = induce(source, group, inner_automorphism(group, x))
+        assert ell_structure(pushed) == ell_structure(klein_williams(induced))
+
+
+def induced_circle(group, identity, orbit_size):
+    """The named free circle induced freely into ``group``, as serialized."""
+    cell = {"relative_mask": [False], "stabilizers": [[identity]]}
+    return {
+        "format_version": 1,
+        "group": group,
+        "name": "circle-induced",
+        "iso_classes": [
+            {
+                "subgroup_class": [identity],
+                "component": "circle",
+                "pi1_rank": 1,
+                "weyl": [identity],
+                "phi_pi": [[2]],
+                "orbit_size": orbit_size,
+                "chain": [
+                    {"degree": 0, "rank": 1, **cell, "map": [[1]]},
+                    {
+                        "degree": 1,
+                        "rank": 1,
+                        **cell,
+                        "map": [[[1, {"coeff": 1, "vector": [1]}]]],
+                        "boundary": [[[-1, {"coeff": 1, "vector": [1]}]]],
+                    },
+                ],
+            }
+        ],
+    }
+
+
+def example3_circle(component, subgroup, weyl):
+    """A circle class of ``example3``: isotropy {1, subgroup}, Weyl group {1, weyl} by −1."""
+    return {
+        "subgroup_class": ["1", subgroup],
+        "component": component,
+        "pi1_rank": 1,
+        "weyl": ["1", weyl],
+        "action": {weyl: [[-1]]},
+        "phi_pi": [[1]],
+        "orbit_size": 1,
+        "chain": [
+            {
+                "degree": 0,
+                "rank": 2,
+                "relative_mask": [True, True],
+                "stabilizers": [["1", weyl], ["1", weyl]],
+                "map": [[1, 0], [0, 1]],
+            },
+            {
+                "degree": 1,
+                "rank": 1,
+                "relative_mask": [False],
+                "stabilizers": [["1"]],
+                "map": [[1]],
+                "boundary": [[1, -1]],
+            },
+        ],
+    }
+
+
+def test_induced_documents_are_pinned():
+    def spelled(g):
+        return {"labels": list(g.labels), "table": [list(row) for row in g.table]}
+
+    sym3 = FiniteGroup.builtin("Sym:3")
+    circle = load_complex(
+        {
+            **free_circle_document(),
+            "name": "circle",
+            "description": "z ↦ z² on the circle",
+            "fixed_points": [
+                {"subgroup_class": ["1"], "component": "circle", "index": -1, "path": [0]}
+            ],
+        }
+    )
+    for group, identity in ((FiniteGroup.builtin("Z2"), "1"), (sym3, "012")):
+        # free induction: renamed, no description or fixed points, orbits × |G|
+        induced, _ = induce(circle, group, {"1": identity})
+        expected = induced_circle(spelled(group), identity, group.order)
+        assert json.dumps(serialize_complex(induced)) == json.dumps(expected)
+
+    example1 = load_builtin("example1")
+    induced, _ = induce(example1, example1.group, {"1": "1", "g": "g"})
+    expected = {**serialize_complex(example1), "group": spelled(example1.group)}
+    assert json.dumps(serialize_complex(induced)) == json.dumps(expected)
+
+    # g ↔ h: the sphere's 1-cells and the circle classes trade labels, in place
+    example3 = load_builtin("example3")
+    source = serialize_complex(example3)
+    assert source["iso_classes"][1:3] == [
+        example3_circle("circle-h", "h", "g"),
+        example3_circle("circle-g", "g", "h"),
+    ]
+    induced, _ = induce(example3, example3.group, {"1": "1", "g": "h", "h": "g", "gh": "gh"})
+    expected = {**copy.deepcopy(source), "group": spelled(example3.group)}
+    expected["iso_classes"][0]["chain"][1]["stabilizers"] = [["1", "g"], ["1", "h"]]
+    expected["iso_classes"][1:3] = [
+        example3_circle("circle-h", "g", "h"),
+        example3_circle("circle-g", "h", "g"),
+    ]
+    expected["fixed_points"][1:3] = [
+        {"subgroup_class": ["1", "g"], "component": "circle-h", "index": 0, "path": [0]},
+        {"subgroup_class": ["1", "h"], "component": "circle-g", "index": 0, "path": [0]},
+    ]
+    assert json.dumps(serialize_complex(induced)) == json.dumps(expected)
+
+
 def test_induce_empty_complex():
     empty = load_complex({"format_version": 1, "group": {"builtin": "trivial"}, "iso_classes": []})
     induced, ell = induce(empty, FiniteGroup.builtin("Z2"), {"1": "1"})
@@ -531,32 +680,45 @@ def square_matrices(draw):
     return IntMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
 
 
-def cyclic_document(k, entries):
-    """A Zn:k complex with one class per subgroup: a free 0-cell mapped by an entry.
+def weyl_labelled_document(name, entries):
+    """A complex over builtin ``name`` with one class per subgroup class: a free 0-cell and its map.
 
-    ``entries`` gives, per divisor d of k in increasing order, the terms
-    (coefficient, Weyl index) of the map of the class whose subgroup has
-    order d; its Weyl group Zn:k/H is labelled by r0..r(k/d − 1).
+    ``entries`` gives, per conjugacy class of subgroups in order, the terms
+    (coefficient, w) of its class's map entry, where w indexes the class's
+    Weyl group N(H)/H modulo its order.
     """
-    labels = ["1"] + [f"r{i}" for i in range(1, k)]
+    group = FiniteGroup.builtin(name)
     classes = []
-    for d, terms in zip((d for d in range(1, k + 1) if k % d == 0), entries):
-        entry = [{"coeff": c, "weyl_elem": labels[w % (k // d)]} for c, w in terms]
+    for i, ((subgroup, _), terms) in enumerate(
+        zip(conjugacy_classes_of_subgroups(group), entries)
+    ):
+        weyl = weyl_group(group, subgroup).group
+        entry = [{"coeff": c, "weyl_elem": weyl.labels[w % weyl.order]} for c, w in terms]
         classes.append(
             {
-                "subgroup_class": labels[:: k // d],
-                "component": f"order-{d}",
+                "subgroup_class": list(subgroup.member_labels),
+                "component": f"class-{i}",
                 "pi1_rank": 0,
                 "phi_pi": [],
                 "chain": [{"degree": 0, "rank": 1, "map": [[entry]]}],
             }
         )
-    return {"format_version": 1, "group": {"builtin": f"Zn:{k}"}, "iso_classes": classes}
+    return {"format_version": 1, "group": {"builtin": name}, "iso_classes": classes}
+
+
+def inner_automorphism(group, x):
+    """Conjugation by element ``x`` as a label map."""
+    return {group.labels[i]: group.labels[group.conjugate(x, i)] for i in range(group.order)}
 
 
 @st.composite
 def inductions(draw):
-    """(source, target, embedding): free induction, relabelling, or an index-moving automorphism."""
+    """(source, target, embedding): free induction, relabelling, or an automorphism.
+
+    The automorphisms move element indices: g ↔ h on Z2xZ2, units of Zn:k,
+    and inner automorphisms of Sym:3 and Sym:4, which move subgroups off
+    the least conjugate of their class.
+    """
     kind = draw(st.sampled_from(("free", "relabel", "automorphism")))
     if kind == "free":
         target = FiniteGroup.builtin(draw(st.sampled_from(FREE_TARGETS)))
@@ -571,16 +733,25 @@ def inductions(draw):
         labels = draw(st.permutations(LABEL_POOL))[: source.group.order]
         target = FiniteGroup(labels, source.group.table)  # same table, renamed elements
         return source, target, dict(zip(source.group.labels, labels))
-    if draw(st.booleans()):
+    automorphism = draw(st.sampled_from(("example3", "cyclic", "inner")))
+    if automorphism == "example3":
         source = load_builtin("example3")
         return source, source.group, {"1": "1", "g": "h", "h": "g", "gh": "gh"}
-    k = draw(st.integers(2, 12))
+    name = (
+        f"Zn:{draw(st.integers(2, 12))}"
+        if automorphism == "cyclic"
+        else draw(st.sampled_from(("Sym:3", "Sym:4")))
+    )
+    group = FiniteGroup.builtin(name)
+    term = st.tuples(st.integers(-3, 3), st.integers(0, group.order - 1))
+    count = len(conjugacy_classes_of_subgroups(group))
+    entries = draw(st.lists(st.lists(term, min_size=1, max_size=2), min_size=count, max_size=count))
+    source = load_complex(weyl_labelled_document(name, entries))
+    if automorphism == "inner":
+        return source, group, inner_automorphism(group, draw(st.integers(0, group.order - 1)))
+    k = group.order
     unit = draw(st.sampled_from([u for u in range(1, k) if math.gcd(u, k) == 1]))
-    term = st.tuples(st.integers(-3, 3), st.integers(0, k - 1))
-    entries = draw(st.lists(st.lists(term, min_size=1, max_size=2), min_size=6, max_size=6))
-    source = load_complex(cyclic_document(k, entries))
-    labels = source.group.labels
-    return source, source.group, {labels[i]: labels[unit * i % k] for i in range(k)}
+    return source, group, {group.labels[i]: group.labels[unit * i % k] for i in range(k)}
 
 
 def ell_structure(ell):
@@ -743,7 +914,7 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
     counted = (
         "reidemeister_trace",
         "lefschetz_number",
-        "_lambda_vector",
+        "_lambda_entry",
         "universal_invariant",
         "twisted_classes",
     )
@@ -756,7 +927,7 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
     assert calls == {
         "reidemeister_trace": per_class,
         "lefschetz_number": per_class,
-        "_lambda_vector": 1,
+        "_lambda_entry": per_class,
         "universal_invariant": 1,
         "twisted_classes": 2 * per_class,
     }

@@ -56,6 +56,12 @@ def test_pinned_mixed_target():
     )
 
 
+def test_b_prime_is_limited_one_below_the_matrix_order():
+    RealizationTarget(IntMatrix.zeros(0, 0), IntMatrix.zeros(63, 63))
+    with pytest.raises(ValueError, match="'b_prime' is 64×64"):
+        RealizationTarget(IntMatrix.zeros(0, 0), IntMatrix.zeros(64, 64))
+
+
 def test_model_structure():
     c = realize(target([[1, 2], [3, 4]], [[5]]))
     assert c.group.order == 1
