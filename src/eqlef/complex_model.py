@@ -30,7 +30,6 @@ from .equivariant_groups import (
     GroupRingMatrix,
     Subgroup,
     TwistData,
-    WeylGroup,
     _check_group_order,
     weyl_group,
 )
@@ -324,15 +323,16 @@ class ChainDegree:
         return tuple(i for i, masked in enumerate(self.relative_mask) if masked)
 
 
-def _coset_representative(weyl: FiniteGroup, w: int, stabilizer: Sequence[int]) -> int:
-    return min(weyl.multiply(w, s) for s in stabilizer)
+def class_label(subgroup_labels: Sequence[str], component: str) -> str:
+    """The label ``(subgroup {…}, component '…')`` of an isotropy class."""
+    return f"(subgroup {{{', '.join(subgroup_labels)}}}, component '{component}')"
 
 
 def _coset_representatives(
     weyl: FiniteGroup, stabilizer: Sequence[int]
 ) -> tuple[int, ...]:
     return tuple(
-        sorted({_coset_representative(weyl, w, stabilizer) for w in range(weyl.order)})
+        sorted({weyl.coset_representative(w, stabilizer) for w in range(weyl.order)})
     )
 
 
@@ -346,7 +346,6 @@ class IsoClassData:
 
     subgroup: Subgroup
     component: str
-    full_weyl: WeylGroup
     aut: AutGroup
     twist: TwistData
     orbit_size: int
@@ -361,8 +360,7 @@ class IsoClassData:
 
     @property
     def label(self) -> str:
-        members = ", ".join(self.subgroup.member_labels)
-        return f"(subgroup {{{members}}}, component '{self.component}')"
+        return class_label(self.subgroup.member_labels, self.component)
 
     def entry_at(self, degree: int) -> ChainDegree | None:
         for entry in self.degrees:
@@ -405,7 +403,7 @@ class IsoClassData:
             for i, element in enumerate(matrix.row(j)):
                 stabilizer = target.stabilizers[i] if target is not None else (weyl.identity,)
                 for vector, w, coefficient in element.terms:
-                    rep = _coset_representative(weyl, weyl.multiply(r, w), stabilizer)
+                    rep = weyl.coset_representative(weyl.multiply(r, w), stabilizer)
                     b = position.get((i, rep))
                     if b is None:
                         raise ValueError(
@@ -702,8 +700,7 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
         )
     component = str(raw["component"])
 
-    full_weyl = weyl_group(group, subgroup)
-    quotient = full_weyl.group
+    quotient = weyl_group(group, subgroup).group
     raw_weyl = raw.get("weyl")
     if raw_weyl is None:
         weyl = quotient
@@ -764,7 +761,6 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
     iso = IsoClassData(
         subgroup=subgroup,
         component=component,
-        full_weyl=full_weyl,
         aut=aut,
         twist=twist,
         orbit_size=orbit_size,
@@ -797,7 +793,7 @@ def _load_fixed_point(
     if iso is None:
         raise ValueError(
             f"fixed point at {where} references missing isotropy class "
-            f"(subgroup {{{', '.join(subgroup.member_labels)}}}, component '{component}')."
+            f"{class_label(subgroup.member_labels, component)}."
         )
     orbit = raw.get("orbit")
     if orbit is not None and not isinstance(orbit, str):

@@ -277,6 +277,11 @@ class FiniteGroup:
         """g · x · g⁻¹."""
         return self.table[self.table[g][x]][self._inverses[g]]
 
+    def coset_representative(self, x: int, members: Iterable[int]) -> int:
+        """The least element of the coset x·K, K given by its ``members``."""
+        row = self.table[x]
+        return min(row[k] for k in members)
+
     def element_index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -951,13 +956,13 @@ class GroupRingElement:
     def coset_reduce(self, stabilizer: Sequence[int]) -> "GroupRingElement":
         """Canonical form modulo right multiplication by a Weyl stabilizer.
 
-        Each support element (v, w) is replaced by (v, min over s of w·s);
-        the vector part is unchanged because the stabilizer acts trivially
-        on translations.
+        Each support element (v, w) is replaced by (v, least element of
+        w·stabilizer); the vector part is unchanged because the stabilizer
+        acts trivially on translations.
         """
         sums: dict[tuple[tuple[int, ...], int], int] = {}
         for vector, w, coefficient in self.terms:
-            key = (vector, min(self.aut.weyl.multiply(w, s) for s in stabilizer))
+            key = (vector, self.aut.weyl.coset_representative(w, stabilizer))
             sums[key] = sums.get(key, 0) + coefficient
         return GroupRingElement._from_sums(self.aut, sums)
 
@@ -1032,17 +1037,6 @@ class GroupRingMatrix:
     def zeros(cls, aut: AutGroup, rows: int, cols: int) -> "GroupRingMatrix":
         zero = GroupRingElement.zero(aut)
         return cls(aut, rows, cols, (zero,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, aut: AutGroup, n: int) -> "GroupRingMatrix":
-        zero = GroupRingElement.zero(aut)
-        one = GroupRingElement.identity(aut)
-        return cls(
-            aut,
-            n,
-            n,
-            tuple(one if i == j else zero for i in range(n) for j in range(n)),
-        )
 
     @classmethod
     def from_rows(

@@ -11,7 +11,9 @@ floating point is used anywhere.  The module provides:
 * :func:`inverse_unimodular` -- exact inverses of unimodular matrices as
   det · adj, with the determinant by Bareiss elimination,
 * :func:`factor_over_Q` -- factorization into irreducible factors over the
-  rationals (content split off, factors in a deterministic canonical order).
+  rationals (content split off, factors in a deterministic canonical order),
+* :class:`FormalSum` -- finitely supported integer combinations in one
+  normal form, the base of every class group eqlef computes in.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_MATRIX_ORDER",
@@ -32,6 +34,7 @@ __all__ = [
     "block_upper_triangular",
     "inverse_unimodular",
     "polynomial_sort_key",
+    "FormalSum",
 ]
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -569,3 +572,72 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 
     # adj(m)[i][j] is the (j, i) cofactor.
     return IntMatrix(n, n, tuple(det * cofactor(j, i) for i in indices for j in indices))
+
+
+@dataclasses.dataclass(frozen=True)
+class FormalSum:
+    """A finitely supported integer combination of keys, kept in normal form.
+
+    ``terms`` holds ``(key, coefficient)`` pairs.  In normal form each key
+    appears once, with a nonzero coefficient, in ascending :meth:`sort_key`
+    order; construction brings any terms to it, so two sums are equal
+    exactly when their ``terms`` are.  The hook :meth:`check_key` validates
+    each key and returns the form it is stored in (or raises ``ValueError``).
+    Sums and :meth:`from_mapping` go through :meth:`from_terms`, which a
+    subclass overrides when one key must be rewritten into several.
+
+    >>> a = FormalSum.from_mapping({"y": 2, "x": 1})
+    >>> a.terms, (a - a.scale(2) + a).is_zero
+    ((('x', 1), ('y', 2)), True)
+    """
+
+    terms: tuple[tuple[Any, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        combined: dict[Any, int] = {}
+        check_key, sort_key = self.check_key, self.sort_key
+        for key, coefficient in self.terms:
+            key = check_key(key)
+            combined[key] = combined.get(key, 0) + int(coefficient)
+        nonzero = (term for term in combined.items() if term[1] != 0)
+        normalized = sorted(nonzero, key=lambda term: sort_key(term[0]))
+        object.__setattr__(self, "terms", tuple(normalized))
+
+    @staticmethod
+    def check_key(key: Any) -> Any:
+        return key
+
+    @staticmethod
+    def sort_key(key: Any) -> Any:
+        return key
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[Any, int]]) -> "FormalSum":
+        return cls(tuple(terms))
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[Any, int]) -> "FormalSum":
+        return cls.from_terms(mapping.items())
+
+    @classmethod
+    def zero(cls) -> "FormalSum":
+        return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key: Any) -> int:
+        return dict(self.terms).get(self.check_key(key), 0)
+
+    def scale(self, factor: int) -> "FormalSum":
+        return type(self)(tuple((key, factor * c) for key, c in self.terms))
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return self.from_terms(self.terms + other.terms)
+
+    def __neg__(self) -> "FormalSum":
+        return self.scale(-1)
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self + (-other)

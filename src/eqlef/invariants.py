@@ -32,9 +32,9 @@ from .complex_model import (
     EquivariantComplex,
     FixedPointDatum,
     IsoClassData,
-    _coset_representative,
     _encode_group_ring_matrix,
     _encode_int,
+    class_label,
     load_complex,
     serialize_complex,
 )
@@ -46,6 +46,7 @@ from .equivariant_groups import (
     pi1_projection,
     twisted_classes,
 )
+from .exact_algebra import FormalSum
 from .uz import UZClass, class_of_matrix
 
 __all__ = [
@@ -86,12 +87,11 @@ def _render_class_label(vector: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in vector).replace("-", _MINUS) + ")"
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassSum:
+class ClassSum(FormalSum):
     """A finitely supported integer sum over twisted-class representatives.
 
-    Terms are ``(representative vector, coefficient)`` pairs, sorted, with
-    zero coefficients dropped.  Vectors of different lengths may coexist
+    Keys are representative vectors, stored as tuples of ints and ordered by
+    length, then lexicographically; vectors of different lengths may coexist
     (sums aggregated over components of different fundamental-group ranks).
 
     >>> str(ClassSum.from_mapping({(): 2}))
@@ -100,55 +100,17 @@ class ClassSum:
     '0'
     """
 
-    terms: tuple[tuple[tuple[int, ...], int], ...] = ()
+    @staticmethod
+    def check_key(vector: Sequence[int]) -> tuple[int, ...]:
+        return tuple(int(v) for v in vector)
 
-    def __post_init__(self) -> None:
-        combined: dict[tuple[int, ...], int] = {}
-        for vector, coefficient in self.terms:
-            vector = tuple(int(v) for v in vector)
-            combined[vector] = combined.get(vector, 0) + int(coefficient)
-        normalized = tuple(
-            sorted(
-                ((v, c) for v, c in combined.items() if c != 0),
-                key=lambda term: (len(term[0]), term[0]),
-            )
-        )
-        object.__setattr__(self, "terms", normalized)
-
-    @classmethod
-    def zero(cls) -> "ClassSum":
-        return cls()
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[tuple[int, ...], int]) -> "ClassSum":
-        return cls(tuple(mapping.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def sort_key(vector: tuple[int, ...]) -> tuple:
+        return (len(vector), vector)
 
     def total(self) -> int:
         """Sum of all coefficients (the augmentation)."""
         return sum(c for _, c in self.terms)
-
-    def coefficient(self, vector: Sequence[int]) -> int:
-        vector = tuple(vector)
-        for v, c in self.terms:
-            if v == vector:
-                return c
-        return 0
-
-    def __add__(self, other: "ClassSum") -> "ClassSum":
-        return ClassSum(self.terms + other.terms)
-
-    def __neg__(self) -> "ClassSum":
-        return ClassSum(tuple((v, -c) for v, c in self.terms))
-
-    def __sub__(self, other: "ClassSum") -> "ClassSum":
-        return self + (-other)
-
-    def scale(self, factor: int) -> "ClassSum":
-        return ClassSum(tuple((v, factor * c) for v, c in self.terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -162,13 +124,6 @@ class ClassSum:
 
 # ---------------------------------------------------------------------------
 # the universal class and its normal form
-
-
-def _matrix_sort_key(matrix: GroupRingMatrix):
-    return (
-        matrix.rows,
-        tuple(entry.terms for entry in matrix.entries),
-    )
 
 
 def _canonical_block(matrix: GroupRingMatrix) -> GroupRingMatrix:
@@ -263,60 +218,44 @@ def _split_blocks(matrix: GroupRingMatrix) -> list[GroupRingMatrix]:
     return [matrix.submatrix(list(c), list(c)) for c in sorted(components)]
 
 
-@dataclasses.dataclass(frozen=True)
-class KClass:
+class KClass(FormalSum):
     """A formal integer combination of square group-ring matrices.
 
-    The normal form splits each matrix along the strongly connected
-    components of its support digraph, replaces each block by its exact
-    permutation-canonical form (one search at every size), merges
-    coefficients of identical blocks, and drops zero coefficients and empty
-    matrices.  Equality of normal forms implies equality of classes;
-    inequality is inconclusive, since conjugations that are not permutations
-    are not seen, so :meth:`compare` answers ``"equal"`` or ``"not provably equal"``.
+    Keys must be square matrices, ordered by size, then by their entries'
+    terms.  Equality of normal forms implies equality of classes; inequality
+    is inconclusive, since conjugations that are not permutations are not
+    seen, so :meth:`compare` answers ``"equal"`` or ``"not provably equal"``.
     """
 
-    terms: tuple[tuple[GroupRingMatrix, int], ...] = ()
     exact = True  # every normal form is exact; a constant, not a field
 
+    @staticmethod
+    def check_key(matrix: GroupRingMatrix) -> GroupRingMatrix:
+        if not matrix.is_square:
+            raise ValueError(
+                f"universal-class terms must be square matrices, got {matrix.rows}×{matrix.cols}."
+            )
+        return matrix
+
+    @staticmethod
+    def sort_key(matrix: GroupRingMatrix) -> tuple:
+        return (matrix.rows, tuple(entry.terms for entry in matrix.entries))
+
     @classmethod
-    def from_terms(
-        cls, terms: Iterable[tuple[GroupRingMatrix, int]]
-    ) -> "KClass":
-        accumulated: dict[GroupRingMatrix, int] = {}
-        for matrix, coefficient in terms:
-            if not matrix.is_square:
-                raise ValueError(
-                    f"universal-class terms must be square matrices, got "
-                    f"{matrix.rows}×{matrix.cols}."
-                )
-            for block in _split_blocks(matrix):
-                canonical = _canonical_block(block)
-                accumulated[canonical] = accumulated.get(canonical, 0) + coefficient
-        normalized = tuple(
-            sorted(
-                ((m, c) for m, c in accumulated.items() if c != 0),
-                key=lambda term: _matrix_sort_key(term[0]),
+    def from_terms(cls, terms: Iterable[tuple[GroupRingMatrix, int]]) -> "KClass":
+        """The normal form of ``terms``, block by block.
+
+        Each matrix splits along the strongly connected components of its
+        support digraph, and each block takes its exact permutation-canonical
+        form (one search at every size); empty matrices vanish.
+        """
+        return cls(
+            tuple(
+                (_canonical_block(block), coefficient)
+                for matrix, coefficient in terms
+                for block in _split_blocks(cls.check_key(matrix))
             )
         )
-        return cls(terms=normalized)
-
-    @classmethod
-    def zero(cls) -> "KClass":
-        return cls()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "KClass") -> "KClass":
-        return KClass.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "KClass":
-        return KClass(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
 
     def compare(self, other: "KClass") -> str:
         """``"equal"`` when normal forms match, else ``"not provably equal"``."""
@@ -382,10 +321,7 @@ class UniversalInvariant:
             return "0"
         lines = []
         for entry in self.entries:
-            line = (
-                f"(subgroup {{{', '.join(entry.subgroup_labels)}}}, "
-                f"component '{entry.component}'): {entry.kclass}"
-            )
+            line = f"{class_label(entry.subgroup_labels, entry.component)}: {entry.kclass}"
             if entry.uz_image is not None:
                 line += f"  [integer class: {entry.uz_image}]"
             lines.append(line)
@@ -462,8 +398,7 @@ class LambdaVector:
         if not self.entries:
             return "0"
         return "\n".join(
-            f"(subgroup {{{', '.join(entry.subgroup_labels)}}}, "
-            f"component '{entry.component}'): {entry.value}"
+            f"{class_label(entry.subgroup_labels, entry.component)}: {entry.value}"
             for entry in self.entries
         )
 
@@ -672,11 +607,12 @@ def _validate_embedding(
 ) -> dict[str, int]:
     """The embedding as source label → target index, checked to be an injective homomorphism."""
     mapping = {str(k): str(v) for k, v in embedding.items()}
-    if set(mapping) != set(h_group.labels):
-        raise ValueError(
-            "embedding must map every source group element; missing "
-            f"{sorted(set(h_group.labels) - set(mapping))}."
-        )
+    missing = sorted(set(h_group.labels) - set(mapping))
+    if missing:
+        raise ValueError(f"embedding must map every source group element; missing {missing}.")
+    unknown = sorted(set(mapping) - set(h_group.labels))
+    if unknown:
+        raise ValueError(f"embedding names labels outside the source group: {unknown}.")
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("embedding is not injective.")
     image = [g_group.element_index(mapping[label]) for label in h_group.labels]
@@ -723,7 +659,7 @@ def _relabel_document(
         image = image.conjugate_by(x)
         weyl_mapping = {
             label: g_group.labels[
-                _coset_representative(g_group, g_group.conjugate(x, y), image.members)
+                g_group.coset_representative(g_group.conjugate(x, y), image.members)
             ]
             for label, y in mapping.items()
         }

@@ -11,10 +11,8 @@ multiplicities.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Mapping
-
 from .exact_algebra import (
+    FormalSum,
     IntMatrix,
     IntPolynomial,
     char_poly,
@@ -28,15 +26,12 @@ _MIDDLE_DOT = "·"
 _MINUS = "−"
 
 
-@dataclasses.dataclass(frozen=True)
-class UZClass:
+class UZClass(FormalSum):
     """A finitely supported integer combination of irreducible monic polynomials.
 
-    ``terms`` maps each canonical irreducible polynomial to its (nonzero)
-    integer coefficient; the zero class has no terms.  Equal polynomials are
-    combined and zero coefficients dropped on construction.  Terms are kept in
-    canonical order: by degree, then by coefficient magnitudes, then by
-    signed coefficients (so x−1 precedes x+1, which precedes x−3).
+    Keys must be monic polynomials.  They are ordered by degree, then by
+    coefficient magnitudes, then by signed coefficients (so x−1 precedes
+    x+1, which precedes x−3).
 
     >>> a = class_of_matrix(IntMatrix.identity(2))
     >>> str(a)
@@ -45,41 +40,13 @@ class UZClass:
     True
     """
 
-    terms: tuple[tuple[IntPolynomial, int], ...]
+    @staticmethod
+    def check_key(polynomial: IntPolynomial) -> IntPolynomial:
+        if polynomial.is_zero or not polynomial.is_monic:
+            raise ValueError(f"universal-class keys must be monic polynomials, got {polynomial}.")
+        return polynomial
 
-    def __post_init__(self) -> None:
-        combined: dict[IntPolynomial, int] = {}
-        for polynomial, coefficient in self.terms:
-            if coefficient == 0:
-                continue
-            if polynomial.is_zero or not polynomial.is_monic:
-                raise ValueError(
-                    f"universal-class keys must be monic polynomials, got {polynomial}."
-                )
-            combined[polynomial] = combined.get(polynomial, 0) + int(coefficient)
-        cleaned = sorted(
-            ((p, c) for p, c in combined.items() if c != 0),
-            key=lambda pair: polynomial_sort_key(pair[0]),
-        )
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    @classmethod
-    def zero(cls) -> "UZClass":
-        return cls(())
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[IntPolynomial, int]) -> "UZClass":
-        return cls(tuple(mapping.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, polynomial: IntPolynomial) -> int:
-        for key, value in self.terms:
-            if key == polynomial:
-                return value
-        return 0
+    sort_key = staticmethod(polynomial_sort_key)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -113,12 +80,12 @@ def class_of_matrix(a: IntMatrix) -> UZClass:
 
 def uz_add(a: UZClass, b: UZClass) -> UZClass:
     """Coefficient-wise sum of two classes."""
-    return UZClass(a.terms + b.terms)
+    return a + b
 
 
 def uz_neg(a: UZClass) -> UZClass:
     """Additive inverse of a class."""
-    return UZClass(tuple((polynomial, -coefficient) for polynomial, coefficient in a.terms))
+    return -a
 
 
 def uz_eq(a: UZClass, b: UZClass) -> bool:

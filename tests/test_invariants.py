@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from eqlef import (
     ClassSum,
     KClass,
+    UZClass,
     build_report,
     induce,
     klein_williams,
@@ -36,6 +37,8 @@ from eqlef import (
     serialize_complex,
     twisted_classes,
     universal_invariant,
+    uz_add,
+    uz_neg,
     vanishing_report,
 )
 from eqlef.corpus import BUILTIN_COMPLEXES
@@ -47,7 +50,7 @@ from eqlef.equivariant_groups import (
     conjugacy_classes_of_subgroups,
     weyl_group,
 )
-from eqlef.exact_algebra import IntMatrix
+from eqlef.exact_algebra import IntMatrix, IntPolynomial
 from eqlef.realize import RealizationTarget, realize
 
 from test_torus import torus_document
@@ -417,6 +420,41 @@ def test_classsum_algebra():
 
 
 # ---------------------------------------------------------------------------
+# the shared normal form of ClassSum, UZClass and KClass
+
+
+FORMAL_SUM_KEYS = {
+    ClassSum: st.lists(st.integers(-1, 1), max_size=2).map(tuple),
+    UZClass: st.lists(st.integers(-1, 1), max_size=2).map(lambda c: IntPolynomial((*c, 1))),
+    KClass: tied_blocks(max_size=4).map(lambda block: int_ring_matrix(renumbered(*block))),
+}
+
+
+@pytest.mark.parametrize("cls", list(FORMAL_SUM_KEYS), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_formal_sum_group_laws(cls, data):
+    term_lists = st.lists(st.tuples(FORMAL_SUM_KEYS[cls], st.integers(-3, 3)), max_size=3)
+    x, y, z = (data.draw(term_lists) for _ in range(3))
+    a, b, c = (cls.from_terms(terms) for terms in (x, y, z))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a - a).is_zero and a - a == cls.zero()
+    k = data.draw(st.integers(0, 3))
+    multiple = cls.zero()
+    for _ in range(k):
+        multiple = multiple + a
+    assert a.scale(k) == multiple
+    assert cls.from_mapping(dict(a.terms)) == a
+    assert all(a.coefficient(key) == coefficient for key, coefficient in a.terms)
+    if cls is KClass:
+        assert cls.from_terms(x) + cls.from_terms(y) == cls.from_terms(x + y)
+    if cls is UZClass:
+        assert uz_add(a, b) == a + b
+        assert uz_neg(a) == -a
+
+
+# ---------------------------------------------------------------------------
 # induction
 
 
@@ -659,6 +697,8 @@ def test_induce_rejects_unsupported_embeddings():
     z4 = FiniteGroup.builtin("Zn:4")
     with pytest.raises(ValueError, match="missing"):
         induce(c, z4, {})
+    with pytest.raises(ValueError, match=r"outside the source group: \['zz'\]"):
+        induce(c, FiniteGroup.builtin("Z2"), {"1": "1", "g": "g", "zz": "g"})
     with pytest.raises(ValueError, match="not injective"):
         induce(c, z4, {"1": "1", "g": "1"})
     with pytest.raises(ValueError, match="does not preserve multiplication"):
