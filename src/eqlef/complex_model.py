@@ -16,6 +16,7 @@ serialized back as strings.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 import sys
@@ -305,12 +306,20 @@ def _encode_group_ring_matrix(matrix: GroupRingMatrix) -> list[list[Any]]:
 
 @dataclasses.dataclass(frozen=True)
 class ChainDegree:
-    """One degree of the relative cellular data of a class."""
+    """One degree of the relative cellular data of a class.
+
+    ``expanded_basis`` indexes the degree restricted to the translation
+    group ring: one pair (row j, r) per row and per Weyl coset of its
+    stabilizer, r the coset's least element.  The loader builds it from the
+    stabilizers, before any matrix is read.  :attr:`relative_map` is the
+    square part of the chain map on the unmasked rows and columns.
+    """
 
     degree: int
     rank: int
     relative_mask: tuple[bool, ...]
     stabilizers: tuple[tuple[int, ...], ...]
+    expanded_basis: tuple[tuple[int, int], ...]
     chain_map: GroupRingMatrix
     boundary: GroupRingMatrix | None
 
@@ -322,26 +331,31 @@ class ChainDegree:
     def masked_indices(self) -> tuple[int, ...]:
         return tuple(i for i, masked in enumerate(self.relative_mask) if masked)
 
+    @functools.cached_property
+    def relative_map(self) -> GroupRingMatrix:
+        unmasked = self.unmasked_indices
+        return self.chain_map.submatrix(unmasked, unmasked)
+
 
 def class_label(subgroup_labels: Sequence[str], component: str) -> str:
     """The label ``(subgroup {…}, component '…')`` of an isotropy class."""
     return f"(subgroup {{{', '.join(subgroup_labels)}}}, component '{component}')"
 
 
-def _coset_representatives(
-    weyl: FiniteGroup, stabilizer: Sequence[int]
-) -> tuple[int, ...]:
-    return tuple(
-        sorted({weyl.coset_representative(w, stabilizer) for w in range(weyl.order)})
-    )
+def _with_below(degrees: Sequence[ChainDegree]) -> list[tuple[ChainDegree, ChainDegree | None]]:
+    """Each degree with the degree just below it, or ``None`` when that one is missing."""
+    by_degree = {entry.degree: entry for entry in degrees}
+    return [(entry, by_degree.get(entry.degree - 1)) for entry in degrees]
 
 
 @dataclasses.dataclass(frozen=True)
 class IsoClassData:
     """The validated data of one isotropy class of a twisted self-map.
 
-    The expanded chain maps and boundaries are computed once per instance
-    and shared by load-time validation, R and L.
+    :attr:`ladder` is the class's expanded chain data: one rung per degree,
+    built on first use and then read by load-time validation, R and L.  A
+    boundary into a missing degree has no columns; its rung has no degree
+    below and no expanded boundary, so it enters no check and no invariant.
     """
 
     subgroup: Subgroup
@@ -350,9 +364,6 @@ class IsoClassData:
     twist: TwistData
     orbit_size: int
     degrees: tuple[ChainDegree, ...]
-    _expansions: dict[tuple[str, int], GroupRingMatrix | None] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def key(self) -> tuple[tuple[int, ...], str]:
@@ -362,29 +373,33 @@ class IsoClassData:
     def label(self) -> str:
         return class_label(self.subgroup.member_labels, self.component)
 
-    def entry_at(self, degree: int) -> ChainDegree | None:
-        for entry in self.degrees:
-            if entry.degree == degree:
-                return entry
-        return None
-
     def pi1_aut(self) -> AutGroup:
         """The translation-only automorphism group used for expanded matrices."""
         return AutGroup.translations(self.aut.pi1_rank)
 
-    def expanded_basis(self, entry: ChainDegree) -> list[tuple[int, int]]:
-        """Pairs (row index, Weyl coset representative) indexing the expansion."""
-        return [
-            (j, r)
-            for j in range(entry.rank)
-            for r in _coset_representatives(self.aut.weyl, entry.stabilizers[j])
-        ]
+    @functools.cached_property
+    def ladder(
+        self,
+    ) -> tuple[tuple[ChainDegree, ChainDegree | None, GroupRingMatrix, GroupRingMatrix | None], ...]:
+        """One rung per degree: (entry, the degree just below or ``None``,
+        expanded map, expanded boundary or ``None``), each expanded once."""
+        return tuple(
+            (
+                entry,
+                below,
+                self.expand_matrix(entry.chain_map, entry, entry),
+                None
+                if entry.boundary is None or below is None
+                else self.expand_matrix(entry.boundary, entry, below),
+            )
+            for entry, below in _with_below(self.degrees)
+        )
 
     def expand_matrix(
         self,
         matrix: GroupRingMatrix,
         source: ChainDegree,
-        target: ChainDegree | None,
+        target: ChainDegree,
     ) -> GroupRingMatrix:
         """Expand a module matrix over the Weyl cosets to translation-ring form.
 
@@ -395,57 +410,26 @@ class IsoClassData:
         """
         pi1 = self.pi1_aut()
         weyl = self.aut.weyl
-        source_basis = self.expanded_basis(source)
-        target_basis = self.expanded_basis(target) if target is not None else []
-        position = {key: p for p, key in enumerate(target_basis)}
+        position = {key: p for p, key in enumerate(target.expanded_basis)}
         accumulated: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
-        for a, (j, r) in enumerate(source_basis):
+        for a, (j, r) in enumerate(source.expanded_basis):
             for i, element in enumerate(matrix.row(j)):
-                stabilizer = target.stabilizers[i] if target is not None else (weyl.identity,)
+                stabilizer = target.stabilizers[i]
                 for vector, w, coefficient in element.terms:
-                    rep = weyl.coset_representative(weyl.multiply(r, w), stabilizer)
-                    b = position.get((i, rep))
-                    if b is None:
-                        raise ValueError(
-                            f"internal expansion error at {self.label}: "
-                            f"missing target coset for row {i}."
-                        )
+                    b = position[(i, weyl.coset_representative(weyl.multiply(r, w), stabilizer))]
                     sums = accumulated.setdefault((a, b), {})
                     key = (self.aut.act(r, vector), pi1.weyl.identity)
                     sums[key] = sums.get(key, 0) + coefficient
         zero = GroupRingElement.zero(pi1)
+        rows, cols = len(source.expanded_basis), len(target.expanded_basis)
         entries = tuple(
             GroupRingElement._from_sums(pi1, accumulated[(a, b)])
             if (a, b) in accumulated
             else zero
-            for a in range(len(source_basis))
-            for b in range(len(target_basis))
+            for a in range(rows)
+            for b in range(cols)
         )
-        return GroupRingMatrix(pi1, len(source_basis), len(target_basis), entries)
-
-    def expanded_chain_map(self, degree: int) -> GroupRingMatrix:
-        """The chain map at ``degree``, expanded over Weyl cosets (computed once)."""
-        key = ("map", degree)
-        if key not in self._expansions:
-            entry = self.entry_at(degree)
-            self._expansions[key] = (
-                GroupRingMatrix.zeros(self.pi1_aut(), 0, 0)
-                if entry is None
-                else self.expand_matrix(entry.chain_map, entry, entry)
-            )
-        return self._expansions[key]
-
-    def expanded_boundary(self, degree: int) -> GroupRingMatrix | None:
-        """The boundary at ``degree`` expanded over Weyl cosets, if provided (computed once)."""
-        key = ("boundary", degree)
-        if key not in self._expansions:
-            entry = self.entry_at(degree)
-            self._expansions[key] = (
-                None
-                if entry is None or entry.boundary is None
-                else self.expand_matrix(entry.boundary, entry, self.entry_at(degree - 1))
-            )
-        return self._expansions[key]
+        return GroupRingMatrix(pi1, rows, cols, entries)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -565,6 +549,18 @@ def _load_chain_degree(
                 f"basis element {i} at {where} is unmasked but has a nontrivial "
                 "stabilizer; relative basis elements must be free."
             )
+    weyl = aut.weyl
+    expanded_basis = tuple(
+        (j, r)
+        for j, stabilizer in enumerate(stabilizers)
+        for r in sorted({weyl.coset_representative(w, stabilizer) for w in range(weyl.order)})
+    )
+    if len(expanded_basis) > MAX_MATRIX_ORDER:
+        raise ValueError(
+            f"chain entry at {where} expands over the Weyl cosets of its stabilizers "
+            f"to rank {len(expanded_basis)}; expanded ranks are limited to "
+            f"MAX_MATRIX_ORDER = {MAX_MATRIX_ORDER}."
+        )
 
     if "map" not in raw:
         raise ValueError(f"chain entry at {where} needs a 'map' matrix.")
@@ -582,6 +578,7 @@ def _load_chain_degree(
         rank=rank,
         relative_mask=mask,
         stabilizers=stabilizers,
+        expanded_basis=expanded_basis,
         chain_map=chain_map,
         boundary=boundary,
     )
@@ -590,15 +587,11 @@ def _load_chain_degree(
 def _validate_row_invariance(iso: IsoClassData) -> None:
     """Rows with a stabilizer must be invariant under left translation by it."""
     weyl = iso.aut.weyl
-    for entry in iso.degrees:
-        matrices: list[tuple[str, GroupRingMatrix, ChainDegree | None]] = [
-            ("map", entry.chain_map, entry)
-        ]
-        if entry.boundary is not None:
-            matrices.append(("boundary", entry.boundary, iso.entry_at(entry.degree - 1)))
+    for entry, below in _with_below(iso.degrees):
+        matrices = [("map", entry.chain_map, entry)]
+        if entry.boundary is not None and below is not None:
+            matrices.append(("boundary", entry.boundary, below))
         for kind, matrix, target in matrices:
-            if target is None:
-                continue
             for j in range(entry.rank):
                 stabilizer = entry.stabilizers[j]
                 if stabilizer == (weyl.identity,):
@@ -622,7 +615,7 @@ def _validate_row_invariance(iso: IsoClassData) -> None:
 
 def _validate_mask_closure(iso: IsoClassData) -> None:
     """Masked basis elements must map and bound into masked ones."""
-    for entry in iso.degrees:
+    for entry, below in _with_below(iso.degrees):
         for j in entry.masked_indices:
             for i in entry.unmasked_indices:
                 if not entry.chain_map.entry(j, i).is_zero:
@@ -631,12 +624,9 @@ def _validate_mask_closure(iso: IsoClassData) -> None:
                         "masked basis element to an unmasked one; the singular part "
                         "must be preserved."
                     )
-        if entry.boundary is not None:
-            target = iso.entry_at(entry.degree - 1)
-            if target is None:
-                continue
+        if entry.boundary is not None and below is not None:
             for j in entry.masked_indices:
-                for i in target.unmasked_indices:
+                for i in below.unmasked_indices:
                     if not entry.boundary.entry(j, i).is_zero:
                         raise ValueError(
                             f"boundary row {j} in degree {entry.degree} of {iso.label} "
@@ -647,19 +637,17 @@ def _validate_mask_closure(iso: IsoClassData) -> None:
 
 def _validate_chain_algebra(iso: IsoClassData) -> None:
     """Expanded-level checks: boundaries compose to zero and commute with the map."""
-    for entry in iso.degrees:
-        expanded_boundary = iso.expanded_boundary(entry.degree)
+    ladder = iso.ladder
+    for k, (entry, _, map_here, expanded_boundary) in enumerate(ladder):
         if expanded_boundary is None:
             continue
-        below = iso.expanded_boundary(entry.degree - 1)
-        if below is not None:
-            if not (expanded_boundary @ below).is_zero:
+        _, _, map_below, boundary_below = ladder[k - 1]  # the degree just below
+        if boundary_below is not None:
+            if not (expanded_boundary @ boundary_below).is_zero:
                 raise ValueError(
                     f"boundary composition is nonzero between degrees {entry.degree} "
                     f"and {entry.degree - 1} of {iso.label}."
                 )
-        map_here = iso.expanded_chain_map(entry.degree)
-        map_below = iso.expanded_chain_map(entry.degree - 1)
         twisted = expanded_boundary.apply_twist(iso.twist)
         if twisted @ map_below != map_here @ expanded_boundary:
             raise ValueError(

@@ -1034,11 +1034,6 @@ class GroupRingMatrix:
         self.entries = entries
 
     @classmethod
-    def zeros(cls, aut: AutGroup, rows: int, cols: int) -> "GroupRingMatrix":
-        zero = GroupRingElement.zero(aut)
-        return cls(aut, rows, cols, (zero,) * (rows * cols))
-
-    @classmethod
     def from_rows(
         cls, aut: AutGroup, rows: Sequence[Sequence[GroupRingElement]]
     ) -> "GroupRingMatrix":

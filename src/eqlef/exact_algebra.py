@@ -47,7 +47,10 @@ Berkowitz's :func:`char_poly` is O(n⁴) and factoring a dense characteristic
 polynomial grows faster still.  On a 2-vCPU Xeon virtual machine, a dense
 matrix took 0.8 + 0.2 s (char_poly + factor_over_Q) at n = 64, 4.8 + 2.4 s
 at n = 96 and 14 + 14 s at n = 128.  The order is checked before any of
-that work.
+that work.  It also bounds each document degree's expanded rank, one row
+per (row, Weyl coset of its stabilizer) pair, since the expanded maps are
+the matrices validation, R and L multiply; a rank-r degree over a Weyl
+group of order |W| can expand to r·|W| rows.
 """
 
 
@@ -582,9 +585,9 @@ class FormalSum:
     appears once, with a nonzero coefficient, in ascending :meth:`sort_key`
     order; construction brings any terms to it, so two sums are equal
     exactly when their ``terms`` are.  The hook :meth:`check_key` validates
-    each key and returns the form it is stored in (or raises ``ValueError``).
-    Sums and :meth:`from_mapping` go through :meth:`from_terms`, which a
-    subclass overrides when one key must be rewritten into several.
+    each key and returns the form it is stored in (or raises ``ValueError``);
+    the hook :meth:`normal_keys` lets a subclass rewrite one key into
+    several, each counted with the key's coefficient.
 
     >>> a = FormalSum.from_mapping({"y": 2, "x": 1})
     >>> a.terms, (a - a.scale(2) + a).is_zero
@@ -595,10 +598,11 @@ class FormalSum:
 
     def __post_init__(self) -> None:
         combined: dict[Any, int] = {}
-        check_key, sort_key = self.check_key, self.sort_key
+        normal_keys, sort_key = self.normal_keys, self.sort_key
         for key, coefficient in self.terms:
-            key = check_key(key)
-            combined[key] = combined.get(key, 0) + int(coefficient)
+            coefficient = int(coefficient)
+            for part in normal_keys(key):
+                combined[part] = combined.get(part, 0) + coefficient
         nonzero = (term for term in combined.items() if term[1] != 0)
         normalized = sorted(nonzero, key=lambda term: sort_key(term[0]))
         object.__setattr__(self, "terms", tuple(normalized))
@@ -610,6 +614,11 @@ class FormalSum:
     @staticmethod
     def sort_key(key: Any) -> Any:
         return key
+
+    @classmethod
+    def normal_keys(cls, key: Any) -> Iterable[Any]:
+        """The normal-form keys that ``key`` stands for: by default, its checked form."""
+        return (cls.check_key(key),)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Any, int]]) -> "FormalSum":

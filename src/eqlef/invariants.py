@@ -242,20 +242,23 @@ class KClass(FormalSum):
         return (matrix.rows, tuple(entry.terms for entry in matrix.entries))
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[GroupRingMatrix, int]]) -> "KClass":
-        """The normal form of ``terms``, block by block.
+    def normal_keys(cls, matrix: GroupRingMatrix) -> list[GroupRingMatrix]:
+        """The blocks of ``matrix``, each in its canonical form.
 
-        Each matrix splits along the strongly connected components of its
+        A matrix splits along the strongly connected components of its
         support digraph, and each block takes its exact permutation-canonical
         form (one search at every size); empty matrices vanish.
         """
-        return cls(
-            tuple(
-                (_canonical_block(block), coefficient)
-                for matrix, coefficient in terms
-                for block in _split_blocks(cls.check_key(matrix))
-            )
-        )
+        return [_canonical_block(block) for block in _split_blocks(cls.check_key(matrix))]
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[GroupRingMatrix, int]]) -> "KClass":
+        """The normal form of ``terms``.
+
+        Defined on the class itself, where ``perfbench/tracing.py`` wraps it
+        by name; construction does the work (:meth:`normal_keys`).
+        """
+        return cls(tuple(terms))
 
     def compare(self, other: "KClass") -> str:
         """``"equal"`` when normal forms match, else ``"not provably equal"``."""
@@ -277,12 +280,6 @@ class KClass(FormalSum):
 
 # ---------------------------------------------------------------------------
 # per-class invariant computations
-
-
-def _unmasked_submatrix(iso: IsoClassData, degree_index: int) -> GroupRingMatrix:
-    entry = iso.degrees[degree_index]
-    unmasked = entry.unmasked_indices
-    return entry.chain_map.submatrix(unmasked, unmasked)
 
 
 def _sign(degree: int) -> int:
@@ -339,17 +336,16 @@ def universal_invariant(c: EquivariantComplex) -> UniversalInvariant:
     entries = []
     for iso in c.classes:
         kclass = KClass.from_terms(
-            (_unmasked_submatrix(iso, i), _sign(entry.degree))
-            for i, entry in enumerate(iso.degrees)
+            (entry.relative_map, _sign(entry.degree)) for entry in iso.degrees
         )
         uz_image = None
         if iso.aut.is_trivial:
             uz_image = UZClass(
                 tuple(
                     (polynomial, _sign(entry.degree) * coefficient)
-                    for i, entry in enumerate(iso.degrees)
+                    for entry in iso.degrees
                     for polynomial, coefficient in class_of_matrix(
-                        _unmasked_submatrix(iso, i).augmented()
+                        entry.relative_map.augmented()
                     ).terms
                 )
             )
@@ -433,9 +429,7 @@ def _lambda_entry(iso: IsoClassData, classes: TwistedClassSet) -> LambdaEntry:
     return LambdaEntry(
         subgroup_labels=iso.subgroup.member_labels,
         component=iso.component,
-        value=_alternating_projection(
-            iso, (_unmasked_submatrix(iso, i) for i in range(len(iso.degrees))), classes
-        ),
+        value=_alternating_projection(iso, (e.relative_map for e in iso.degrees), classes),
     )
 
 
@@ -450,7 +444,7 @@ def reidemeister_trace(d: IsoClassData) -> ClassSum:
     """
     return _alternating_projection(
         d,
-        (d.expanded_chain_map(entry.degree) for entry in d.degrees),
+        (expanded_map for _, _, expanded_map, _ in d.ladder),
         twisted_classes(d.pi1_aut(), d.twist),
     )
 
@@ -478,11 +472,10 @@ def lefschetz_number(d: IsoClassData) -> int:
     >>> lefschetz_number(load_builtin("example2").classes[0])
     2
     """
-    total = 0
-    for entry in d.degrees:
-        expanded = d.expanded_chain_map(entry.degree)
-        total += _sign(entry.degree) * expanded.augmented().trace()
-    return total
+    return sum(
+        _sign(entry.degree) * expanded_map.augmented().trace()
+        for entry, _, expanded_map, _ in d.ladder
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
 
+from test_complex_model import sym5_free_document
+
 MINUS = "−"
 OPLUS = "⊕"
 
@@ -161,6 +163,16 @@ def test_realize_names_the_b_prime_limit(capsys):
     assert len(err.splitlines()) == 1
     assert "'b_prime' is 64×64" in err and "MAX_MATRIX_ORDER − 1 = 63" in err
     assert "iso_classes" not in err
+
+
+def test_invariants_names_the_expanded_rank_limit(capsys):
+    # 4 free rows over the full Weyl group of Sym:5 expand to 480 rows
+    code, out, err = run(capsys, ["invariants", json.dumps(sym5_free_document(4))])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "iso_classes[0].chain[0]" in err
+    assert "rank 480" in err and "MAX_MATRIX_ORDER = 64" in err
 
 
 @pytest.mark.parametrize("entry", ["1_0", "٣"])

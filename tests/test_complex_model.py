@@ -3,6 +3,7 @@
 import copy
 import json
 import sys
+import time
 import types
 
 import pytest
@@ -17,7 +18,7 @@ from eqlef.complex_model import (
 from eqlef.corpus import BUILTIN_COMPLEXES
 from eqlef.equivariant_groups import FiniteGroup
 from eqlef.exact_algebra import IntMatrix
-from eqlef.invariants import induce
+from eqlef.invariants import build_report, induce, render_report
 from eqlef.realize import RealizationTarget, realize
 
 from test_torus import torus_document
@@ -407,6 +408,51 @@ def test_rejects_rank_past_the_matrix_order_limit():
         load_complex(document)
 
 
+def sym5_free_document(rank):
+    """One free degree of ``rank`` rows over Sym:5: trivial subgroup, full Weyl group.
+
+    Each row expands to 120 rows; every map entry is the sum of all 120
+    Weyl elements.
+    """
+    weyl_sum = [{"weyl_elem": label} for label in FiniteGroup.builtin("Sym:5").labels]
+    return {
+        "format_version": 1,
+        "group": {"builtin": "Sym:5"},
+        "iso_classes": [
+            {
+                "subgroup_class": ["01234"],
+                "component": "c",
+                "pi1_rank": 0,
+                "phi_pi": [],
+                "chain": [{"degree": 0, "rank": rank, "map": [[weyl_sum] * rank] * rank}],
+            }
+        ],
+    }
+
+
+def test_rejects_expanded_rank_past_the_matrix_order_limit():
+    document = sym5_free_document(4)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as error:
+        load_complex(document)
+    assert time.perf_counter() - start < 1.0  # refused before any matrix is read
+    assert str(error.value) == (
+        "chain entry at iso_classes[0].chain[0] expands over the Weyl cosets of its "
+        "stabilizers to rank 480; expanded ranks are limited to MAX_MATRIX_ORDER = 64."
+    )
+
+
+def test_expanded_rank_at_the_matrix_order_limit_loads():
+    document = minimal_document()
+    document["group"] = {"builtin": "Z2"}
+    document["iso_classes"][0]["chain"] = [
+        {"degree": 0, "rank": 32, "map": [[int(i == j) for j in range(32)] for i in range(32)]}
+    ]
+    loaded = load_complex(document)
+    assert len(loaded.classes[0].degrees[0].expanded_basis) == 64
+    assert build_report(loaded)["classes"][0]["lefschetz"] == 64
+
+
 def test_rejects_boolean_masquerading_as_integer():
     document = minimal_document()
     document["iso_classes"][0]["chain"][0]["map"] = [[True]]
@@ -633,3 +679,157 @@ def test_serialize_load_is_idempotent_on_every_spelling(data):
     once = serialize_complex(load_complex(respelled))
     assert serialize_complex(load_complex(once)) == once
     assert once == canonical
+
+
+# ---------------------------------------------------------------------------
+# boundaries into a missing degree
+
+
+def z2_gap_document():
+    """Degrees 0, 2 and 3 over ℤ₂; degree 2's boundary has no columns."""
+    return {
+        "format_version": 1,
+        "group": {"builtin": "Z2"},
+        "name": "z2-gap",
+        "iso_classes": [
+            {
+                "subgroup_class": ["1"],
+                "component": "c",
+                "pi1_rank": 0,
+                "phi_pi": [],
+                "chain": [
+                    {
+                        "degree": 0,
+                        "rank": 1,
+                        "relative_mask": [True],
+                        "stabilizers": [["1", "g"]],
+                        "map": [[-1]],
+                    },
+                    {
+                        "degree": 2,
+                        "rank": 2,
+                        "relative_mask": [False, True],
+                        "stabilizers": [["1"], ["1", "g"]],
+                        "map": [[{"coeff": -1, "weyl_elem": "g"}, 0], [0, 1]],
+                        "boundary": [[], []],
+                    },
+                    {
+                        "degree": 3,
+                        "rank": 1,
+                        "relative_mask": [False],
+                        "map": [[1]],
+                        "boundary": [[[1, {"coeff": -1, "weyl_elem": "g"}], 0]],
+                    },
+                ],
+            }
+        ],
+    }
+
+
+def trivial_gap_document():
+    """Degrees 1 and 2 over the trivial group; degree 1's boundary has no columns."""
+    return {
+        "format_version": 1,
+        "group": {"builtin": "trivial"},
+        "name": "trivial-gap",
+        "iso_classes": [
+            {
+                "subgroup_class": ["1"],
+                "component": "c",
+                "pi1_rank": 1,
+                "phi_pi": [[1]],
+                "chain": [
+                    {
+                        "degree": 1,
+                        "rank": 2,
+                        "map": [[{"vector": [1]}, 0], [0, {"vector": [1]}]],
+                        "boundary": [[], []],
+                    },
+                    {
+                        "degree": 2,
+                        "rank": 1,
+                        "map": [[{"vector": [1]}]],
+                        "boundary": [[1, -1]],
+                    },
+                ],
+            }
+        ],
+    }
+
+
+MISSING_DEGREE_PINS = {
+    "z2-gap": (
+        z2_gap_document,
+        '{"group": {"order": 2, "labels": ["1", "g"]}, "classes": [{"subgroup_class": ["1"], '
+        '"component": "c", "orbit_size": 1, "u": {"rendered": "−[1] +[−g]", "terms": '
+        '[{"coeff": -1, "matrix": [[1]]}, {"coeff": 1, "matrix": [[{"coeff": -1, '
+        '"weyl_elem": "g"}]]}]}, "lambda": [{"class": [], "coeff": -1}], "reidemeister": '
+        '[{"class": [], "coeff": -2}], "lefschetz": -2}], "ell": {"rendered": "−2[1]", '
+        '"slots": [{"subgroup_class": ["1"], "total": [{"class": [], "coeff": -2}], '
+        '"contributions": [{"component": "c", "orbit_size": 1, "value": [{"class": [], '
+        '"coeff": -2}]}]}]}, "vanishing": {"ell_zero": false, "lambda_zero": false, '
+        '"consistent": true}, "name": "z2-gap"}',
+        "z2-gap (group order 2)\n"
+        "  (subgroup {1}, component 'c'):\n"
+        "    u = −[1] +[−g]\n"
+        "    lambda = −1[1]\n"
+        "    R = −2[1]\n"
+        "    L = -2\n"
+        "  ell = −2[1]\n"
+        "  vanishing: ell zero: no; lambda zero: no; consistent: yes",
+        '{"format_version": 1, "group": {"builtin": "Z2"}, "name": "z2-gap", "iso_classes": '
+        '[{"subgroup_class": ["1"], "component": "c", "pi1_rank": 0, "weyl": ["1", "g"], '
+        '"action": {"g": []}, "phi_pi": [], "orbit_size": 1, "chain": [{"degree": 0, '
+        '"rank": 1, "relative_mask": [true], "stabilizers": [["1", "g"]], "map": [[-1]]}, '
+        '{"degree": 2, "rank": 2, "relative_mask": [false, true], "stabilizers": [["1"], '
+        '["1", "g"]], "map": [[{"coeff": -1, "weyl_elem": "g"}, 0], [0, 1]], "boundary": '
+        '[[], []]}, {"degree": 3, "rank": 1, "relative_mask": [false], "stabilizers": '
+        '[["1"]], "map": [[1]], "boundary": [[[1, {"coeff": -1, "weyl_elem": "g"}], 0]]}]}]}',
+    ),
+    "trivial-gap": (
+        trivial_gap_document,
+        '{"group": {"order": 1, "labels": ["1"]}, "classes": [{"subgroup_class": ["1"], '
+        '"component": "c", "orbit_size": 1, "u": {"rendered": "−[t]", "terms": [{"coeff": '
+        '-1, "matrix": [[{"coeff": 1, "vector": [1]}]]}]}, "lambda": [{"class": [1], '
+        '"coeff": -1}], "reidemeister": [{"class": [1], "coeff": -1}], "lefschetz": -1}], '
+        '"ell": {"rendered": "−1[1]", "slots": [{"subgroup_class": ["1"], "total": '
+        '[{"class": [1], "coeff": -1}], "contributions": [{"component": "c", "orbit_size": '
+        '1, "value": [{"class": [1], "coeff": -1}]}]}]}, "vanishing": {"ell_zero": false, '
+        '"lambda_zero": false, "consistent": true}, "name": "trivial-gap"}',
+        "trivial-gap (group order 1)\n"
+        "  (subgroup {1}, component 'c'):\n"
+        "    u = −[t]\n"
+        "    lambda = −1[1]\n"
+        "    R = −1[1]\n"
+        "    L = -1\n"
+        "  ell = −1[1]\n"
+        "  vanishing: ell zero: no; lambda zero: no; consistent: yes",
+        '{"format_version": 1, "group": {"builtin": "trivial"}, "name": "trivial-gap", '
+        '"iso_classes": [{"subgroup_class": ["1"], "component": "c", "pi1_rank": 1, '
+        '"weyl": ["1"], "phi_pi": [[1]], "orbit_size": 1, "chain": [{"degree": 1, "rank": '
+        '2, "relative_mask": [false, false], "stabilizers": [["1"], ["1"]], "map": '
+        '[[{"coeff": 1, "vector": [1]}, 0], [0, {"coeff": 1, "vector": [1]}]], "boundary": '
+        '[[], []]}, {"degree": 2, "rank": 1, "relative_mask": [false], "stabilizers": '
+        '[["1"]], "map": [[{"coeff": 1, "vector": [1]}]], "boundary": [[1, -1]]}]}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MISSING_DEGREE_PINS))
+def test_boundary_into_a_missing_degree_is_pinned(name):
+    document, report, rendered, serialized = MISSING_DEGREE_PINS[name]
+    loaded = load_complex(document())
+    assert json.dumps(build_report(loaded), ensure_ascii=False) == report
+    assert render_report(loaded) == rendered
+    assert json.dumps(serialize_complex(loaded), ensure_ascii=False) == serialized
+
+
+def test_noncommuting_map_above_a_missing_degree_is_named():
+    document = trivial_gap_document()
+    document["iso_classes"][0]["chain"][1]["map"] = [[1]]
+    with pytest.raises(ValueError) as error:
+        load_complex(document)
+    assert str(error.value) == (
+        "chain map does not commute with the boundary at degree 2 of "
+        "(subgroup {1}, component 'c')."
+    )

@@ -454,6 +454,16 @@ def test_formal_sum_group_laws(cls, data):
         assert uz_neg(a) == -a
 
 
+def test_kclass_construction_is_the_normal_form():
+    # the constructor splits blocks and takes canonical forms, as from_terms does
+    n = int_ring_matrix([[1, 2], [0, 1]])
+    a = KClass(((n, 1),))
+    assert a == KClass.from_terms([(n, 1)])
+    assert a.compare(KClass.from_terms([(n, 1)])) == "equal"
+    assert a.terms == ((int_ring_matrix([[1]]), 2),)
+    assert a.scale(1) == a + KClass.zero()
+
+
 # ---------------------------------------------------------------------------
 # induction
 
