@@ -705,6 +705,11 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
     pi1_rank = _decode_int(raw["pi1_rank"], f"{where}.pi1_rank")
     if pi1_rank < 0:
         raise ValueError(f"pi1_rank at {where} must be nonnegative, got {pi1_rank}.")
+    if pi1_rank > MAX_MATRIX_ORDER:
+        raise ValueError(
+            f"pi1_rank at {where} is {pi1_rank}; translation ranks are limited to "
+            f"MAX_MATRIX_ORDER = {MAX_MATRIX_ORDER}."
+        )
 
     raw_action = _require_mapping(raw.get("action", {}), f"{where}.action")
     action_matrices = []

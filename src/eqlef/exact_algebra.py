@@ -11,7 +11,9 @@ floating point is used anywhere.  The module provides:
 * :func:`inverse_unimodular` -- exact inverses of unimodular matrices as
   det · adj, with the determinant by Bareiss elimination,
 * :func:`factor_over_Q` -- factorization into irreducible factors over the
-  rationals (content split off, factors in a deterministic canonical order),
+  rationals (content split off, factors in a deterministic canonical order)
+  by Zassenhaus's algorithm in :mod:`eqlef.zassenhaus`, with at most
+  :data:`MAX_RECOMBINATION_SUBSETS` recombination subsets,
 * :class:`FormalSum` -- finitely supported integer combinations in one
   normal form, the base of every class group eqlef computes in.
 """
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_MATRIX_ORDER",
+    "MAX_RECOMBINATION_SUBSETS",
     "IntPolynomial",
     "IntMatrix",
     "char_poly",
@@ -43,14 +47,26 @@ _MINUS = "−"
 MAX_MATRIX_ORDER = 64
 """The largest matrix order ``eqlef class``/``realize`` and document ranks accept.
 
-Berkowitz's :func:`char_poly` is O(n⁴) and factoring a dense characteristic
-polynomial grows faster still.  On a 2-vCPU Xeon virtual machine, a dense
-matrix took 0.8 + 0.2 s (char_poly + factor_over_Q) at n = 64, 4.8 + 2.4 s
-at n = 96 and 14 + 14 s at n = 128.  The order is checked before any of
-that work.  It also bounds each document degree's expanded rank, one row
-per (row, Weyl coset of its stabilizer) pair, since the expanded maps are
-the matrices validation, R and L multiply; a rank-r degree over a Weyl
-group of order |W| can expand to r·|W| rows.
+Berkowitz's :func:`char_poly` is O(n⁴), and :func:`factor_over_Q` is
+bounded by :data:`MAX_RECOMBINATION_SUBSETS`.  On a 2-vCPU Xeon virtual
+machine, a dense matrix with entries in [−3, 3] took 0.6 + 0.2 s
+(char_poly + factor_over_Q) at n = 64, 2.6 + 0.2 s at n = 96 and
+8.6 + 0.8 s at n = 128.  The order is checked before any of that work.
+It also bounds each document degree's expanded rank, one row per (row,
+Weyl coset of its stabilizer) pair, since the expanded maps are the
+matrices validation, R and L multiply; a rank-r degree over a Weyl group
+of order |W| can expand to r·|W| rows.
+"""
+
+MAX_RECOMBINATION_SUBSETS = 65536
+"""The most subsets of modular factors :func:`factor_over_Q` tries to recombine.
+
+Zassenhaus recombination tries the subsets of the lifted modular factors by
+size, so a polynomial that is irreducible over ℚ but splits into many
+factors modulo every prime needs exponentially many.  The Swinnerton-Dyer
+polynomial of degree 32, which splits into 16 quadratics, needs 39,202; its
+degree-64 successor would need more than 2³² and is refused after 2¹⁶,
+with a ``ValueError`` that names this limit.
 """
 
 
@@ -482,6 +498,14 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, tuple[tuple[IntPolynomial, int
     primitive with positive leading coefficient; when ``p`` is monic every
     factor is monic.
 
+    The pipeline, in :mod:`eqlef.zassenhaus`, is Zassenhaus's algorithm
+    with integers only (Zassenhaus 1969; Cantor & Zassenhaus 1981; von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, ch. 14–15): square-free
+    decomposition, factorization modulo a prime, Hensel lifting and
+    recombination by subset size.  Recombination can need exponentially
+    many subsets (the Swinnerton-Dyer polynomials are the classic case), so
+    past :data:`MAX_RECOMBINATION_SUBSETS` of them it raises ``ValueError``.
+
     >>> content, factors = factor_over_Q(IntPolynomial((-1, 0, 0, 0, 1)))
     >>> content
     1
@@ -490,17 +514,22 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, tuple[tuple[IntPolynomial, int
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial.")
-    import sympy  # costs about 0.4 s, so only a factorization pays it
+    # Imported on first use: loading a document never factors, and without
+    # a bytecode cache every interpreter would compile the pipeline.
+    from .zassenhaus import factor_primitive
 
-    variable = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(p.coefficients)), variable, domain="ZZ")
-    content, factor_pairs = poly.factor_list()
-    factors = []
-    for factor, multiplicity in factor_pairs:
-        coeffs = tuple(int(v) for v in reversed(factor.all_coeffs()))
-        factors.append((IntPolynomial(coeffs), int(multiplicity)))
+    coefficients = p.coefficients
+    content = math.gcd(*coefficients)
+    if coefficients[-1] < 0:
+        content = -content
+    if len(coefficients) == 1:
+        return content, ()
+    factors = [
+        (IntPolynomial(tuple(factor)), multiplicity)
+        for factor, multiplicity in factor_primitive([c // content for c in coefficients])
+    ]
     factors.sort(key=lambda pair: polynomial_sort_key(pair[0]))
-    return int(content), tuple(factors)
+    return content, tuple(factors)
 
 
 def companion_matrix(p: IntPolynomial) -> IntMatrix:
@@ -637,7 +666,17 @@ class FormalSum:
         return not self.terms
 
     def coefficient(self, key: Any) -> int:
-        return dict(self.terms).get(self.check_key(key), 0)
+        """The coefficient of ``key``'s normal form; 0 for a key that normalizes away.
+
+        A key that :meth:`normal_keys` rewrites into several has no single
+        coefficient, so it raises ``ValueError``.
+        """
+        parts = list(self.normal_keys(key))
+        if len(parts) > 1:
+            raise ValueError(
+                f"key normalizes to {len(parts)} keys; ask for the coefficient of each."
+            )
+        return dict(self.terms).get(parts[0], 0) if parts else 0
 
     def scale(self, factor: int) -> "FormalSum":
         return type(self)(tuple((key, factor * c) for key, c in self.terms))

@@ -7,14 +7,17 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
+from eqlef.exact_algebra import companion_matrix
 
-from test_complex_model import sym5_free_document
+from test_complex_model import minimal_document, sym5_free_document
+from test_exact_algebra import swinnerton_dyer
 
 MINUS = "−"
 OPLUS = "⊕"
@@ -174,6 +177,31 @@ def test_invariants_names_the_expanded_rank_limit(capsys):
     assert "iso_classes[0].chain[0]" in err
     assert "rank 480" in err and "MAX_MATRIX_ORDER = 64" in err
 
+
+
+@pytest.mark.parametrize("rank", [200, 10**6])
+def test_invariants_names_the_pi1_rank_limit(capsys, rank):
+    document = minimal_document()
+    document["iso_classes"][0]["pi1_rank"] = rank
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["invariants", json.dumps(document)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"pi1_rank at iso_classes[0] is {rank}" in err and "MAX_MATRIX_ORDER = 64" in err
+
+
+def test_class_names_the_recombination_limit(capsys):
+    # irreducible, but 32 quadratics modulo every prime
+    companion = companion_matrix(swinnerton_dyer(6))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["class", json.dumps(companion.to_rows())])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "MAX_RECOMBINATION_SUBSETS = 65536" in err
 
 @pytest.mark.parametrize("entry", ["1_0", "٣"])
 def test_class_rejects_loose_integer_strings(capsys, entry):

@@ -408,6 +408,20 @@ def test_rejects_rank_past_the_matrix_order_limit():
         load_complex(document)
 
 
+
+@pytest.mark.parametrize("rank", [200, 10**6])
+def test_rejects_pi1_rank_past_the_matrix_order_limit(rank):
+    document = minimal_document()
+    document["iso_classes"][0]["pi1_rank"] = rank  # phi_pi stays empty
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as error:
+        load_complex(document)
+    assert time.perf_counter() - start < 1.0  # refused before any action matrix is built
+    assert str(error.value) == (
+        f"pi1_rank at iso_classes[0] is {rank}; translation ranks are limited to "
+        "MAX_MATRIX_ORDER = 64."
+    )
+
 def sym5_free_document(rank):
     """One free degree of ``rank`` rows over Sym:5: trivial subgroup, full Weyl group.
 

@@ -9,6 +9,7 @@ import pytest
 
 MODULE_NAMES = [
     "eqlef.exact_algebra",
+    "eqlef.zassenhaus",
     "eqlef.uz",
     "eqlef.equivariant_groups",
     "eqlef.complex_model",

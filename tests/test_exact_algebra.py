@@ -1,17 +1,24 @@
 """Exact integer linear algebra, cross-checked against independent oracles.
 
 Oracles used here are deliberately naive re-derivations: cofactor-expansion
-determinants and brute-force divisor searches.  Frozen values were computed
+determinants and brute-force divisor searches.  Factorizations are checked
+against sympy, which eqlef itself does not use.  Frozen values were computed
 by hand.
 """
 
+import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlef.exact_algebra import (
+    MAX_RECOMBINATION_SUBSETS,
     IntMatrix,
     IntPolynomial,
     block_diagonal,
@@ -250,6 +257,100 @@ def test_factor_over_Q_frozen_order():
     assert [m for _, m in factors] == [1, 1, 1]
 
 
+def test_factor_over_Q_degree_two_closed_forms():
+    # −2·(3x − 2)²: a square, with content and sign split off
+    assert factor_over_Q(IntPolynomial((-8, 24, -18))) == (-2, ((IntPolynomial((-2, 3)), 2),))
+    # 6x² − x − 2 = (2x + 1)(3x − 2), and x² − 2, irreducible over ℚ
+    assert factor_over_Q(IntPolynomial((-2, -1, 6))) == (
+        1,
+        ((IntPolynomial((1, 2)), 1), (IntPolynomial((-2, 3)), 1)),
+    )
+    assert factor_over_Q(IntPolynomial((-2, 0, 1))) == (1, ((IntPolynomial((-2, 0, 1)), 1),))
+
+
+def sympy_factor_list(p):
+    """The oracle: sympy's factorization, in eqlef's (content, sorted factors) form."""
+    poly = sympy.Poly(list(reversed(p.coefficients)), sympy.Symbol("x"), domain="ZZ")
+    content, pairs = poly.factor_list()
+    factors = [
+        (IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs()))), int(m))
+        for f, m in pairs
+    ]
+    factors.sort(key=lambda pair: polynomial_sort_key(pair[0]))
+    return int(content), tuple(factors)
+
+
+def swinnerton_dyer(k):
+    """Π (x ± √2 ± √3 ± … ± √p) over the first k primes, of degree 2^k.
+
+    Built one prime q at a time over ℤ[√q]: writing f(x + √q) = A + √q·B
+    with A, B in ℤ[x], the product with its conjugate is A² − q·B².
+    """
+    f = IntPolynomial.x()
+    for q in (2, 3, 5, 7, 11, 13)[:k]:
+        halves = ([0] * (f.degree + 1), [0] * (f.degree + 1))
+        for n, c in enumerate(f.coefficients):
+            for j in range(n + 1):
+                halves[j % 2][n - j] += c * math.comb(n, j) * q ** (j // 2)
+        a, b = (IntPolynomial(tuple(half)) for half in halves)
+        f = a * a - (b * b).scale(q)
+    return f
+
+
+small_polynomials = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
+    lambda c: IntPolynomial(tuple(c))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.tuples(small_polynomials, st.integers(1, 3)), max_size=3),
+    scale=st.integers(-6, 6).filter(bool),
+)
+def test_factor_over_Q_matches_sympy_on_random_products(factors, scale):
+    # non-monic and negative leading coefficients, constants, repeated factors
+    p = IntPolynomial.constant(scale)
+    for factor, multiplicity in factors:
+        p = p * factor**multiplicity
+    if not p.is_zero:
+        assert factor_over_Q(p) == sympy_factor_list(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    orders=st.lists(st.integers(1, 24), max_size=3),
+    roots=st.lists(st.integers(-5, 5), max_size=4),
+)
+def test_factor_over_Q_matches_sympy_on_cyclotomic_products(orders, roots):
+    p = IntPolynomial.one()
+    for n in orders:
+        p = p * IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for r in roots:
+        p = p * IntPolynomial((-r, 1))
+    assert factor_over_Q(p) == sympy_factor_list(p)
+
+
+def test_swinnerton_dyer_builder_matches_sympy():
+    from sympy.polys.specialpolys import swinnerton_dyer_poly
+
+    expected = swinnerton_dyer_poly(3, sympy.Symbol("x"), polys=True)
+    assert swinnerton_dyer(3).coefficients == tuple(int(c) for c in reversed(expected.all_coeffs()))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_factor_over_Q_matches_sympy_on_swinnerton_dyer(k):
+    # irreducible, but a product of quadratics modulo every prime
+    p = swinnerton_dyer(k)
+    assert factor_over_Q(p) == sympy_factor_list(p) == (1, ((p, 1),))
+
+
+def test_factor_over_Q_refuses_past_the_recombination_limit():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_RECOMBINATION_SUBSETS = {MAX_RECOMBINATION_SUBSETS}"):
+        factor_over_Q(swinnerton_dyer(6))
+    assert time.perf_counter() - start < 5.0
+
+
 def test_companion_matrix_char_poly_round_trip():
     rng = random.Random(112)
     for _ in range(100):
@@ -281,8 +382,9 @@ def test_block_constructors_shapes_and_determinants():
 
 
 def test_loading_a_document_does_not_import_sympy():
-    """sympy costs about 0.4 s to import and is needed only to factor."""
-    code = "import sys, eqlef; eqlef.load_builtin('example1'); print('sympy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    """eqlef factors without sympy, so neither loading nor `eqlef class` imports it."""
+    for call in ("eqlef.load_builtin('example1')", "eqlef.cli.main(['class', '[[0,-1],[1,0]]'])"):
+        code = f"import sys, eqlef, eqlef.cli; {call}; print('sympy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"

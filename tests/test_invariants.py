@@ -464,6 +464,17 @@ def test_kclass_construction_is_the_normal_form():
     assert a.scale(1) == a + KClass.zero()
 
 
+def test_kclass_coefficient_looks_keys_up_by_normal_form():
+    m = int_ring_matrix([[1, 2], [3, 0]])  # strongly connected: one block
+    a = KClass.from_terms([(m, 1)])
+    # one of the two numberings is not the stored normal form
+    assert a.coefficient(m) == 1
+    assert a.coefficient(m.submatrix([1, 0], [1, 0])) == 1
+    assert a.coefficient(int_ring_matrix([])) == 0
+    with pytest.raises(ValueError, match="normalizes to 2 keys"):
+        a.coefficient(int_ring_matrix([[1, 0], [0, 2]]))
+
+
 # ---------------------------------------------------------------------------
 # induction
 
