@@ -8,7 +8,7 @@ the canonical decomposition, and the group operations act coefficientwise.
 Run with:  python3 demos/01_matrix_classes.py
 """
 
-from eqlef import class_of_matrix, uz_add, uz_eq, uz_neg
+from eqlef import class_of_matrix
 from eqlef.exact_algebra import (
     IntMatrix,
     IntPolynomial,
@@ -40,10 +40,10 @@ def main():
     conjugated = inverse_unimodular(u) @ m @ u
     show("  original:", class_of_matrix(m))
     show("  conjugated:", class_of_matrix(conjugated))
-    assert uz_eq(class_of_matrix(m), class_of_matrix(conjugated))
+    assert class_of_matrix(m) == class_of_matrix(conjugated)
 
     print("\nClasses add and negate formally:")
-    total = uz_add(class_of_matrix(identity), uz_neg(class_of_matrix(rotation)))
+    total = class_of_matrix(identity) - class_of_matrix(rotation)
     show("  [identity] - [rotation]:", total)
 
     print("\nA companion matrix recovers the factorization of its polynomial:")

@@ -16,9 +16,6 @@ from eqlef import (
     realize,
     serialize_complex,
     universal_invariant,
-    uz_add,
-    uz_eq,
-    uz_neg,
 )
 from eqlef.exact_algebra import IntMatrix
 
@@ -39,9 +36,9 @@ def main():
     print("\nuniversal class of the realized map:", entry.kclass)
     print("its integer-class image:            ", entry.uz_image)
 
-    expected = uz_add(class_of_matrix(a), uz_neg(class_of_matrix(b_prime)))
+    expected = class_of_matrix(a) - class_of_matrix(b_prime)
     print("class(a) - class(b') computed directly:", expected)
-    assert uz_eq(entry.uz_image, expected)
+    assert entry.uz_image == expected
     print("\nround trip verified: the realized map carries exactly the target class")
 
     document = serialize_complex(c)

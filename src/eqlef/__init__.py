@@ -18,7 +18,7 @@ from .exact_algebra import (
     char_poly,
     factor_over_Q,
 )
-from .uz import UZClass, class_of_matrix, uz_add, uz_eq, uz_neg
+from .uz import UZClass, class_of_matrix
 from .equivariant_groups import (
     AutGroup,
     FiniteGroup,
@@ -68,9 +68,6 @@ __all__ = [
     "factor_over_Q",
     "UZClass",
     "class_of_matrix",
-    "uz_add",
-    "uz_eq",
-    "uz_neg",
     "AutGroup",
     "FiniteGroup",
     "GroupRingElement",

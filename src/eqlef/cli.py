@@ -45,7 +45,7 @@ from .corpus import BUILTIN_COMPLEXES
 from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, char_poly, factor_over_Q
 from .invariants import _encode_uz, build_report, render_report, universal_invariant
 from .realize import RealizationTarget, realize
-from .uz import UZClass, class_of_matrix, uz_add, uz_eq, uz_neg
+from .uz import UZClass, class_of_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -298,8 +298,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     target = RealizationTarget(a, b_prime)
     complex_data = realize(target)
     entry = universal_invariant(complex_data).entries[0]
-    expected = uz_add(class_of_matrix(a), uz_neg(class_of_matrix(b_prime)))
-    if entry.uz_image is None or not uz_eq(entry.uz_image, expected):
+    expected = class_of_matrix(a) - class_of_matrix(b_prime)
+    if entry.uz_image != expected:
         raise RuntimeError(
             "realization round trip failed: computed class "
             f"{entry.uz_image} does not match target {expected}."

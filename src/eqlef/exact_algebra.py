@@ -16,11 +16,17 @@ floating point is used anywhere.  The module provides:
   :data:`MAX_RECOMBINATION_SUBSETS` recombination subsets,
 * :class:`FormalSum` -- finitely supported integer combinations in one
   normal form, the base of every class group eqlef computes in.
+
+:func:`char_poly` and :func:`factor_over_Q` each keep their last
+:data:`CLASS_CACHE_SIZE` results in a ``functools.lru_cache`` keyed by the
+frozen argument (see that constant for what the caches hold); their
+results are immutable, so callers share them safely.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -29,6 +35,7 @@ from typing import Any, Iterable, Mapping, Sequence
 __all__ = [
     "MAX_MATRIX_ORDER",
     "MAX_RECOMBINATION_SUBSETS",
+    "CLASS_CACHE_SIZE",
     "IntPolynomial",
     "IntMatrix",
     "char_poly",
@@ -67,6 +74,21 @@ factors modulo every prime needs exponentially many.  The Swinnerton-Dyer
 polynomial of degree 32, which splits into 16 quadratics, needs 39,202; its
 degree-64 successor would need more than 2³² and is refused after 2¹⁶,
 with a ``ValueError`` that names this limit.
+"""
+
+CLASS_CACHE_SIZE = 32
+"""How many results :func:`char_poly` and :func:`factor_over_Q` each remember.
+
+One matrix's class is often derived several times: ``eqlef realize A B′``
+factors A's characteristic polynomial for the realization's universal
+invariant and again to check the round trip.  Each function keeps a
+least-recently-used cache of this many (argument, result) pairs, keyed by
+the frozen argument.  At worst a cache keeps alive this many inputs and
+their results.  Each input is a matrix or polynomial that a caller already
+built; a characteristic polynomial has n + 1 coefficients where its matrix
+has n² entries, and a factorization's factors multiply to its input.
+Refusals (``ValueError``) are not cached, so a refused input reruns its
+bounded work.  ``cache_info()`` and ``cache_clear()`` reach each cache.
 """
 
 
@@ -432,11 +454,14 @@ class IntMatrix:
         return f"[{body}]"
 
 
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI − m), monic, by Berkowitz's algorithm.
 
     The computation is division-free, so every intermediate value is an
-    integer.
+    integer.  The last :data:`CLASS_CACHE_SIZE` matrices and their
+    polynomials are cached; at worst that keeps alive that many matrices
+    and polynomials of about the same size.
 
     >>> str(char_poly(IntMatrix.identity(3)))
     'x³−3x²+3x−1'
@@ -453,29 +478,21 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     rows = m.to_rows()
     # Coefficient vector of the char poly of the leading principal r×r
     # submatrix, highest degree first; extended one submatrix at a time.
+    # map() stops at its shorter argument, so a full row of ``rows`` is read
+    # as its first r − 1 entries.
+    mul = operator.mul
     coeffs = [1, -rows[0][0]]
     for r in range(2, n + 1):
-        principal = [row[: r - 1] for row in rows[: r - 1]]
-        row_part = rows[r - 1][: r - 1]
-        col_part = [rows[i][r - 1] for i in range(r - 1)]
-        corner = rows[r - 1][r - 1]
-        toeplitz_column = [1, -corner]
-        power_of_col = col_part[:]
+        principal = rows[: r - 1]
+        row_part = rows[r - 1]
+        power_of_col = [row[r - 1] for row in principal]
+        toeplitz_column = [1, -row_part[r - 1]]
         for _ in range(r - 1):
-            toeplitz_column.append(
-                -sum(row_part[i] * power_of_col[i] for i in range(r - 1))
-            )
-            power_of_col = [
-                sum(principal[i][j] * power_of_col[j] for j in range(r - 1))
-                for i in range(r - 1)
-            ]
-        extended = [0] * (r + 1)
-        for i in range(r + 1):
-            total = 0
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                total += toeplitz_column[i - j] * coeffs[j]
-            extended[i] = total
-        coeffs = extended
+            toeplitz_column.append(-sum(map(mul, row_part, power_of_col)))
+            power_of_col = [sum(map(mul, row, power_of_col)) for row in principal]
+        # extended[i] = Σ_j toeplitz_column[i − j] · coeffs[j]
+        reversed_column = toeplitz_column[::-1]
+        coeffs = [sum(map(mul, reversed_column[r - i :], coeffs)) for i in range(r + 1)]
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
@@ -488,6 +505,7 @@ def polynomial_sort_key(p: IntPolynomial) -> tuple:
     return (p.degree, tuple(abs(c) for c in p.coefficients), p.coefficients)
 
 
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def factor_over_Q(p: IntPolynomial) -> tuple[int, tuple[tuple[IntPolynomial, int], ...]]:
     """Factor ``p`` into content and irreducible integer polynomials over ℚ.
 
@@ -505,6 +523,9 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, tuple[tuple[IntPolynomial, int
     recombination by subset size.  Recombination can need exponentially
     many subsets (the Swinnerton-Dyer polynomials are the classic case), so
     past :data:`MAX_RECOMBINATION_SUBSETS` of them it raises ``ValueError``.
+
+    The last :data:`CLASS_CACHE_SIZE` polynomials and their factorizations
+    are cached; a refusal is not, so it reruns its bounded work each time.
 
     >>> content, factors = factor_over_Q(IntPolynomial((-1, 0, 0, 0, 1)))
     >>> content
@@ -616,7 +637,9 @@ class FormalSum:
     exactly when their ``terms`` are.  The hook :meth:`check_key` validates
     each key and returns the form it is stored in (or raises ``ValueError``);
     the hook :meth:`normal_keys` lets a subclass rewrite one key into
-    several, each counted with the key's coefficient.
+    several, each counted with the key's coefficient.  :meth:`scale`, ``+``
+    and ``−`` combine terms that are already normal, so they skip the hooks;
+    both operands of ``+`` and ``−`` are sums of the same kind.
 
     >>> a = FormalSum.from_mapping({"y": 2, "x": 1})
     >>> a.terms, (a - a.scale(2) + a).is_zero
@@ -626,15 +649,29 @@ class FormalSum:
     terms: tuple[tuple[Any, int], ...] = ()
 
     def __post_init__(self) -> None:
+        normal_keys = self.normal_keys
+        self._combine(
+            (part, coefficient)
+            for key, coefficient in self.terms
+            for part in normal_keys(key)
+        )
+
+    def _combine(self, terms: Iterable[tuple[Any, int]]) -> None:
+        """Store ``terms``, whose keys are normal, combined, without zeros and sorted."""
         combined: dict[Any, int] = {}
-        normal_keys, sort_key = self.normal_keys, self.sort_key
-        for key, coefficient in self.terms:
-            coefficient = int(coefficient)
-            for part in normal_keys(key):
-                combined[part] = combined.get(part, 0) + coefficient
+        for key, coefficient in terms:
+            combined[key] = combined.get(key, 0) + int(coefficient)
         nonzero = (term for term in combined.items() if term[1] != 0)
+        sort_key = self.sort_key
         normalized = sorted(nonzero, key=lambda term: sort_key(term[0]))
         object.__setattr__(self, "terms", tuple(normalized))
+
+    @classmethod
+    def _from_normal(cls, terms: Iterable[tuple[Any, int]]) -> "FormalSum":
+        """The sum of ``terms`` whose keys are already normal, without the hooks."""
+        result = cls.__new__(cls)
+        result._combine(terms)
+        return result
 
     @staticmethod
     def check_key(key: Any) -> Any:
@@ -679,10 +716,10 @@ class FormalSum:
         return dict(self.terms).get(parts[0], 0) if parts else 0
 
     def scale(self, factor: int) -> "FormalSum":
-        return type(self)(tuple((key, factor * c) for key, c in self.terms))
+        return self._from_normal((key, factor * c) for key, c in self.terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return self.from_terms(self.terms + other.terms)
+        return self._from_normal(self.terms + other.terms)
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)

@@ -20,7 +20,7 @@ from .exact_algebra import (
     polynomial_sort_key,
 )
 
-__all__ = ["UZClass", "class_of_matrix", "uz_add", "uz_neg", "uz_eq"]
+__all__ = ["UZClass", "class_of_matrix"]
 
 _MIDDLE_DOT = "·"
 _MINUS = "−"
@@ -36,7 +36,7 @@ class UZClass(FormalSum):
     >>> a = class_of_matrix(IntMatrix.identity(2))
     >>> str(a)
     '+2·(x−1)'
-    >>> uz_eq(uz_add(a, uz_neg(a)), UZClass.zero())
+    >>> a + (-a) == UZClass.zero()
     True
     """
 
@@ -76,18 +76,3 @@ def class_of_matrix(a: IntMatrix) -> UZClass:
         return UZClass.zero()
     _, factors = factor_over_Q(char_poly(a))
     return UZClass(tuple(factors))
-
-
-def uz_add(a: UZClass, b: UZClass) -> UZClass:
-    """Coefficient-wise sum of two classes."""
-    return a + b
-
-
-def uz_neg(a: UZClass) -> UZClass:
-    """Additive inverse of a class."""
-    return -a
-
-
-def uz_eq(a: UZClass, b: UZClass) -> bool:
-    """Exact equality of canonical key/coefficient data."""
-    return a.terms == b.terms

@@ -33,9 +33,6 @@ from eqlef import (
     serialize_complex,
     twisted_classes,
     universal_invariant,
-    uz_add,
-    uz_eq,
-    uz_neg,
     vanishing_report,
 )
 from eqlef.cli import main as cli_main
@@ -255,7 +252,7 @@ def test_criterion_4():
         # invariance under unimodular conjugation
         u = random_unimodular(rng, n)
         conjugated = inverse_unimodular(u) @ matrix @ u
-        assert uz_eq(class_of_matrix(matrix), class_of_matrix(conjugated))
+        assert class_of_matrix(matrix) == class_of_matrix(conjugated)
 
         # block-triangular additivity
         p = rng.randint(1, 3)
@@ -267,10 +264,7 @@ def test_criterion_4():
             [list(top.row(i)) + corner[i] for i in range(p)]
             + [[0] * p + list(bottom.row(i)) for i in range(q)]
         )
-        assert uz_eq(
-            class_of_matrix(combined),
-            uz_add(class_of_matrix(top), class_of_matrix(bottom)),
-        )
+        assert class_of_matrix(combined) == class_of_matrix(top) + class_of_matrix(bottom)
 
         # companion matrices land on the factored polynomial
         degree = rng.randint(1, 4)
@@ -279,7 +273,7 @@ def test_criterion_4():
         content, factors = factor_over_Q(poly)
         assert content == 1
         expected = UZClass.from_mapping({f: mult for f, mult in factors})
-        assert uz_eq(class_of_matrix(companion_matrix(poly)), expected)
+        assert class_of_matrix(companion_matrix(poly)) == expected
 
     assert time.monotonic() - start < 30.0
 
@@ -338,9 +332,9 @@ def test_criterion_7():
         t = random_target(rng)
         c = realize(t)
         entry = universal_invariant(c).entries[0]
-        expected = uz_add(class_of_matrix(t.a), uz_neg(class_of_matrix(t.b_prime)))
+        expected = class_of_matrix(t.a) - class_of_matrix(t.b_prime)
         assert entry.uz_image is not None
-        assert uz_eq(entry.uz_image, expected)
+        assert entry.uz_image == expected
 
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

@@ -14,7 +14,7 @@ import pytest
 import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
-from eqlef.exact_algebra import companion_matrix
+from eqlef.exact_algebra import char_poly, companion_matrix, factor_over_Q
 
 from test_complex_model import minimal_document, sym5_free_document
 from test_exact_algebra import swinnerton_dyer
@@ -142,6 +142,19 @@ def test_class_computes_the_characteristic_polynomial_and_its_factors_once(
     code, _, _ = run(capsys, ["class", "--json", "[[0,-1],[1,0]]"])
     assert code == 0
     assert calls == {"char_poly": 1, "factor_over_Q": 1}
+
+
+def test_realize_then_class_derives_each_matrix_class_once(capsys):
+    # six derivations of four matrices: [1], A, diag(1, B′) and B′ for the
+    # realization's invariant, A and B′ for its round trip, and A again
+    a, b_prime = "[[2,1,0],[1,3,1],[0,1,4]]", "[[1,2],[0,5]]"
+    char_poly.cache_clear()
+    factor_over_Q.cache_clear()
+    assert run(capsys, ["realize", a, b_prime, "--json"])[0] == 0
+    assert run(capsys, ["class", a, "--json"])[0] == 0
+    for cached in (char_poly, factor_over_Q):
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlef.exact_algebra import (
+    CLASS_CACHE_SIZE,
     MAX_RECOMBINATION_SUBSETS,
     IntMatrix,
     IntPolynomial,
@@ -143,6 +144,19 @@ def test_char_poly_constant_term_is_sign_adjusted_determinant():
 def test_char_poly_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
         char_poly(IntMatrix.zeros(2, 3))
+
+
+def test_char_poly_matches_sympy_beyond_the_cofactor_oracle():
+    # n up to 16, entries of at most 1, 7 and 61 digits
+    x = sympy.Symbol("x")
+    rng = random.Random(113)
+    for n in range(1, 17):
+        for bound in (3, 10**6, 10**60):
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            expected = sympy.Matrix(rows).charpoly(x).all_coeffs()
+            assert char_poly(IntMatrix.from_rows(rows)).coefficients == tuple(
+                int(c) for c in reversed(expected)
+            )
 
 
 def test_determinant_multiplicative():
@@ -349,6 +363,49 @@ def test_factor_over_Q_refuses_past_the_recombination_limit():
     with pytest.raises(ValueError, match=f"MAX_RECOMBINATION_SUBSETS = {MAX_RECOMBINATION_SUBSETS}"):
         factor_over_Q(swinnerton_dyer(6))
     assert time.perf_counter() - start < 5.0
+
+
+# ---------------------------------------------------------------------------
+# the class caches
+
+
+def derive_class(m):
+    p = char_poly(m)
+    return p, factor_over_Q(p)
+
+
+def test_class_cache_size_is_the_documented_constant():
+    assert char_poly.cache_info().maxsize == CLASS_CACHE_SIZE
+    assert factor_over_Q.cache_info().maxsize == CLASS_CACHE_SIZE
+
+
+def test_cached_classes_equal_fresh_ones():
+    rng = random.Random(114)
+    matrices = [random_matrix(rng, rng.randint(1, 8)) for _ in range(CLASS_CACHE_SIZE // 2)]
+    char_poly.cache_clear()
+    factor_over_Q.cache_clear()
+    computed = [derive_class(m) for m in matrices]
+    hits = char_poly.cache_info().hits, factor_over_Q.cache_info().hits
+    cached = [derive_class(m) for m in matrices]
+    assert char_poly.cache_info().hits == hits[0] + len(matrices)
+    assert factor_over_Q.cache_info().hits == hits[1] + len(matrices)
+    char_poly.cache_clear()
+    factor_over_Q.cache_clear()
+    fresh = [derive_class(m) for m in matrices]
+    assert computed == cached == fresh
+
+
+def test_refusals_are_not_cached():
+    companion = companion_matrix(swinnerton_dyer(6))
+    factor_over_Q.cache_clear()
+    sizes = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="MAX_RECOMBINATION_SUBSETS"):
+            derive_class(companion)
+        sizes.append((char_poly.cache_info().currsize, factor_over_Q.cache_info().currsize))
+    assert sizes[0] == sizes[1]
+    assert sizes[1][1] == 0
+    assert factor_over_Q.cache_info().misses == 2  # the refusal ran both times
 
 
 def test_companion_matrix_char_poly_round_trip():

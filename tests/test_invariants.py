@@ -37,8 +37,6 @@ from eqlef import (
     serialize_complex,
     twisted_classes,
     universal_invariant,
-    uz_add,
-    uz_neg,
     vanishing_report,
 )
 from eqlef.corpus import BUILTIN_COMPLEXES
@@ -449,9 +447,10 @@ def test_formal_sum_group_laws(cls, data):
     assert all(a.coefficient(key) == coefficient for key, coefficient in a.terms)
     if cls is KClass:
         assert cls.from_terms(x) + cls.from_terms(y) == cls.from_terms(x + y)
-    if cls is UZClass:
-        assert uz_add(a, b) == a + b
-        assert uz_neg(a) == -a
+    # the operators on normal sums agree with normalizing their terms again
+    assert a + b == cls.from_terms(a.terms + b.terms)
+    assert -a == cls.from_terms((key, -coefficient) for key, coefficient in a.terms)
+    assert a.scale(k) == cls.from_terms((key, k * coefficient) for key, coefficient in a.terms)
 
 
 def test_kclass_construction_is_the_normal_form():
@@ -462,6 +461,29 @@ def test_kclass_construction_is_the_normal_form():
     assert a.compare(KClass.from_terms([(n, 1)])) == "equal"
     assert a.terms == ((int_ring_matrix([[1]]), 2),)
     assert a.scale(1) == a + KClass.zero()
+
+
+def test_operators_on_normal_sums_do_not_normalize_again(monkeypatch):
+    # scale, − and + of normal sums neither split blocks nor search again
+    cycle = int_ring_matrix([[int(j == (i + 1) % 10) for j in range(10)] for i in range(10)])
+    a = KClass.from_terms([(cycle, 1)])
+    b = KClass.from_terms([(int_ring_matrix([[2]]), 3), (cycle, -1)])
+    original = KClass.normal_keys.__func__
+    calls = []
+
+    def counting(cls, matrix):
+        calls.append(matrix)
+        return original(cls, matrix)
+
+    monkeypatch.setattr(KClass, "normal_keys", classmethod(counting))
+    negated, scaled, summed, difference = -a, a.scale(-2), a + b, b - a
+    assert calls == []
+    assert negated.terms == ((a.terms[0][0], -1),)
+    assert scaled == negated + negated
+    assert summed.terms == ((int_ring_matrix([[2]]), 3),)
+    assert difference == summed.scale(1) + scaled
+    KClass.from_terms([(cycle, 1)])
+    assert len(calls) == 1  # the count sees the constructor
 
 
 def test_kclass_coefficient_looks_keys_up_by_normal_form():
