@@ -712,24 +712,22 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
         )
 
     raw_action = _require_mapping(raw.get("action", {}), f"{where}.action")
-    action_matrices = []
-    for w in range(weyl.order):
-        label = weyl.labels[w]
-        if label in raw_action:
-            action_matrices.append(
-                _decode_int_matrix(
-                    raw_action[label], pi1_rank, pi1_rank, f"{where}.action['{label}']"
-                )
-            )
-        else:
-            action_matrices.append(IntMatrix.identity(pi1_rank))
+    action = None  # no matrices given: the trivial action, which AutGroup need not check
+    if raw_action:
+        identity = IntMatrix.identity(pi1_rank)
+        action = tuple(
+            _decode_int_matrix(raw_action[label], pi1_rank, pi1_rank, f"{where}.action['{label}']")
+            if label in raw_action
+            else identity
+            for label in weyl.labels
+        )
     for label in raw_action:
         if label not in weyl.labels:
             raise ValueError(
                 f"action at {where} names '{label}', which is not a Weyl element; "
                 f"known: {list(weyl.labels)}."
             )
-    aut = AutGroup(pi1_rank, weyl, tuple(action_matrices))
+    aut = AutGroup(pi1_rank, weyl, action)
 
     phi_pi = _decode_int_matrix(raw["phi_pi"], pi1_rank, pi1_rank, f"{where}.phi_pi")
     twist = TwistData(phi_pi)

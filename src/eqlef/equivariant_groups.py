@@ -3,9 +3,9 @@
 The module supplies the group-theoretic layer used by the invariant
 computations:
 
-* :class:`FiniteGroup` -- multiplication-table groups with validated axioms
-  and named builtins ("Z2", "Z2xZ2", "Zn:k", "Sym:n"), of order at most
-  :data:`MAX_GROUP_ORDER`,
+* :class:`FiniteGroup` -- multiplication-table groups with validated axioms,
+  a generating set, and named builtins ("Z2", "Z2xZ2", "Zn:k", "Sym:n"), of
+  order at most :data:`MAX_GROUP_ORDER`,
 * :class:`Subgroup`, :func:`conjugacy_classes_of_subgroups`,
   :func:`weyl_group` -- subgroup enumeration, canonical conjugates and
   normalizer quotients,
@@ -26,6 +26,8 @@ nonzero entries of each row and collect each result entry in one dict keyed
 by (vector, w); θ(w) is applied only when w is not the identity.  The
 translation-only group of each rank is one shared :class:`AutGroup`
 (:meth:`AutGroup.translations`), so same-group checks are identity tests.
+Group maps (θ, its commutation with φ_π, embeddings) are checked on the
+source's ``generators``, since where such a map holds is closed under products.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ class FiniteGroup:
     Algebraic Theory of Semigroups* I, §1.2) over a generating set S,
     checking (a·g)·c = a·(g·c) for all a, c and every g in S.  The g that
     satisfy it are closed under products, so this holds for every g exactly
-    when the table is associative, at O(n²·|S|) cost.
+    when the table is associative, at O(n²·|S|) cost.  S is kept as
+    ``generators``, and every group map in the package is checked on it.
 
     >>> g = FiniteGroup.builtin("Z2")
     >>> g.labels
@@ -154,7 +157,7 @@ class FiniteGroup:
     0
     """
 
-    __slots__ = ("labels", "table", "identity", "_inverses")
+    __slots__ = ("labels", "table", "identity", "generators", "_inverses")
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]) -> None:
         _check_group_order(len(labels), "the group")
@@ -191,7 +194,8 @@ class FiniteGroup:
             if inverse is None:
                 raise ValueError(f"element '{label_tuple[x]}' has no inverse.")
             inverses.append(inverse)
-        for g in _generating_set(row_tuples, identity):
+        generators = tuple(_generating_set(row_tuples, identity))
+        for g in generators:
             row_g = row_tuples[g]
             for a, row_a in enumerate(row_tuples):
                 ag_row = row_tuples[row_a[g]]
@@ -205,6 +209,7 @@ class FiniteGroup:
         self.labels = label_tuple
         self.table = row_tuples
         self.identity = identity
+        self.generators = generators
         self._inverses = tuple(inverses)
 
     # -- builtins -----------------------------------------------------
@@ -292,15 +297,8 @@ class FiniteGroup:
 
     def restricted_to(self, members: Sequence[int]) -> "FiniteGroup":
         """The subgroup on ``members`` as a standalone group (labels kept)."""
-        member_list = sorted(set(members))
+        member_list = Subgroup(self, members).members
         position = {m: i for i, m in enumerate(member_list)}
-        for a in member_list:
-            for b in member_list:
-                if self.table[a][b] not in position:
-                    raise ValueError(
-                        f"elements {[self.labels[m] for m in member_list]} are not closed "
-                        "under multiplication."
-                    )
         labels = tuple(self.labels[m] for m in member_list)
         table = tuple(
             tuple(position[self.table[a][b]] for b in member_list) for a in member_list
@@ -322,6 +320,9 @@ class FiniteGroup:
 class Subgroup:
     """A validated subgroup of a :class:`FiniteGroup`, stored as sorted indices.
 
+    Members must contain the identity and be closed under products, which in a
+    finite group makes them closed under inverses.
+
     >>> g = FiniteGroup.builtin("Z2xZ2")
     >>> h = Subgroup.from_labels(g, ["1", "h"])
     >>> h.order
@@ -332,8 +333,6 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]) -> None:
         member_tuple = tuple(sorted(set(int(m) for m in members)))
-        if not member_tuple:
-            raise ValueError("a subgroup must contain the identity element.")
         for m in member_tuple:
             if not 0 <= m < parent.order:
                 raise ValueError(f"subgroup member index {m} outside the group.")
@@ -341,10 +340,6 @@ class Subgroup:
         if parent.identity not in member_set:
             raise ValueError("subgroup does not contain the identity element.")
         for a in member_tuple:
-            if parent.inverse(a) not in member_set:
-                raise ValueError(
-                    f"subgroup is not closed under inverses at '{parent.labels[a]}'."
-                )
             for b in member_tuple:
                 if parent.table[a][b] not in member_set:
                     raise ValueError(
@@ -412,16 +407,13 @@ class Subgroup:
 
 
 def _closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
+    """The subgroup generated by ``seed``: its closure under products, with the identity."""
     current = set(seed)
     current.add(group.identity)
     changed = True
     while changed:
         changed = False
         for a in list(current):
-            inv = group.inverse(a)
-            if inv not in current:
-                current.add(inv)
-                changed = True
             for b in list(current):
                 p = group.table[a][b]
                 if p not in current:
@@ -547,7 +539,10 @@ class AutGroup:
     Elements are pairs ``(vector, w)`` with ``vector`` a length-k integer
     tuple and ``w`` an index into ``weyl``; the product is
     ``(v, w)·(v', w') = (v + θ(w)·v', w·w')``.  ``action[w]`` is the matrix
-    θ(w), validated to be a homomorphism into GL_k(ℤ).
+    θ(w); ``None`` is the trivial action, which is not checked.  A given one is
+    checked on the Weyl ``generators`` S, in |S|·|W| products: θ(1) = I and
+    θ(s)θ(w) = θ(s·w).  The g that pass for all w are closed under products,
+    so θ is a homomorphism, and θ(w)θ(w⁻¹) = I makes it unimodular.
 
     >>> aut = AutGroup.trivial()
     >>> aut.identity
@@ -564,33 +559,30 @@ class AutGroup:
     ) -> None:
         if pi1_rank < 0:
             raise ValueError(f"translation rank must be nonnegative, got {pi1_rank}.")
+        identity = IntMatrix.identity(pi1_rank)
         if action is None:
-            action = tuple(IntMatrix.identity(pi1_rank) for _ in range(weyl.order))
-        action = tuple(action)
-        if len(action) != weyl.order:
-            raise ValueError(
-                f"need one action matrix per Weyl element ({weyl.order}), got {len(action)}."
-            )
-        for w, matrix in enumerate(action):
-            if matrix.rows != pi1_rank or matrix.cols != pi1_rank:
+            action = (identity,) * weyl.order
+        else:
+            action = tuple(action)
+            if len(action) != weyl.order:
                 raise ValueError(
-                    f"action matrix for '{weyl.labels[w]}' must be "
-                    f"{pi1_rank}×{pi1_rank}, got {matrix.rows}×{matrix.cols}."
+                    f"need one action matrix per Weyl element ({weyl.order}), got {len(action)}."
                 )
-            if pi1_rank and abs(matrix.det()) != 1:
-                raise ValueError(
-                    f"action matrix for '{weyl.labels[w]}' is not invertible over ℤ "
-                    f"(determinant {matrix.det()})."
-                )
-        if action and action[weyl.identity] != IntMatrix.identity(pi1_rank):
-            raise ValueError("action of the identity Weyl element must be the identity matrix.")
-        for w1 in range(weyl.order):
-            for w2 in range(weyl.order):
-                if action[w1] @ action[w2] != action[weyl.multiply(w1, w2)]:
+            for w, matrix in enumerate(action):
+                if matrix.rows != pi1_rank or matrix.cols != pi1_rank:
                     raise ValueError(
-                        "action is not a homomorphism at "
-                        f"('{weyl.labels[w1]}', '{weyl.labels[w2]}')."
+                        f"action matrix for '{weyl.labels[w]}' must be "
+                        f"{pi1_rank}×{pi1_rank}, got {matrix.rows}×{matrix.cols}."
                     )
+            if action[weyl.identity] != identity:
+                raise ValueError("action of the identity Weyl element must be the identity matrix.")
+            for s in weyl.generators:
+                for w in range(weyl.order):
+                    if action[s] @ action[w] != action[weyl.multiply(s, w)]:
+                        raise ValueError(
+                            "action is not a homomorphism at "
+                            f"('{weyl.labels[s]}', '{weyl.labels[w]}')."
+                        )
         self.pi1_rank = pi1_rank
         self.weyl = weyl
         self.action = action
@@ -721,18 +713,21 @@ class TwistData:
             )
 
     def validate_against(self, aut: AutGroup) -> None:
-        """Check dimensions and compatibility with the Weyl action."""
+        """Check the rank, and that φ_π commutes with θ(s) for the Weyl ``generators`` s.
+
+        The w with θ(w)·φ_π = φ_π·θ(w) are closed under products: all of W.
+        """
         if self.phi_pi.rows != aut.pi1_rank:
             raise ValueError(
                 f"twist matrix is {self.phi_pi.rows}×{self.phi_pi.cols} but the "
                 f"translation rank is {aut.pi1_rank}."
             )
-        for w in range(aut.weyl.order):
-            theta = aut.action[w]
+        for s in aut.weyl.generators:
+            theta = aut.action[s]
             if theta @ self.phi_pi != self.phi_pi @ theta:
                 raise ValueError(
                     "twist matrix does not commute with the Weyl action at "
-                    f"'{aut.weyl.labels[w]}'; the twisted relation would be ill defined."
+                    f"'{aut.weyl.labels[s]}'; the twisted relation would be ill defined."
                 )
 
 

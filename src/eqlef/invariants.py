@@ -598,7 +598,12 @@ def _ell(parts: Iterable[tuple[tuple[int, ...], EllContribution]]) -> EllInvaria
 def _validate_embedding(
     h_group: FiniteGroup, g_group: FiniteGroup, embedding: Mapping[str, str]
 ) -> dict[str, int]:
-    """The embedding as source label → target index, checked to be an injective homomorphism."""
+    """The embedding as source label → target index, checked to be an injective homomorphism.
+
+    image(a·b) = image(a)·image(b) is checked for a in the source's ``generators``
+    (the a that pass for all b are closed under products) or, when it has none,
+    its identity.
+    """
     mapping = {str(k): str(v) for k, v in embedding.items()}
     missing = sorted(set(h_group.labels) - set(mapping))
     if missing:
@@ -609,7 +614,7 @@ def _validate_embedding(
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("embedding is not injective.")
     image = [g_group.element_index(mapping[label]) for label in h_group.labels]
-    for a in range(h_group.order):
+    for a in h_group.generators or (h_group.identity,):
         for b in range(h_group.order):
             if image[h_group.multiply(a, b)] != g_group.multiply(image[a], image[b]):
                 raise ValueError(

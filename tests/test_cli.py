@@ -16,7 +16,13 @@ from eqlef import load_complex
 from eqlef.cli import build_parser, main
 from eqlef.exact_algebra import char_poly, companion_matrix, factor_over_Q
 
-from test_complex_model import minimal_document, sym5_free_document
+from test_complex_model import (
+    minimal_document,
+    sym3_weyl_document,
+    sym5_free_document,
+    sym5_translation_document,
+)
+from test_equivariant_groups import count_products
 from test_exact_algebra import swinnerton_dyer
 
 MINUS = "−"
@@ -190,6 +196,20 @@ def test_invariants_names_the_expanded_rank_limit(capsys):
     assert "iso_classes[0].chain[0]" in err
     assert "rank 480" in err and "MAX_MATRIX_ORDER = 64" in err
 
+
+
+def test_check_refuses_a_weyl_that_is_not_a_subgroup(capsys):
+    code, out, err = run(capsys, ["check", json.dumps(sym3_weyl_document(["012", "120"]))])
+    assert (code, out) == (1, "")
+    assert err == "error: subgroup is not closed under multiplication at ('120', '120').\n"
+
+
+def test_check_of_sym5_translations_at_the_rank_limit_multiplies_little(capsys, monkeypatch):
+    calls = count_products(monkeypatch)
+    code, out, err = run(capsys, ["check", json.dumps(sym5_translation_document(64))])
+    assert (code, err) == (0, "")
+    assert out == "OK: 1 iso classes, group order 120, 0 fixed points\n"
+    assert len(calls) == 2 * 4  # φ_π against the 4 generators of Sym:5, nothing for θ
 
 
 @pytest.mark.parametrize("rank", [200, 10**6])

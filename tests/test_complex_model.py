@@ -21,6 +21,7 @@ from eqlef.exact_algebra import IntMatrix
 from eqlef.invariants import build_report, induce, render_report
 from eqlef.realize import RealizationTarget, realize
 
+from test_equivariant_groups import count_products, sym5_permutation_action
 from test_torus import torus_document
 
 
@@ -389,6 +390,63 @@ def test_rejects_unknown_weyl_label_in_action():
     document["iso_classes"][0]["action"] = {"g": [[-1]]}
     with pytest.raises(ValueError, match="not a Weyl element"):
         load_complex(document)
+
+
+def sym3_weyl_document(weyl):
+    """Sym:3 over its trivial subgroup, with ``weyl`` as the Weyl subgroup."""
+    return {
+        "format_version": 1,
+        "group": {"builtin": "Sym:3"},
+        "iso_classes": [
+            {
+                "subgroup_class": ["012"],
+                "component": "c",
+                "pi1_rank": 0,
+                "weyl": weyl,
+                "phi_pi": [],
+                "chain": [],
+            }
+        ],
+    }
+
+
+def test_rejects_weyl_that_is_not_a_subgroup():
+    with pytest.raises(ValueError) as error:
+        load_complex(sym3_weyl_document(["012", "120"]))
+    assert str(error.value) == "subgroup is not closed under multiplication at ('120', '120')."
+    assert load_complex(sym3_weyl_document(["012", "120", "201"])).classes[0].aut.weyl.order == 3
+
+
+def sym5_translation_document(rank, action=None):
+    """Sym:5 over its trivial subgroup, translation rank ``rank``, φ_π = I and no chain."""
+    iso = {
+        "subgroup_class": ["01234"],
+        "component": "c",
+        "pi1_rank": rank,
+        "phi_pi": [[int(i == j) for j in range(rank)] for i in range(rank)],
+        "chain": [],
+    }
+    if action is not None:
+        iso["action"] = action
+    return {"format_version": 1, "group": {"builtin": "Sym:5"}, "iso_classes": [iso]}
+
+
+@pytest.mark.parametrize("action", [None, {}])
+def test_default_action_loads_with_generator_many_products(monkeypatch, action):
+    calls = count_products(monkeypatch)
+    loaded = load_complex(sym5_translation_document(64, action))
+    assert loaded.classes[0].aut.weyl.order == 120
+    assert len(calls) == 2 * 4  # φ_π·θ(s) and θ(s)·φ_π for the 4 generators; no θ product
+
+
+def test_explicit_action_loads_with_generator_many_products(monkeypatch):
+    sym5, action = sym5_permutation_action()
+    document = sym5_translation_document(
+        5, {label: matrix.to_rows() for label, matrix in zip(sym5.labels, action)}
+    )
+    calls = count_products(monkeypatch)
+    assert load_complex(document).classes[0].aut.action == tuple(action)
+    assert len(calls) == 4 * 120 + 2 * 4  # θ on generators times the group, then φ_π
 
 
 def test_rejects_degenerate_degree_order():

@@ -1,6 +1,9 @@
 """Finite groups, Weyl data, twisted conjugacy, and group-ring arithmetic."""
 
+import collections
+import functools
 import itertools
+import operator
 import random
 import re
 
@@ -347,10 +350,15 @@ def test_aut_group_laws():
 
 def test_aut_group_validation():
     z2 = FiniteGroup.builtin("Z2")
-    with pytest.raises(ValueError):
-        AutGroup(1, z2, [IntMatrix.identity(1), IntMatrix.from_rows([[2]])])  # not unimodular
+    # not unimodular: θ(g)θ(g) = [[4]] is not θ(1)
+    with pytest.raises(ValueError, match=r"^action is not a homomorphism at \('g', 'g'\)\.$"):
+        AutGroup(1, z2, [IntMatrix.identity(1), IntMatrix.from_rows([[2]])])
+    with pytest.raises(
+        ValueError, match="^action of the identity Weyl element must be the identity matrix.$"
+    ):
+        AutGroup(1, z2, [IntMatrix.zeros(1, 1)] * 2)  # θ(s)θ(w) = θ(s·w) holds for all zeros
     z4 = FiniteGroup.builtin("Zn:4")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^action is not a homomorphism at \('r1', 'r1'\)\.$"):
         # r2 = r1·r1 must act by the square of r1's matrix
         AutGroup(
             1,
@@ -387,6 +395,217 @@ def test_twist_commutation_validation():
     good.validate_against(aut)  # symmetric matrices commute with the swap
     with pytest.raises(ValueError, match="rank"):
         TwistData(IntMatrix.from_rows([[2]])).validate_against(aut)
+
+
+# ---------------------------------------------------------------------------
+# group maps checked on generators, against the full check as reference
+
+
+def reference_action_verdict(weyl, action):
+    """The full check: unimodular θ(w), θ(1) = I, and θ(a)θ(b) = θ(a·b) for all |W|² pairs."""
+    k = action[0].rows
+    if k and any(abs(matrix.det()) != 1 for matrix in action):
+        return False
+    if action[weyl.identity] != IntMatrix.identity(k):
+        return False
+    return all(
+        action[a] @ action[b] == action[weyl.multiply(a, b)]
+        for a in range(weyl.order)
+        for b in range(weyl.order)
+    )
+
+
+ACTION_GROUPS = ("Z2xZ2", "Zn:6", "Sym:3", "Sym:4")
+
+
+@functools.cache
+def monomial_inducers(name):
+    """The group, and its (K, N) with N of index 1 or 2 in K and [G:K] ≤ 6."""
+    g = FiniteGroup.builtin(name)
+    subgroups = all_subgroups(g)
+    pairs = [
+        (k.members, frozenset(n.members))
+        for k in subgroups
+        if g.order <= 6 * k.order
+        for n in subgroups
+        if set(n.members) <= set(k.members) and k.order in (n.order, 2 * n.order)
+    ]
+    return g, pairs
+
+
+def monomial_action(g, k_members, n_members):
+    """Ind_K^G of the sign character of K with kernel N, as signed permutation matrices."""
+    transversal = sorted({min(g.multiply(x, m) for m in k_members) for x in range(g.order)})
+    coset = {g.multiply(t, m): i for i, t in enumerate(transversal) for m in k_members}
+    d = len(transversal)
+    action = []
+    for x in range(g.order):
+        entries = [0] * (d * d)
+        for i, t in enumerate(transversal):
+            moved = g.multiply(x, t)
+            j = coset[moved]
+            in_k = g.multiply(g.inverse(transversal[j]), moved)  # x·t_i = t_j·k
+            entries[j * d + i] = 1 if in_k in n_members else -1
+        action.append(IntMatrix(d, d, tuple(entries)))
+    return action
+
+
+def block_sum(first, second):
+    p, q = first.rows, second.rows
+    return IntMatrix.from_rows(
+        [list(first.row(i)) + [0] * q for i in range(p)]
+        + [[0] * p + list(second.row(i)) for i in range(q)]
+    )
+
+
+def random_action(rng, name):
+    """A valid signed-permutation action: one or two monomial blocks, rank at most 6."""
+    g, pairs = monomial_inducers(name)
+    action = monomial_action(g, *rng.choice(pairs))
+    if rng.random() < 0.5:
+        second = monomial_action(g, *rng.choice(pairs))
+        if action[0].rows + second[0].rows <= 6:
+            action = [block_sum(a, b) for a, b in zip(action, second)]
+    return g, action
+
+
+def replace_one(rng, g, action):
+    """``action`` with θ(w) replaced for one w ≠ 1."""
+    w = rng.choice([x for x in range(g.order) if x != g.identity])
+    theta = action[w]
+    kind = rng.randrange(5)
+    if kind == 0:
+        replacement = action[rng.randrange(g.order)]
+    elif kind == 1:
+        replacement = -theta
+    elif kind == 2:
+        replacement = action[g.inverse(w)]
+    elif kind == 3:
+        replacement = 2 * theta
+    else:
+        entries = list(theta.entries)
+        entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+        replacement = IntMatrix(theta.rows, theta.cols, tuple(entries))
+    return action[:w] + [replacement] + action[w + 1 :]
+
+
+def right_for_one_generator(g, s, image_of_s, image_of_element, multiply):
+    """A map f on ``g`` with f(s·x) = f(s)·f(x) for every x, which other generators may break.
+
+    On each coset ⟨s⟩·r, f(sⁱ·r) = f(s)ⁱ·f(r), with f(r) = ``image_of_element(r)``
+    for the first r met, starting at the identity, which that must send to
+    the identity.  The order of ``image_of_s`` must divide that of s.
+    """
+    image = {}
+    for r in (g.identity, *range(g.order)):
+        x, value = r, image_of_element(r)
+        while x not in image:
+            image[x] = value
+            x, value = g.multiply(s, x), multiply(image_of_s, value)
+    return [image[x] for x in range(g.order)]
+
+
+def test_action_check_on_generators_matches_full_reference():
+    rng = random.Random(1301)
+    verdicts = collections.Counter()
+    for case in range(180):
+        g, action = random_action(rng, ACTION_GROUPS[case % len(ACTION_GROUPS)])
+        if case % 3 == 1:
+            action = replace_one(rng, g, action)
+        elif case % 3 == 2:  # a homomorphism along one generator, elsewhere θ of another element
+            identity = IntMatrix.identity(action[0].rows)
+            s = rng.choice(g.generators)
+            action = right_for_one_generator(
+                g,
+                s,
+                action[s],
+                lambda x: identity if x == g.identity else action[rng.randrange(g.order)],
+                operator.matmul,
+            )
+        expected = reference_action_verdict(g, action)
+        verdicts[expected] += 1
+        try:
+            AutGroup(action[0].rows, g, action)
+        except ValueError as exc:
+            assert not expected
+            s, w = next(
+                (s, w)
+                for s in g.generators
+                for w in range(g.order)
+                if action[s] @ action[w] != action[g.multiply(s, w)]
+            )
+            assert str(exc) == (
+                f"action is not a homomorphism at ('{g.labels[s]}', '{g.labels[w]}')."
+            )
+        else:
+            assert expected
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+def test_twist_check_on_generators_matches_full_reference():
+    rng = random.Random(1302)
+    verdicts = collections.Counter()
+    for case in range(160):
+        g, action = random_action(rng, ACTION_GROUPS[case % len(ACTION_GROUPS)])
+        aut = AutGroup(action[0].rows, g, action)
+        k = aut.pi1_rank
+        phi = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
+        if case % 4 == 2:  # a polynomial in one θ(s) commutes with it, not always with the rest
+            theta = action[rng.choice(g.generators)]
+            phi = IntMatrix.identity(k) * rng.randint(-2, 2) + theta * rng.randint(1, 2)
+            phi = phi + theta @ theta * rng.randint(-2, 2)
+        elif case % 2:  # the average of θ(w)·M·θ(w)⁻¹ commutes with every θ(w)
+            phi = functools.reduce(
+                operator.add, (theta @ phi @ action[g.inverse(w)] for w, theta in enumerate(action))
+            )
+            if case % 4 == 1:
+                entries = list(phi.entries)
+                entries[rng.randrange(len(entries))] += 1
+                phi = IntMatrix(k, k, tuple(entries))
+        expected = all(theta @ phi == phi @ theta for theta in action)
+        verdicts[expected] += 1
+        try:
+            TwistData(phi).validate_against(aut)
+        except ValueError as exc:
+            assert not expected
+            s = next(s for s in g.generators if action[s] @ phi != phi @ action[s])
+            assert str(exc) == (
+                f"twist matrix does not commute with the Weyl action at '{g.labels[s]}'; "
+                "the twisted relation would be ill defined."
+            )
+        else:
+            assert expected
+    assert verdicts[True] >= 40 and verdicts[False] >= 40
+
+
+def count_products(monkeypatch):
+    """A list that grows by one on every IntMatrix product from now on."""
+    calls = []
+    product = IntMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return calls
+
+
+def sym5_permutation_action():
+    """Sym:5 permuting the coordinates of ℤ⁵: induced from the stabilizer of the point 4."""
+    sym5 = FiniteGroup.builtin("Sym:5")
+    stabilizer = tuple(x for x, label in enumerate(sym5.labels) if label[4] == "4")
+    return sym5, monomial_action(sym5, stabilizer, frozenset(stabilizer))
+
+
+def test_action_check_costs_generators_times_group_products(monkeypatch):
+    sym5, action = sym5_permutation_action()
+    assert len(sym5.generators) == 4
+    calls = count_products(monkeypatch)
+    AutGroup(64, sym5)
+    assert calls == []  # the trivial action multiplies nothing
+    AutGroup(5, sym5, action)
+    assert len(calls) == 4 * 120  # |S|·|W|, not |W|² = 14,400
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ class.  They are asserted verbatim so any drift in the pipeline is caught.
 
 from __future__ import annotations
 
+import collections
 import copy
 import itertools
 import json
@@ -49,8 +50,10 @@ from eqlef.equivariant_groups import (
     weyl_group,
 )
 from eqlef.exact_algebra import IntMatrix, IntPolynomial
+from eqlef.invariants import _validate_embedding
 from eqlef.realize import RealizationTarget, realize
 
+from test_equivariant_groups import right_for_one_generator
 from test_torus import torus_document
 
 MINUS = "−"
@@ -744,12 +747,118 @@ def test_induce_rejects_unsupported_embeddings():
         induce(c, FiniteGroup.builtin("Z2"), {"1": "1", "g": "g", "zz": "g"})
     with pytest.raises(ValueError, match="not injective"):
         induce(c, z4, {"1": "1", "g": "1"})
-    with pytest.raises(ValueError, match="does not preserve multiplication"):
+    with pytest.raises(
+        ValueError, match=r"^embedding does not preserve multiplication at \('g', 'g'\)\.$"
+    ):
         induce(c, z4, {"1": "1", "g": "r1"})
     with pytest.raises(
         ValueError, match="source order 2 inside target order 4"
     ):
         induce(c, z4, {"1": "1", "g": "r2"})
+
+
+EMBEDDING_SOURCES = ("trivial", "Z2", "Zn:3", "Zn:4", "Z2xZ2", "Sym:3")
+EMBEDDING_TARGETS = ("Z2", "Z2xZ2", "Zn:4", "Zn:6", "Sym:3", "Sym:4")
+
+
+def power(group, x, n):
+    result = group.identity
+    for _ in range(n):
+        result = group.multiply(result, x)
+    return result
+
+
+def random_label_map(rng, h, g):
+    """Target indices for ``h``'s elements: often a homomorphism, sometimes two images swapped."""
+    image = None
+    for _ in range(4):  # extend random generator images along words, if they are consistent
+        image = {h.identity: g.identity}
+        image.update((s, rng.randrange(g.order)) for s in h.generators)
+        pending = [h.identity]
+        while pending and image is not None:
+            x = pending.pop()
+            for s in h.generators:
+                y, value = h.multiply(s, x), g.multiply(image[s], image[x])
+                if y not in image:
+                    image[y] = value
+                    pending.append(y)
+                elif image[y] != value:
+                    image = None
+                    break
+        if image is not None and len(set(image.values())) == h.order:
+            break
+        image = None
+    if image is None and h.generators and rng.random() < 0.5:
+        s = rng.choice(h.generators)
+        order_of_s = next(n for n in range(1, h.order + 1) if power(h, s, n) == h.identity)
+        image_of_s = rng.choice(
+            [x for x in range(g.order) if power(g, x, order_of_s) == g.identity]
+        )
+        image = dict(
+            enumerate(
+                right_for_one_generator(
+                    h,
+                    s,
+                    image_of_s,
+                    lambda x: g.identity if x == h.identity else rng.randrange(g.order),
+                    g.multiply,
+                )
+            )
+        )
+    if image is None:
+        image = dict(zip(range(h.order), rng.sample(range(g.order), h.order)))
+    if h.order > 1 and rng.random() < 0.4:
+        a, b = rng.sample(range(h.order), 2)
+        image[a], image[b] = image[b], image[a]
+    return [image[x] for x in range(h.order)]
+
+
+def test_embedding_check_on_generators_matches_full_reference():
+    rng = random.Random(1303)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        h = FiniteGroup.builtin(rng.choice(EMBEDDING_SOURCES))
+        g = FiniteGroup.builtin(rng.choice(EMBEDDING_TARGETS))
+        if h.order > g.order:
+            continue
+        image = random_label_map(rng, h, g)
+        injective = len(set(image)) == h.order
+        expected = injective and all(  # the full check over all |H|² pairs
+            image[h.multiply(a, b)] == g.multiply(image[a], image[b])
+            for a in range(h.order)
+            for b in range(h.order)
+        )
+        verdicts[expected] += 1
+        mapping = {h.labels[x]: g.labels[image[x]] for x in range(h.order)}
+        try:
+            result = _validate_embedding(h, g, mapping)
+        except ValueError as exc:
+            assert not expected
+            if not injective:
+                assert str(exc) == "embedding is not injective."
+                continue
+            a, b = next(
+                (a, b)
+                for a in h.generators or (h.identity,)
+                for b in range(h.order)
+                if image[h.multiply(a, b)] != g.multiply(image[a], image[b])
+            )
+            assert str(exc) == (
+                f"embedding does not preserve multiplication at ('{h.labels[a]}', '{h.labels[b]}')."
+            )
+        else:
+            assert expected
+            assert result == dict(zip(h.labels, image))
+    assert verdicts[True] >= 60 and verdicts[False] >= 60
+
+
+def test_embedding_of_the_trivial_group_must_hit_the_identity():
+    trivial, z2 = FiniteGroup.builtin("trivial"), FiniteGroup.builtin("Z2")
+    assert _validate_embedding(trivial, z2, {"1": "1"}) == {"1": 0}
+    with pytest.raises(
+        ValueError, match=r"^embedding does not preserve multiplication at \('1', '1'\)\.$"
+    ):
+        _validate_embedding(trivial, z2, {"1": "g"})
 
 
 FREE_TARGETS = ("Z2", "Z2xZ2", "Sym:3") + tuple(f"Zn:{k}" for k in range(1, 13))
