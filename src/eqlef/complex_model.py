@@ -31,6 +31,7 @@ from .equivariant_groups import (
     GroupRingMatrix,
     Subgroup,
     TwistData,
+    _accumulate_matrix_product,
     _check_group_order,
     weyl_group,
 )
@@ -116,7 +117,7 @@ def _decode_int(value: Any, where: str = "") -> int:
     if isinstance(value, bool):
         raise _Malformed(where, lambda at: f"expected an integer at {at}, got a boolean.")
     if isinstance(value, int):
-        return value
+        return int(value)  # a plain int, like every value the decoders return
     if isinstance(value, str):
         text = value.strip()
         if _DECIMAL.fullmatch(text):
@@ -233,17 +234,22 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
 
 
 def _decode_entry(value: Any, aut: AutGroup) -> GroupRingElement:
-    """A group-ring entry, one term or a list of them; failures name ``[term k]``."""
+    """A group-ring entry, one term or a list of them; failures name ``[term k]``.
+
+    :func:`_decode_term` has checked every term, so the terms are combined
+    here and enter through the unchecked ``GroupRingElement._from_sums``.
+    """
     items = value if isinstance(value, (list, tuple)) else (value,)
-    terms = []
+    sums: dict[tuple[tuple[int, ...], int], int] = {}
     k = 0
     try:
         for k, item in enumerate(items):
-            terms.append(_decode_term(item, aut))
+            vector, w, coefficient = _decode_term(item, aut)
+            sums[(vector, w)] = sums.get((vector, w), 0) + coefficient
     except _Malformed as exc:
         exc.within(f"[term {k}]")
         raise
-    return GroupRingElement(aut, terms)
+    return GroupRingElement._from_sums(aut, sums)
 
 
 def _encode_term(
@@ -406,10 +412,24 @@ class IsoClassData:
         Each source basis element splits into one element per coset
         representative r of its stabilizer; a term c·(v, w) of the entry at
         (j, i) contributes c·(θ(r)·v) at target coset representative of
-        r·w modulo the target stabilizer.
+        r·w modulo the target stabilizer.  A trivial W makes this the
+        identity: every expanded basis is ``[(j, 0)]``, so the matrix is
+        re-homed onto :meth:`pi1_aut`, each entry sharing its module entry's
+        terms and every zero one zero.
         """
         pi1 = self.pi1_aut()
         weyl = self.aut.weyl
+        if weyl.order == 1:
+            zero = GroupRingElement.zero(pi1)
+            return GroupRingMatrix(
+                pi1,
+                matrix.rows,
+                matrix.cols,
+                tuple(
+                    GroupRingElement._from_normal(pi1, element.terms) if element.terms else zero
+                    for element in matrix.entries
+                ),
+            )
         position = {key: p for p, key in enumerate(target.expanded_basis)}
         accumulated: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
         for a, (j, r) in enumerate(source.expanded_basis):
@@ -490,8 +510,10 @@ def _load_stabilizer(
 ) -> tuple[int, ...]:
     labels = _require_list(raw, where)
     indices = sorted({weyl.element_index(str(label)) for label in labels})
-    subgroup = Subgroup(weyl, indices)  # validates closure and identity
-    return subgroup.members
+    try:
+        return Subgroup(weyl, indices).members  # validates closure and identity
+    except ValueError as exc:
+        raise ValueError(f"stabilizer at {where}: {exc}") from None
 
 
 def _load_chain_degree(
@@ -635,21 +657,33 @@ def _validate_mask_closure(iso: IsoClassData) -> None:
                         )
 
 
+def _products_cancel(*products: tuple[GroupRingMatrix, GroupRingMatrix, int]) -> bool:
+    """Whether Σ sign·(left @ right) over ``products`` is zero, with no product built."""
+    sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
+    for left, right, sign in products:
+        _accumulate_matrix_product(sums, left, right, sign)
+    return not any(any(cell.values()) for cell in sums.values())
+
+
 def _validate_chain_algebra(iso: IsoClassData) -> None:
-    """Expanded-level checks: boundaries compose to zero and commute with the map."""
+    """Expanded-level checks: boundaries compose to zero and commute with the map.
+
+    Both identities are checked by letting the products cancel in one set of
+    per-entry sums: ∂_p·∂_{p−1}, and ψ(∂_p)·f_{p−1} − f_p·∂_p.
+    """
     ladder = iso.ladder
     for k, (entry, _, map_here, expanded_boundary) in enumerate(ladder):
         if expanded_boundary is None:
             continue
         _, _, map_below, boundary_below = ladder[k - 1]  # the degree just below
         if boundary_below is not None:
-            if not (expanded_boundary @ boundary_below).is_zero:
+            if not _products_cancel((expanded_boundary, boundary_below, 1)):
                 raise ValueError(
                     f"boundary composition is nonzero between degrees {entry.degree} "
                     f"and {entry.degree - 1} of {iso.label}."
                 )
         twisted = expanded_boundary.apply_twist(iso.twist)
-        if twisted @ map_below != map_here @ expanded_boundary:
+        if not _products_cancel((twisted, map_below, 1), (map_here, expanded_boundary, -1)):
             raise ValueError(
                 f"chain map does not commute with the boundary at degree "
                 f"{entry.degree} of {iso.label}."
@@ -700,7 +734,10 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
                 f"weyl at {where} must contain the identity coset "
                 f"'{quotient.labels[quotient.identity]}'."
             )
-        weyl = quotient.restricted_to(indices)
+        try:
+            weyl = quotient.restricted_to(indices)
+        except ValueError as exc:
+            raise ValueError(f"weyl at {where}: {exc}") from None
 
     pi1_rank = _decode_int(raw["pi1_rank"], f"{where}.pi1_rank")
     if pi1_rank < 0:

@@ -18,14 +18,20 @@ computations:
   translation subgroup.
 
 Group-ring terms are validated once, where they enter: the public
-:class:`GroupRingElement` constructor, which documents are decoded through.
-Arithmetic (sums, products, negation, scaling, twists, coset reduction,
-traces and the Weyl expansion) builds its results from terms it already
-trusts and does not check them again.  Products and traces walk only the
-nonzero entries of each row and collect each result entry in one dict keyed
-by (vector, w); θ(w) is applied only when w is not the identity.  The
-translation-only group of each rank is one shared :class:`AutGroup`
-(:meth:`AutGroup.translations`), so same-group checks are identity tests.
+:class:`GroupRingElement` constructor, or the document decoder, which checks
+each term itself and passes the combined terms to the unchecked
+:meth:`GroupRingElement._from_sums`.  Arithmetic (sums, products, negation,
+scaling, twists, coset reduction, traces and the Weyl expansion) builds its
+results from terms it already trusts and does not check them again; over a
+trivial W the expansion shares the module entries' ``terms`` tuples.
+Products and traces walk only the nonzero entries of each row and collect
+each result entry in one dict keyed by (vector, w); θ(w) is applied only
+when w is not the identity.  Matrix products add into such dicts
+(:func:`_accumulate_matrix_product`), so an identity between sums of
+products is checked by letting them cancel, with no product matrix built.
+Group-ring values hash by their terms alone.  The translation-only group of
+each rank is one shared :class:`AutGroup` (:meth:`AutGroup.translations`),
+so same-group checks are identity tests.
 Group maps (θ, its commutation with φ_π, embeddings) are checked on the
 source's ``generators``, since where such a map holds is closed under products.
 """
@@ -833,9 +839,9 @@ class GroupRingElement:
 
     Terms are stored as sorted ``(vector, weyl_index, coefficient)`` triples
     with zero coefficients dropped.  This constructor validates every term
-    (vector length, Weyl index) and is where document data enters; the
-    arithmetic below builds its results through the unchecked
-    :meth:`_from_sums`, since terms made from valid terms are valid.
+    (vector length, Weyl index); the document decoder, which checks its terms
+    as it reads them, and the arithmetic below build elements through the
+    unchecked :meth:`_from_sums`, since terms made from valid terms are valid.
 
     >>> aut = AutGroup(0, FiniteGroup.builtin("Z2"))
     >>> e = GroupRingElement.basis(aut, (), 1)
@@ -873,11 +879,18 @@ class GroupRingElement:
         cls, aut: AutGroup, sums: Mapping[tuple[tuple[int, ...], int], int]
     ) -> "GroupRingElement":
         """The element Σ c·(v, w) over ``sums``, whose keys are trusted as valid."""
+        return cls._from_normal(
+            aut, tuple(sorted(((v, w, c) for (v, w), c in sums.items() if c), key=_TERM_ORDER))
+        )
+
+    @classmethod
+    def _from_normal(
+        cls, aut: AutGroup, terms: tuple[tuple[tuple[int, ...], int, int], ...]
+    ) -> "GroupRingElement":
+        """The element with ``terms``, trusted as valid, sorted and free of zeros."""
         element = object.__new__(cls)
         element.aut = aut
-        element.terms = tuple(
-            sorted(((v, w, c) for (v, w), c in sums.items() if c), key=_TERM_ORDER)
-        )
+        element.terms = terms
         return element
 
     # -- constructors -------------------------------------------------
@@ -985,7 +998,7 @@ class GroupRingElement:
         return self.terms == other.terms and (self.aut is other.aut or self.aut == other.aut)
 
     def __hash__(self) -> int:
-        return hash((self.aut, self.terms))
+        return hash(self.terms)  # equal elements have equal terms; hashing aut would rehash θ
 
     def __repr__(self) -> str:
         return f"GroupRingElement({self})"
@@ -1083,25 +1096,19 @@ class GroupRingMatrix:
         )
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}×{self.cols} by {other.rows}×{other.cols}."
-            )
+        sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
+        _accumulate_matrix_product(sums, self, other)
         aut = self.aut
-        _require_same_aut(aut, other.aut)
-        right_rows = other._nonzero_rows()
         zero = GroupRingElement.zero(aut)
-        products: list[GroupRingElement] = []
-        for left_row in self._nonzero_rows():
-            row_sums: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
-            for i, left in left_row:
-                for l, right in right_rows[i]:
-                    _accumulate_product(aut, row_sums.setdefault(l, {}), left.terms, right.terms)
-            products.extend(
-                GroupRingElement._from_sums(aut, row_sums[l]) if l in row_sums else zero
-                for l in range(other.cols)
-            )
-        return GroupRingMatrix(aut, self.rows, other.cols, products)
+        return GroupRingMatrix(
+            aut,
+            self.rows,
+            other.cols,
+            tuple(
+                GroupRingElement._from_sums(aut, sums[cell]) if cell in sums else zero
+                for cell in itertools.product(range(self.rows), range(other.cols))
+            ),
+        )
 
     def apply_twist(self, twist: TwistData) -> "GroupRingMatrix":
         return GroupRingMatrix(
@@ -1146,7 +1153,7 @@ class GroupRingMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.aut, self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.entries))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -1159,6 +1166,30 @@ class GroupRingMatrix:
 
     def __repr__(self) -> str:
         return f"GroupRingMatrix({self.rows}×{self.cols} over {self.aut!r})"
+
+
+def _accumulate_matrix_product(
+    sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]],
+    left: GroupRingMatrix,
+    right: GroupRingMatrix,
+    sign: int = 1,
+) -> None:
+    """Add sign·(left @ right) into ``sums``, keyed by result cell (j, l), then by (vector, w).
+
+    Only nonzero entries are walked, and a cell no product reaches gets no key.
+    """
+    if left.cols != right.rows:
+        raise ValueError(
+            f"cannot multiply {left.rows}×{left.cols} by {right.rows}×{right.cols}."
+        )
+    aut = left.aut
+    _require_same_aut(aut, right.aut)
+    right_rows = right._nonzero_rows()
+    for j, left_row in enumerate(left._nonzero_rows()):
+        for i, entry in left_row:
+            terms = entry.terms if sign == 1 else [(v, w, sign * c) for v, w, c in entry.terms]
+            for l, other in right_rows[i]:
+                _accumulate_product(aut, sums.setdefault((j, l), {}), terms, other.terms)
 
 
 def pi1_projection(

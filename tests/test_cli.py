@@ -17,10 +17,12 @@ from eqlef.cli import build_parser, main
 from eqlef.exact_algebra import char_poly, companion_matrix, factor_over_Q
 
 from test_complex_model import (
+    STABILIZER_REFUSALS,
     minimal_document,
     sym3_weyl_document,
     sym5_free_document,
     sym5_translation_document,
+    zn4_stabilizer_document,
 )
 from test_equivariant_groups import count_products
 from test_exact_algebra import swinnerton_dyer
@@ -201,7 +203,16 @@ def test_invariants_names_the_expanded_rank_limit(capsys):
 def test_check_refuses_a_weyl_that_is_not_a_subgroup(capsys):
     code, out, err = run(capsys, ["check", json.dumps(sym3_weyl_document(["012", "120"]))])
     assert (code, out) == (1, "")
-    assert err == "error: subgroup is not closed under multiplication at ('120', '120').\n"
+    assert err == (
+        "error: weyl at iso_classes[0]: subgroup is not closed under multiplication "
+        "at ('120', '120').\n"
+    )
+
+
+@pytest.mark.parametrize("stabilizer, message", STABILIZER_REFUSALS)
+def test_check_refuses_a_stabilizer_that_is_not_a_subgroup(capsys, stabilizer, message):
+    code, out, err = run(capsys, ["check", json.dumps(zn4_stabilizer_document(stabilizer))])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_check_of_sym5_translations_at_the_rank_limit_multiplies_little(capsys, monkeypatch):

@@ -413,8 +413,59 @@ def sym3_weyl_document(weyl):
 def test_rejects_weyl_that_is_not_a_subgroup():
     with pytest.raises(ValueError) as error:
         load_complex(sym3_weyl_document(["012", "120"]))
-    assert str(error.value) == "subgroup is not closed under multiplication at ('120', '120')."
+    assert str(error.value) == (
+        "weyl at iso_classes[0]: subgroup is not closed under multiplication at ('120', '120')."
+    )
     assert load_complex(sym3_weyl_document(["012", "120", "201"])).classes[0].aut.weyl.order == 3
+
+
+def zn4_stabilizer_document(stabilizer):
+    """Zn:4 over its trivial subgroup, one masked cell with ``stabilizer`` as its stabilizer."""
+    return {
+        "format_version": 1,
+        "group": {"builtin": "Zn:4"},
+        "iso_classes": [
+            {
+                "subgroup_class": ["1"],
+                "component": "c",
+                "pi1_rank": 0,
+                "phi_pi": [],
+                "chain": [
+                    {
+                        "degree": 0,
+                        "rank": 1,
+                        "relative_mask": [True],
+                        "stabilizers": [stabilizer],
+                        "map": [[0]],
+                    }
+                ],
+            }
+        ],
+    }
+
+
+STABILIZER_REFUSALS = [
+    (
+        ["1", "r1"],
+        "stabilizer at iso_classes[0].chain[0].stabilizers[0]: subgroup is not closed "
+        "under multiplication at ('r1', 'r1').",
+    ),
+    (
+        ["r2"],
+        "stabilizer at iso_classes[0].chain[0].stabilizers[0]: subgroup does not "
+        "contain the identity element.",
+    ),
+]
+
+
+@pytest.mark.parametrize("stabilizer, message", STABILIZER_REFUSALS)
+def test_rejects_stabilizer_that_is_not_a_subgroup(stabilizer, message):
+    with pytest.raises(ValueError) as error:
+        load_complex(zn4_stabilizer_document(stabilizer))
+    assert str(error.value) == message
+    assert load_complex(zn4_stabilizer_document(["1", "r2"])).classes[0].degrees[0].stabilizers == (
+        (0, 2),
+    )
 
 
 def sym5_translation_document(rank, action=None):
