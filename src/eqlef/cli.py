@@ -43,7 +43,7 @@ from .complex_model import (
 )
 from .corpus import BUILTIN_COMPLEXES
 from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, char_poly, factor_over_Q
-from .invariants import _encode_uz, build_report, render_report, universal_invariant
+from .invariants import _encode_uz, _integer_class, _sign, _split_blocks, build_report, render_report
 from .realize import RealizationTarget, realize
 from .uz import UZClass, class_of_matrix
 
@@ -293,16 +293,24 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
+    """Realize ``[a] − [b']`` as a wedge model and check its integer class.
+
+    The class is summed over the strongly connected diagonal blocks of each
+    degree's map, in document order, with no canonical search.
+    """
     a = _parse_square_matrix(args.a, "matrix a")
     b_prime = _parse_square_matrix(args.b_prime, "matrix b'")
-    target = RealizationTarget(a, b_prime)
-    complex_data = realize(target)
-    entry = universal_invariant(complex_data).entries[0]
+    complex_data = realize(RealizationTarget(a, b_prime))
+    uz_image = _integer_class(
+        (block, _sign(entry.degree))
+        for entry in complex_data.classes[0].degrees
+        for block in _split_blocks(entry.relative_map)
+    )
     expected = class_of_matrix(a) - class_of_matrix(b_prime)
-    if entry.uz_image != expected:
+    if uz_image != expected:
         raise RuntimeError(
             "realization round trip failed: computed class "
-            f"{entry.uz_image} does not match target {expected}."
+            f"{uz_image} does not match target {expected}."
         )
     _note(
         f"realized [a ({a.rows}×{a.rows})] − [b' ({b_prime.rows}×{b_prime.rows})]; "
@@ -312,7 +320,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     document = serialize_complex(complex_data)
     if args.json:
         payload = {
-            "class": _encode_uz(entry.uz_image),
+            "class": _encode_uz(uz_image),
             "verified": True,
             "document": document,
         }
@@ -322,9 +330,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
         pathlib.Path(args.output).write_text(
             _dump_json(document) + "\n", encoding="utf-8"
         )
-        print(str(entry.uz_image))
+        print(str(uz_image))
     else:
-        print(str(entry.uz_image))
+        print(str(uz_image))
         print(_dump_json(document))
     return 0
 

@@ -325,36 +325,36 @@ class UniversalInvariant:
         return "\n".join(lines)
 
 
+def _integer_class(terms: Iterable[tuple[GroupRingMatrix, int]]) -> UZClass:
+    """Σ c · class_of_matrix(block.augmented()) over ``(block, c)`` pairs.
+
+    Exact on the diagonal blocks of a block-triangular matrix, in any order:
+    χ is multiplicative over the blocks and unchanged by renumbering.
+    """
+    return UZClass(
+        tuple((p, c * m) for block, c in terms for p, m in class_of_matrix(block.augmented()).terms)
+    )
+
+
 def universal_invariant(c: EquivariantComplex) -> UniversalInvariant:
     """The universal class: Σ_p (−1)^p [relative chain map in degree p] per class.
 
     Only the non-masked (relative) rows and columns of each chain map enter.
     When a class has trivial automorphism data (no translations, trivial
     Weyl group) the entry also carries its image in the integer-matrix class
-    group, computed through characteristic polynomials.
+    group, read off the normal form: Σ c · [block] over its terms.
     """
     entries = []
     for iso in c.classes:
         kclass = KClass.from_terms(
             (entry.relative_map, _sign(entry.degree)) for entry in iso.degrees
         )
-        uz_image = None
-        if iso.aut.is_trivial:
-            uz_image = UZClass(
-                tuple(
-                    (polynomial, _sign(entry.degree) * coefficient)
-                    for entry in iso.degrees
-                    for polynomial, coefficient in class_of_matrix(
-                        entry.relative_map.augmented()
-                    ).terms
-                )
-            )
         entries.append(
             UniversalEntry(
                 subgroup_labels=iso.subgroup.member_labels,
                 component=iso.component,
                 kclass=kclass,
-                uz_image=uz_image,
+                uz_image=_integer_class(kclass.terms) if iso.aut.is_trivial else None,
             )
         )
     return UniversalInvariant(entries=tuple(entries))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -14,7 +16,9 @@ import pytest
 import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
-from eqlef.exact_algebra import char_poly, companion_matrix, factor_over_Q
+from eqlef.exact_algebra import IntMatrix, block_diagonal, char_poly, companion_matrix, factor_over_Q
+from eqlef.invariants import universal_invariant
+from eqlef.realize import RealizationTarget, realize
 
 from test_complex_model import (
     STABILIZER_REFUSALS,
@@ -153,8 +157,11 @@ def test_class_computes_the_characteristic_polynomial_and_its_factors_once(
 
 
 def test_realize_then_class_derives_each_matrix_class_once(capsys):
-    # six derivations of four matrices: [1], A, diag(1, B′) and B′ for the
-    # realization's invariant, A and B′ for its round trip, and A again
+    # the realization's class, over the diagonal blocks of each degree in
+    # document order: [1] (miss), A (miss), then diag(1, B′) splits into
+    # [1] (hit), [1] (hit) and [5] (miss); the round-trip target: A (hit)
+    # and B′ (miss); `class A`: A (hit).  Four misses, four hits, and
+    # diag(1, B′) is never derived whole
     a, b_prime = "[[2,1,0],[1,3,1],[0,1,4]]", "[[1,2],[0,5]]"
     char_poly.cache_clear()
     factor_over_Q.cache_clear()
@@ -162,7 +169,41 @@ def test_realize_then_class_derives_each_matrix_class_once(capsys):
     assert run(capsys, ["class", a, "--json"])[0] == 0
     for cached in (char_poly, factor_over_Q):
         info = cached.cache_info()
-        assert (info.misses, info.hits) == (4, 2)
+        assert (info.misses, info.hits) == (4, 4)
+
+
+def test_realize_runs_no_canonical_search(capsys, monkeypatch):
+    calls = []
+
+    def counted(block):
+        calls.append(block)
+        return canonical_block(block)
+
+    canonical_block = eqlef.invariants._canonical_block
+    monkeypatch.setattr(eqlef.invariants, "_canonical_block", counted)
+    a, b_prime = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 2, 0], [0, 5, 1], [3, 0, 2]]
+    assert run(capsys, ["realize", json.dumps(a), json.dumps(b_prime)])[0] == 0
+    assert calls == []
+    # the counter sees the normal form that `invariants` builds of the same model
+    realized = realize(RealizationTarget(IntMatrix.from_rows(a), IntMatrix.from_rows(b_prime)))
+    universal_invariant(realized)
+    assert calls
+
+
+def test_realize_never_factors_the_whole_top_map(capsys):
+    # B′ has an x−1 block, so χ of the top map diag(1, B′), (x−1)·χ_B′, is
+    # reducible; the model's class needs only its blocks' χ
+    a = "[[2,1,0],[1,3,1],[0,1,4]]"
+    b_prime = IntMatrix.from_rows([[1, 2, 0], [0, 2, 1], [0, 1, 3]])
+    char_poly.cache_clear()
+    factor_over_Q.cache_clear()
+    assert run(capsys, ["realize", a, json.dumps(b_prime.to_rows())])[0] == 0
+    whole = char_poly(block_diagonal(IntMatrix.identity(1), b_prime))
+    hits = factor_over_Q.cache_info().hits
+    factor_over_Q(whole)
+    assert factor_over_Q.cache_info().hits == hits  # a miss: never factored
+    factor_over_Q(char_poly(b_prime))
+    assert factor_over_Q.cache_info().hits == hits + 1  # the round-trip target was
 
 
 @pytest.mark.parametrize(
@@ -386,6 +427,64 @@ def test_realize_rejects_rectangular(capsys):
     code, _, err = run(capsys, ["realize", "[[1,2]]", "[]"])
     assert code == 1
     assert "square" in err
+
+
+def seeded_pair(seed, n, m, triangular=False):
+    """A seeded n×n ``a`` and m×m ``b'`` with entries in [−3, 3], as JSON rows."""
+    rng = random.Random(seed)
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    b_prime = [
+        [rng.randint(-3, 3) if j >= i or not triangular else 0 for j in range(m)]
+        for i in range(m)
+    ]
+    if triangular:
+        b_prime[0][0] = 1  # an x−1 block beside the identity 3-cell
+    return json.dumps(a), json.dumps(b_prime)
+
+
+# sha256 of `eqlef realize A B' --json` stdout, and of the text output with
+# `--output` (stdout, then the written document): (json, text) per pair
+REALIZE_SHA256 = {
+    (1, 1, 1, False): (
+        "db93eb5b7dd6e1b3eec680f469448a2a2024c48a676626aee03ba81cf1221680",
+        "9d5011aed870ec3f7e74bc6f8cf24371518c9b02ed706df3400b62f2ddb855fd",
+    ),
+    (8, 8, 4, False): (
+        "30974d85c8e4128fce485ede6d38f14f188c7c91e85d8bee546777967c8a5d0a",
+        "11a369c7444915f8be4dbc467a8f8262eff5d502f8de543741d9fe8ddc964d1d",
+    ),
+    (32, 32, 16, False): (
+        "916339ff97df40cc4eab8c8581c01dfb66f5f8ddb82ef683fe48bb90e0a89491",
+        "ae3ec81c33c5ee8f38e90edd5d2eb72bec0591cf6ac8f8b3aea45875fca72945",
+    ),
+    (5, 6, 5, True): (
+        "88010d931233f658a7c27380195e25db8da930e9f9f89ff8833e99e5a6b71440",
+        "e46481b1dc30166652f625ca31bcf03f3e5c0ca204259120d66aa34a34c479a6",
+    ),
+    (0, 0, 3, False): (
+        "f8a8008f523838430bfa4d2b908e1366b4d8403b9304864739ae042ab7f07c5f",
+        "942bc84152d68cc0c1319be07f3786844a972b3adc3cf617271ba1140e7f4e2c",
+    ),
+    (4, 4, 0, False): (
+        "ae66b145fe7f2a8e980443f212a7d70bff7c27a9df312b85e4e53ceee2bd1926",
+        "231e975c2286c51f902e4ee6afafead30476f84bcaf8399340f3a2a098518631",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, n, m, triangular", list(REALIZE_SHA256))
+def test_realize_output_bytes_are_pinned(capsys, tmp_path, seed, n, m, triangular):
+    a, b_prime = seeded_pair(seed, n, m, triangular)
+    code, json_out, _ = run(capsys, ["realize", a, b_prime, "--json"])
+    assert code == 0
+    path = tmp_path / "wedge.json"
+    code, text_out, _ = run(capsys, ["realize", a, b_prime, "--output", str(path)])
+    assert code == 0
+    digests = (
+        hashlib.sha256(json_out.encode()).hexdigest(),
+        hashlib.sha256(text_out.encode() + path.read_bytes()).hexdigest(),
+    )
+    assert digests == REALIZE_SHA256[seed, n, m, triangular]
 
 
 # ---------------------------------------------------------------------------
