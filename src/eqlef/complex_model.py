@@ -49,6 +49,7 @@ __all__ = [
 FORMAT_VERSION = 1
 _JSON_SAFE_BOUND = 2**53 - 1
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_INT_ONLY = frozenset({int})
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,9 @@ def _decode_rows(
                 raise ValueError(
                     f"expected {shape[1]} entries in row {i} at {where}, got {len(row)}."
                 )
+            if decode is _decode_int and _INT_ONLY.issuperset(map(type, row)):
+                rows.append(row)  # plain ints decode to themselves
+                continue
             decoded = []
             for j, item in enumerate(row):
                 decoded.append(decode(item))
@@ -770,9 +774,17 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
     twist = TwistData(phi_pi)
     twist.validate_against(aut)
 
-    orbit_size = _decode_int(raw.get("orbit_size", 1), f"{where}.orbit_size")
+    # The class stands for one W_G(K)-orbit of components, and ``weyl`` is the
+    # stabilizer W_c of its component, so the orbit has [W_G(K) : W_c] of them.
+    orbit = quotient.order // weyl.order
+    orbit_size = _decode_int(raw.get("orbit_size", orbit), f"{where}.orbit_size")
     if orbit_size < 1:
         raise ValueError(f"orbit_size at {where} must be positive, got {orbit_size}.")
+    if orbit_size != orbit:
+        raise ValueError(
+            f"{where}.orbit_size must be {orbit}, the index [W_G(K) : W_c] = "
+            f"{quotient.order}/{weyl.order} of the class's weyl in its Weyl group."
+        )
 
     raw_chain = _require_list(raw["chain"], f"{where}.chain")
     degrees: list[ChainDegree] = []

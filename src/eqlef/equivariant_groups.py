@@ -34,6 +34,11 @@ each rank is one shared :class:`AutGroup` (:meth:`AutGroup.translations`),
 so same-group checks are identity tests.
 Group maps (θ, its commutation with φ_π, embeddings) are checked on the
 source's ``generators``, since where such a map holds is closed under products.
+Groups are validated once, where they enter: the :class:`FiniteGroup`
+constructor, which builtins and explicit ``labels``/``table`` documents go
+through.  A Weyl quotient or a restriction to a subgroup is derived from a
+validated group and built unchecked; the quotient by the trivial subgroup
+is the group itself, N_G(1)/1 = G.
 """
 
 from __future__ import annotations
@@ -155,6 +160,10 @@ class FiniteGroup:
     satisfy it are closed under products, so this holds for every g exactly
     when the table is associative, at O(n²·|S|) cost.  S is kept as
     ``generators``, and every group map in the package is checked on it.
+    Only builtins and explicit tables are validated; :func:`weyl_group`
+    quotients and :meth:`restricted_to` are derived from a validated group
+    and skip the checks, and the quotient by the trivial subgroup is this
+    group itself.
 
     >>> g = FiniteGroup.builtin("Z2")
     >>> g.labels
@@ -179,27 +188,31 @@ class FiniteGroup:
                 f"multiplication table must be {n}×{n} to match {n} labels."
             )
         for i, row in enumerate(row_tuples):
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise ValueError(
-                        f"table entry at ({i}, {j}) is {v}, outside 0..{n - 1}."
-                    )
-        identity = None
-        for e in range(n):
-            if all(row_tuples[e][x] == x and row_tuples[x][e] == x for x in range(n)):
-                identity = e
-                break
+            if min(row) < 0 or max(row) >= n:
+                j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+                raise ValueError(
+                    f"table entry at ({i}, {j}) is {v}, outside 0..{n - 1}."
+                )
+        everything = tuple(range(n))
+        identity = next(
+            (
+                e
+                for e in range(n)
+                if row_tuples[e] == everything == tuple(map(operator.itemgetter(e), row_tuples))
+            ),
+            None,
+        )
         if identity is None:
             raise ValueError("multiplication table has no identity element.")
         inverses = []
-        for x in range(n):
-            inverse = next(
-                (y for y in range(n) if row_tuples[x][y] == identity and row_tuples[y][x] == identity),
-                None,
-            )
-            if inverse is None:
-                raise ValueError(f"element '{label_tuple[x]}' has no inverse.")
-            inverses.append(inverse)
+        for x, row in enumerate(row_tuples):
+            try:  # the least y with x·y = y·x = 1, trying each y with x·y = 1 in turn
+                y = row.index(identity)
+                while row_tuples[y][x] != identity:
+                    y = row.index(identity, y + 1)
+            except ValueError:
+                raise ValueError(f"element '{label_tuple[x]}' has no inverse.") from None
+            inverses.append(y)
         generators = tuple(_generating_set(row_tuples, identity))
         for g in generators:
             row_g = row_tuples[g]
@@ -217,6 +230,23 @@ class FiniteGroup:
         self.identity = identity
         self.generators = generators
         self._inverses = tuple(inverses)
+
+    @classmethod
+    def _derived(
+        cls, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...], identity: int
+    ) -> "FiniteGroup":
+        """The group on ``table``, derived from a validated group and trusted as a group.
+
+        ``identity`` comes from the parent; inverses and ``generators`` are
+        read off the table.
+        """
+        group = object.__new__(cls)
+        group.labels = labels
+        group.table = table
+        group.identity = identity
+        group.generators = tuple(_generating_set(table, identity))
+        group._inverses = tuple(row.index(identity) for row in table)
+        return group
 
     # -- builtins -----------------------------------------------------
 
@@ -309,12 +339,12 @@ class FiniteGroup:
         table = tuple(
             tuple(position[self.table[a][b]] for b in member_list) for a in member_list
         )
-        return FiniteGroup(labels, table)
+        return FiniteGroup._derived(labels, table, position[self.identity])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.labels == other.labels and self.table == other.table
+        return self is other or (self.labels == other.labels and self.table == other.table)
 
     def __hash__(self) -> int:
         return hash((self.labels, self.table))
@@ -497,6 +527,8 @@ class WeylGroup:
 def weyl_group(g: FiniteGroup, h: Subgroup) -> WeylGroup:
     """The normalizer quotient N_G(H)/H with coset representatives.
 
+    For the trivial H the quotient is ``g`` itself.
+
     >>> g = FiniteGroup.builtin("Z2")
     >>> weyl_group(g, Subgroup.trivial(g)).group.order
     2
@@ -505,6 +537,12 @@ def weyl_group(g: FiniteGroup, h: Subgroup) -> WeylGroup:
     """
     if h.parent != g:
         raise ValueError("subgroup does not belong to the given group.")
+    if h.order == 1:  # N_G(1)/1 = G
+        everything = tuple(range(g.order))
+        return WeylGroup(
+            group=g, parent=g, subgroup=h,
+            coset_representatives=everything, cosets=tuple((x,) for x in everything),
+        )
     member_set = set(h.members)
     normalizer = [
         n
@@ -527,7 +565,7 @@ def weyl_group(g: FiniteGroup, h: Subgroup) -> WeylGroup:
         tuple(position[g.table[a][b]] for b in representatives)
         for a in representatives
     )
-    quotient = FiniteGroup(labels, table)
+    quotient = FiniteGroup._derived(labels, table, position[g.identity])
     if quotient.order * h.order != len(normalizer):
         raise ValueError("normalizer does not partition into whole cosets.")
     return WeylGroup(

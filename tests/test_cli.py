@@ -21,7 +21,9 @@ from eqlef.invariants import universal_invariant
 from eqlef.realize import RealizationTarget, realize
 
 from test_complex_model import (
+    ORBIT_SIZE_REFUSAL,
     STABILIZER_REFUSALS,
+    example2_with_orbit_size,
     minimal_document,
     sym3_weyl_document,
     sym5_free_document,
@@ -248,6 +250,12 @@ def test_check_refuses_a_weyl_that_is_not_a_subgroup(capsys):
         "error: weyl at iso_classes[0]: subgroup is not closed under multiplication "
         "at ('120', '120').\n"
     )
+
+
+def test_check_refuses_an_orbit_size_that_is_not_the_weyl_index(capsys):
+    # with orbit_size 5, example2's ell would read 10[1] ⊕ 0 instead of 2[1] ⊕ 0
+    code, out, err = run(capsys, ["check", json.dumps(example2_with_orbit_size(5))])
+    assert (code, out, err) == (1, "", f"error: {ORBIT_SIZE_REFUSAL}\n")
 
 
 @pytest.mark.parametrize("stabilizer, message", STABILIZER_REFUSALS)

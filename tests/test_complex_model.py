@@ -419,6 +419,36 @@ def test_rejects_weyl_that_is_not_a_subgroup():
     assert load_complex(sym3_weyl_document(["012", "120", "201"])).classes[0].aut.weyl.order == 3
 
 
+ORBIT_SIZE_REFUSAL = (
+    "iso_classes[0].orbit_size must be 1, the index [W_G(K) : W_c] = 2/2 of the "
+    "class's weyl in its Weyl group."
+)
+
+
+def example2_with_orbit_size(orbit_size):
+    document = copy.deepcopy(BUILTIN_COMPLEXES["example2"])
+    document["iso_classes"][0]["orbit_size"] = orbit_size
+    return document
+
+
+def test_orbit_size_is_the_index_of_weyl_in_the_weyl_group():
+    # a component stabilizer W_c of order 3 in W = Sym:3 has an orbit of 2 components
+    loaded = load_complex(sym3_weyl_document(["012", "120", "201"]))
+    assert loaded.classes[0].orbit_size == 2
+    document = sym3_weyl_document(["012", "120", "201"])
+    document["iso_classes"][0]["orbit_size"] = 2
+    assert load_complex(document) == loaded
+    assert [iso.orbit_size for iso in load_builtin("example2").classes] == [1, 1]
+    assert load_complex(example2_with_orbit_size(1)) == load_builtin("example2")
+
+
+@pytest.mark.parametrize("orbit_size", [5, 2, "5"])
+def test_rejects_an_orbit_size_that_is_not_the_weyl_index(orbit_size):
+    with pytest.raises(ValueError) as error:
+        load_complex(example2_with_orbit_size(orbit_size))
+    assert str(error.value) == ORBIT_SIZE_REFUSAL
+
+
 def zn4_stabilizer_document(stabilizer):
     """Zn:4 over its trivial subgroup, one masked cell with ``stabilizer`` as its stabilizer."""
     return {

@@ -79,6 +79,52 @@ def test_invalid_table_rejected():
         FiniteGroup(["1"], [[0, 0]])  # ragged table
 
 
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+GROUP_SPEC_REFUSALS = [
+    (["1", "g"], [[0, 1], [1, 2]], "table entry at (1, 1) is 2, outside 0..1."),
+    (["1", "g"], [[0, -1], [1, 0]], "table entry at (0, 1) is -1, outside 0..1."),
+    (["1", "g"], [[0, 0], [1, 1]], "multiplication table has no identity element."),
+    (["1", "g"], [[0, 1], [1, 1]], "element 'g' has no inverse."),
+    # row c holds the identity twice; only its second occurrence is a two-sided inverse
+    (["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 0, 0]],
+     "multiplication table is not associative at ('c', 'b', 'b')."),
+    (["a", "b", "c"], [[0, 1, 2], [1, 0, 0], [2, 2, 1]], "element 'c' has no inverse."),
+    ([str(i) for i in range(5)], LOOP5,
+     "multiplication table is not associative at ('1', '1', '2')."),
+    (["1", "1"], [[0, 1], [1, 0]], "group element labels must be distinct."),
+    (["1", "g"], [[0, 1]], "multiplication table must be 2×2 to match 2 labels."),
+    (["1", "g"], [[0, 1], [1]], "multiplication table must be 2×2 to match 2 labels."),
+    ([], [], "a group must have at least one element."),
+]
+
+DOCUMENT_TABLE_REFUSALS = [
+    ([[0, True], [1, 0]], "expected an integer at group.table[0][1], got a boolean."),
+    ([[0, 1], ["x", 0]], "expected an integer at group.table[1][0], got 'x'."),
+    ([[0, 1], [1.0, 0]], "expected an integer at group.table[1][0], got float."),
+]
+
+
+def table_document(labels, table):
+    return {"format_version": 1, "group": {"labels": labels, "table": table}, "iso_classes": []}
+
+
+@pytest.mark.parametrize("labels, table, message", GROUP_SPEC_REFUSALS)
+def test_group_spec_refusals_are_pinned(labels, table, message):
+    for build in (lambda: FiniteGroup(labels, table), lambda: load_complex(table_document(labels, table))):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("table, message", DOCUMENT_TABLE_REFUSALS)
+def test_document_group_table_entries_must_be_integers(table, message):
+    with pytest.raises(ValueError) as caught:
+        load_complex(table_document(["1", "g"], table))
+    assert str(caught.value) == message
+    assert load_complex(table_document(["1", "g"], [[0, 1], ["1", 0]])).group.table == ((0, 1), (1, 0))
+
+
 @pytest.mark.parametrize(
     "name, shown", [("Sym:6", "6!"), ("Sym:9", "9!"), ("Zn:121", "121"), ("Zn:1000000", "1000000")]
 )
@@ -216,8 +262,12 @@ def test_associativity_verdict_matches_brute_force(table):
             r"multiplication table is not associative at \('x(\d+)', 'x(\d+)', 'x(\d+)'\)\.",
             str(exc),
         )
-        if match is None:
-            assert re.fullmatch(r"element 'x\d+' has no inverse\.", str(exc))
+        if match is None:  # the first element without a two-sided inverse is named
+            x = int(re.fullmatch(r"element 'x(\d+)' has no inverse\.", str(exc)).group(1))
+            n = len(table)
+            e = next(e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n)))
+            invertible = [any(table[a][b] == e == table[b][a] for b in range(n)) for a in range(n)]
+            assert invertible.index(False) == x
         else:
             a, b, c = map(int, match.groups())
             assert table[table[a][b]][c] != table[a][table[b][c]]
@@ -315,6 +365,47 @@ def test_weyl_group_matches_sorted_coset_reference(name):
         w = weyl_group(g, h)
         assert (w.cosets, w.group.labels, w.group.table) == reference_weyl_table(g, h)
         assert w.coset_representatives == tuple(coset[0] for coset in w.cosets)
+
+
+def assert_matches_validated(group):
+    """``group`` has the table, identity, generators and inverses the validating constructor gives."""
+    validated = FiniteGroup(group.labels, group.table)
+    assert (group.table, group.identity, group.generators) == (
+        validated.table,
+        validated.identity,
+        validated.generators,
+    )
+    assert [group.inverse(x) for x in range(group.order)] == [
+        validated.inverse(x) for x in range(group.order)
+    ]
+
+
+def reversed_table_group(name):
+    """The builtin ``name`` as an explicit-table document with its elements in reverse
+    order, so the identity is the last index, loaded through the document boundary."""
+    g = FiniteGroup.builtin(name)
+    n = g.order
+    table = [[n - 1 - g.table[n - 1 - a][n - 1 - b] for b in range(n)] for a in range(n)]
+    document = {
+        "format_version": 1,
+        "group": {"labels": list(reversed(g.labels)), "table": table},
+        "iso_classes": [],
+    }
+    return load_complex(document).group
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS + ("Zn:12", "Sym:4", "reversed Sym:4"))
+def test_derived_groups_match_the_validating_constructor(name):
+    g = reversed_table_group("Sym:4") if name.startswith("reversed") else FiniteGroup.builtin(name)
+    if name.startswith("reversed"):
+        assert g.identity == g.order - 1
+    for h, _ in conjugacy_classes_of_subgroups(g):
+        quotient = weyl_group(g, h).group
+        if h.order == 1:
+            assert quotient is g  # N_G(1)/1 = G
+        assert_matches_validated(quotient)
+        for stabilizer in all_subgroups(quotient):
+            assert_matches_validated(quotient.restricted_to(stabilizer.members))
 
 
 def test_weyl_group_trivial_cases():
