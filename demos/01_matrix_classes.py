@@ -9,14 +9,7 @@ Run with:  python3 demos/01_matrix_classes.py
 """
 
 from eqlef import class_of_matrix
-from eqlef.exact_algebra import (
-    IntMatrix,
-    IntPolynomial,
-    char_poly,
-    companion_matrix,
-    factor_over_Q,
-    inverse_unimodular,
-)
+from eqlef.exact_algebra import IntMatrix, IntPolynomial, char_poly, factor_over_Q
 
 
 def show(title, value):
@@ -37,7 +30,9 @@ def main():
     print("by a unimodular matrix changes nothing:")
     m = IntMatrix.from_rows([[2, 1], [1, 3]])
     u = IntMatrix.from_rows([[1, 4], [0, 1]])
-    conjugated = inverse_unimodular(u) @ m @ u
+    u_inverse = IntMatrix.from_rows([[1, -4], [0, 1]])
+    assert u_inverse @ u == IntMatrix.identity(2)
+    conjugated = u_inverse @ m @ u
     show("  original:", class_of_matrix(m))
     show("  conjugated:", class_of_matrix(conjugated))
     assert class_of_matrix(m) == class_of_matrix(conjugated)
@@ -48,7 +43,8 @@ def main():
 
     print("\nA companion matrix recovers the factorization of its polynomial:")
     poly = IntPolynomial((-1, 0, 0, 0, 1))  # x^4 - 1
-    companion = companion_matrix(poly)
+    # ones below the diagonal, minus the low coefficients (1, 0, 0, 0) in the last column
+    companion = IntMatrix.from_rows([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     show("  polynomial:", poly)
     show("  characteristic polynomial:", char_poly(companion))
     content, factors = factor_over_Q(poly)

@@ -22,7 +22,8 @@ def main():
     phi = IntMatrix.from_rows([[-1]])
     antipodal = twisted_classes(line, TwistData(phi))
     print("phi = [[-1]]  =>  a ~ a - 2m")
-    print("|det(phi - I)| =", abs((phi - IntMatrix.identity(1)).det()), "classes")
+    # phi is 1x1, so det(phi - I) is its one entry minus 1
+    print("|det(phi - I)| =", abs(phi.entry(0, 0) - 1), "classes")
     print("the class of 7:", antipodal.representative((7,)))
     print("the class of -4:", antipodal.representative((-4,)))
 
@@ -30,7 +31,7 @@ def main():
     phi = IntMatrix.identity(1)
     identity = twisted_classes(line, TwistData(phi))
     print("phi = [[1]]  =>  a ~ a, classes = all integers")
-    print("|det(phi - I)| =", abs((phi - IntMatrix.identity(1)).det()))
+    print("|det(phi - I)| =", abs(phi.entry(0, 0) - 1))
     print("the class of 5:", identity.representative((5,)))
 
     print("\n=== Weyl merging ===")

@@ -31,6 +31,7 @@ from .equivariant_groups import (
     GroupRingMatrix,
     Subgroup,
     TwistData,
+    _INT_ONLY,
     _accumulate_matrix_product,
     _check_group_order,
     weyl_group,
@@ -49,7 +50,6 @@ __all__ = [
 FORMAT_VERSION = 1
 _JSON_SAFE_BOUND = 2**53 - 1
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
-_INT_ONLY = frozenset({int})
 
 
 # ---------------------------------------------------------------------------

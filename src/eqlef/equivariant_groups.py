@@ -91,6 +91,8 @@ def _check_group_order(order: int, what: str) -> None:
 
 
 _MAX_SHOWN_NAME = 64
+_INT_ONLY = frozenset({int})
+_KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
 
 
 def _shown_name(name: str) -> str:
@@ -160,10 +162,11 @@ class FiniteGroup:
     satisfy it are closed under products, so this holds for every g exactly
     when the table is associative, at O(n²·|S|) cost.  S is kept as
     ``generators``, and every group map in the package is checked on it.
-    Only builtins and explicit tables are validated; :func:`weyl_group`
-    quotients and :meth:`restricted_to` are derived from a validated group
-    and skip the checks, and the quotient by the trivial subgroup is this
-    group itself.
+    Each table entry must be an ``int``; a boolean, float or string is
+    refused, not converted.  Only builtins and explicit tables are
+    validated; :func:`weyl_group` quotients and :meth:`restricted_to` are
+    derived from a validated group and skip the checks, and the quotient by
+    the trivial subgroup is this group itself.
 
     >>> g = FiniteGroup.builtin("Z2")
     >>> g.labels
@@ -182,12 +185,16 @@ class FiniteGroup:
             raise ValueError("a group must have at least one element.")
         if len(set(label_tuple)) != n:
             raise ValueError("group element labels must be distinct.")
-        row_tuples = tuple(tuple(map(int, row)) for row in table)
+        row_tuples = tuple(tuple(row) for row in table)
         if len(row_tuples) != n or any(len(row) != n for row in row_tuples):
             raise ValueError(
                 f"multiplication table must be {n}×{n} to match {n} labels."
             )
         for i, row in enumerate(row_tuples):
+            if not _INT_ONLY.issuperset(map(type, row)):
+                j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int)
+                kind = _KIND_NAMES.get(type(v), f"of type {type(v).__name__}")
+                raise ValueError(f"table entry at ({i}, {j}) is {kind}, not an integer.")
             if min(row) < 0 or max(row) >= n:
                 j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
                 raise ValueError(

@@ -8,14 +8,17 @@ floating point is used anywhere.  The module provides:
 * :class:`IntMatrix` -- immutable integer matrices in row-major order,
 * :func:`char_poly` -- division-free characteristic polynomials via the
   Berkowitz algorithm,
-* :func:`inverse_unimodular` -- exact inverses of unimodular matrices as
-  det · adj, with the determinant by Bareiss elimination,
 * :func:`factor_over_Q` -- factorization into irreducible factors over the
   rationals (content split off, factors in a deterministic canonical order)
   by Zassenhaus's algorithm in :mod:`eqlef.zassenhaus`, with at most
   :data:`MAX_RECOMBINATION_SUBSETS` recombination subsets,
 * :class:`FormalSum` -- finitely supported integer combinations in one
   normal form, the base of every class group eqlef computes in.
+
+Integer-polynomial arithmetic has one home: the coefficient-list kernels
+``_add``, ``_sub``, ``_mul``, ``_exact_divide`` and ``_split_content`` below
+serve both :class:`IntPolynomial` and the factorizer in
+:mod:`eqlef.zassenhaus`.
 
 :func:`char_poly` and :func:`factor_over_Q` each keep their last
 :data:`CLASS_CACHE_SIZE` results in a ``functools.lru_cache`` keyed by the
@@ -40,10 +43,7 @@ __all__ = [
     "IntMatrix",
     "char_poly",
     "factor_over_Q",
-    "companion_matrix",
     "block_diagonal",
-    "block_upper_triangular",
-    "inverse_unimodular",
     "polynomial_sort_key",
     "FormalSum",
 ]
@@ -96,6 +96,79 @@ def _superscript(n: int) -> str:
     return str(n).translate(_SUPERSCRIPTS)
 
 
+# -- coefficient-list kernels -------------------------------------------------
+# A polynomial here is a list of integers, lowest degree first, with no
+# trailing zeros.  A modulus m > 0 reduces every coefficient into [0, m);
+# m = 0 keeps integers.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _reduce(a: list[int], m: int) -> list[int]:
+    return _trim([c % m for c in a] if m else a)
+
+
+def _add(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    total = list(a)
+    for i, c in enumerate(b):
+        total[i] += c
+    return _reduce(total, m)
+
+
+def _sub(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], m: int = 0) -> list[int]:
+    if not a or not b:
+        return []
+    product = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                product[i + j] += c * d
+    return _reduce(product, m)
+
+
+def _exact_divide(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The quotient ``a / b`` over ℤ for ``b`` ≠ 0, or None when a step is inexact.
+
+    Zero divided by ``b`` is zero; a nonzero ``a`` of lower degree gives None.
+    """
+    if not a:
+        return []
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    lead = b[-1]
+    remainder = list(a)
+    quotient = [0] * (len(a) - db)
+    for pos in range(len(quotient) - 1, -1, -1):
+        head = remainder[pos + db]
+        if head % lead != 0:
+            return None
+        q = head // lead
+        quotient[pos] = q
+        if q != 0:
+            for i, c in enumerate(b):
+                remainder[pos + i] -= q * c
+    return None if any(remainder) else quotient
+
+
+def _split_content(a: Sequence[int]) -> tuple[int, list[int]]:
+    """The content of ``a`` ≠ 0, signed like its leading coefficient, and ``a`` divided by it."""
+    content = math.gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return content, [c // content for c in a]
+
+
 @dataclasses.dataclass(frozen=True)
 class IntPolynomial:
     """An integer polynomial, coefficients lowest degree first.
@@ -109,8 +182,6 @@ class IntPolynomial:
     'x³+2x−5'
     >>> p.degree
     3
-    >>> p.evaluate(1)
-    -2
     """
 
     coefficients: tuple[int, ...]
@@ -166,44 +237,19 @@ class IntPolynomial:
             return self.coefficients[degree]
         return 0
 
-    def evaluate(self, value: int) -> int:
-        """Evaluate at an integer by Horner's rule.
-
-        >>> IntPolynomial((-1, 0, 1)).evaluate(3)
-        8
-        """
-        result = 0
-        for c in reversed(self.coefficients):
-            result = result * value + c
-        return result
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPolynomial(tuple(summed))
+        return IntPolynomial(tuple(_add(self.coefficients, other.coefficients)))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coefficients))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        return IntPolynomial(tuple(_sub(self.coefficients, other.coefficients)))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        product = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                product[i + j] += a * b
-        return IntPolynomial(tuple(product))
+        return IntPolynomial(tuple(_mul(self.coefficients, other.coefficients)))
 
     def scale(self, factor: int) -> "IntPolynomial":
         return IntPolynomial(tuple(factor * c for c in self.coefficients))
@@ -221,6 +267,9 @@ class IntPolynomial:
 
         Returns the quotient when the division is exact with integer
         coefficients at every step of the long division, otherwise None.
+        Zero divided by a nonzero polynomial is zero, a nonzero polynomial of
+        lower degree than ``divisor`` gives None, and a zero ``divisor``
+        raises ``ValueError``.
 
         >>> p = IntPolynomial((-1, 0, 1))
         >>> str(p.try_exact_divide(IntPolynomial((1, 1))))
@@ -230,26 +279,8 @@ class IntPolynomial:
         """
         if divisor.is_zero:
             raise ValueError("cannot divide by the zero polynomial.")
-        remainder = list(self.coefficients)
-        dlead = divisor.leading_coefficient
-        ddeg = divisor.degree
-        if self.is_zero:
-            return IntPolynomial(())
-        if self.degree < ddeg:
-            return None
-        quotient = [0] * (self.degree - ddeg + 1)
-        for pos in range(len(quotient) - 1, -1, -1):
-            head = remainder[pos + ddeg]
-            if head % dlead != 0:
-                return None
-            q = head // dlead
-            quotient[pos] = q
-            if q != 0:
-                for i, c in enumerate(divisor.coefficients):
-                    remainder[pos + i] -= q * c
-        if any(remainder):
-            return None
-        return IntPolynomial(tuple(quotient))
+        quotient = _exact_divide(self.coefficients, divisor.coefficients)
+        return None if quotient is None else IntPolynomial(tuple(quotient))
 
     # -- rendering ----------------------------------------------------
 
@@ -402,43 +433,6 @@ class IntMatrix:
             raise ValueError(f"trace requires a square matrix, got {self.rows}×{self.cols}.")
         return sum(self.entry(i, i) for i in range(self.rows))
 
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(
-            len(row_indices),
-            len(col_indices),
-            tuple(self.entry(i, j) for i in row_indices for j in col_indices),
-        )
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        >>> IntMatrix.from_rows([[2, 0], [0, 3]]).det()
-        6
-        """
-        if not self.is_square:
-            raise ValueError(
-                f"determinant requires a square matrix, got {self.rows}×{self.cols}."
-            )
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        previous_pivot = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous_pivot
-                a[i][k] = 0
-            previous_pivot = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def _require_same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(
@@ -539,35 +533,15 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, tuple[tuple[IntPolynomial, int
     # a bytecode cache every interpreter would compile the pipeline.
     from .zassenhaus import factor_primitive
 
-    coefficients = p.coefficients
-    content = math.gcd(*coefficients)
-    if coefficients[-1] < 0:
-        content = -content
-    if len(coefficients) == 1:
+    content, primitive = _split_content(p.coefficients)
+    if len(primitive) == 1:
         return content, ()
     factors = [
         (IntPolynomial(tuple(factor)), multiplicity)
-        for factor, multiplicity in factor_primitive([c // content for c in coefficients])
+        for factor, multiplicity in factor_primitive(primitive)
     ]
     factors.sort(key=lambda pair: polynomial_sort_key(pair[0]))
     return content, tuple(factors)
-
-
-def companion_matrix(p: IntPolynomial) -> IntMatrix:
-    """Companion matrix of a monic polynomial.
-
-    >>> str(char_poly(companion_matrix(IntPolynomial((-5, 2, 0, 1)))))
-    'x³+2x−5'
-    """
-    if p.is_zero or not p.is_monic:
-        raise ValueError(f"companion matrix requires a monic polynomial, got {p}.")
-    n = p.degree
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -p.coefficients[i]
-    return IntMatrix.from_rows(rows) if n else IntMatrix.zeros(0, 0)
 
 
 def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
@@ -583,48 +557,6 @@ def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
         row_offset += block.rows
         col_offset += block.cols
     return IntMatrix(total_rows, total_cols, tuple(itertools.chain.from_iterable(entries)))
-
-
-def block_upper_triangular(top_left: IntMatrix, top_right: IntMatrix, bottom_right: IntMatrix) -> IntMatrix:
-    """Assemble ``[[B, C], [0, D]]`` from compatible blocks."""
-    if top_right.rows != top_left.rows or top_right.cols != bottom_right.cols:
-        raise ValueError(
-            "off-diagonal block shape "
-            f"{top_right.rows}×{top_right.cols} does not fit "
-            f"{top_left.rows}×{top_left.cols} over {bottom_right.rows}×{bottom_right.cols}."
-        )
-    rows = []
-    for i in range(top_left.rows):
-        rows.append(list(top_left.row(i)) + list(top_right.row(i)))
-    for i in range(bottom_right.rows):
-        rows.append([0] * top_left.cols + list(bottom_right.row(i)))
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    The inverse is adj(m) / det(m); since det(m) = ±1 that equals
-    det(m) · adj(m), with every cofactor a Bareiss determinant.
-
-    >>> u = IntMatrix.from_rows([[2, 1], [1, 1]])
-    >>> inverse_unimodular(u) @ u == IntMatrix.identity(2)
-    True
-    """
-    if not m.is_square:
-        raise ValueError(f"inverse requires a square matrix, got {m.rows}×{m.cols}.")
-    det = m.det()
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (determinant {det}, not ±1).")
-    n = m.rows
-    indices = range(n)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = m.submatrix([r for r in indices if r != i], [c for c in indices if c != j])
-        return (-1) ** (i + j) * minor.det()
-
-    # adj(m)[i][j] is the (j, i) cofactor.
-    return IntMatrix(n, n, tuple(det * cofactor(j, i) for i in indices for j in indices))
 
 
 @dataclasses.dataclass(frozen=True)

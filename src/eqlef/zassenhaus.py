@@ -19,6 +19,10 @@ first call:
 Polynomials here are coefficient lists, lowest degree first, with no
 trailing zeros.  A modulus m > 0 reduces every coefficient into [0, m);
 m = 0 keeps integers.  Divisors modulo m need a unit leading coefficient.
+The list kernels for addition, multiplication, exact division over ℤ and
+the content split live in :mod:`eqlef.exact_algebra`, whose polynomial
+class uses them too; the modular division, gcd and powering below are this
+module's own.
 """
 
 from __future__ import annotations
@@ -28,7 +32,16 @@ import math
 import random
 from typing import Iterable
 
-from .exact_algebra import MAX_RECOMBINATION_SUBSETS, IntPolynomial
+from .exact_algebra import (
+    MAX_RECOMBINATION_SUBSETS,
+    _add,
+    _exact_divide,
+    _mul,
+    _reduce,
+    _split_content,
+    _sub,
+    _trim,
+)
 
 __all__ = ["factor_primitive"]
 
@@ -47,40 +60,6 @@ def factor_primitive(f: list[int]) -> list[tuple[list[int], int]]:
         for part, multiplicity in _square_free_parts(f)
         for factor in _factor_square_free(part)
     ]
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _reduce(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a] if m else a)
-
-
-def _add(a: list[int], b: list[int], m: int = 0) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    total = list(a)
-    for i, c in enumerate(b):
-        total[i] += c
-    return _reduce(total, m)
-
-
-def _sub(a: list[int], b: list[int], m: int = 0) -> list[int]:
-    return _add(a, [-c for c in b], m)
-
-
-def _mul(a: list[int], b: list[int], m: int = 0) -> list[int]:
-    if not a or not b:
-        return []
-    product = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                product[i + j] += c * d
-    return _reduce(product, m)
 
 
 def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -128,19 +107,6 @@ def _derivative(a: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _primitive(a: list[int]) -> list[int]:
-    """``a`` divided by its content, with a positive leading coefficient."""
-    content = math.gcd(*a)
-    if a[-1] < 0:
-        content = -content
-    return [c // content for c in a]
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
-    quotient = IntPolynomial(tuple(a)).try_exact_divide(IntPolynomial(tuple(b)))
-    return None if quotient is None else list(quotient.coefficients)
-
-
 def _odd_primes() -> Iterable[int]:
     n = 3
     while True:
@@ -156,10 +122,10 @@ def _gcd_Z(a: list[int], b: list[int]) -> list[int]:
     ``b`` coprime proves them coprime, the usual case, so three such primes
     are tried first; otherwise the primitive remainder sequence runs.
     """
-    a = _primitive(a)
+    a = _split_content(a)[1]
     if not b:
         return a
-    b = _primitive(b)
+    b = _split_content(b)[1]
     if len(a) < len(b):
         a, b = b, a
     primes = (p for p in _odd_primes() if a[-1] % p and b[-1] % p)
@@ -177,7 +143,7 @@ def _gcd_Z(a: list[int], b: list[int]) -> list[int]:
         a, b = b, _trim(remainder)
         if not b:
             return a
-        b = _primitive(b)
+        b = _split_content(b)[1]
     return [1]
 
 
@@ -188,23 +154,23 @@ def _square_free_parts(f: list[int]) -> list[tuple[list[int], int]]:
     not constant; the parts are square-free, pairwise coprime and primitive.
     """
     if len(f) == 3 and f[1] * f[1] == 4 * f[0] * f[2]:
-        return [(_primitive([f[1], 2 * f[2]]), 2)]  # (2a·x + b)² / 4a
+        return [(_split_content([f[1], 2 * f[2]])[1], 2)]  # (2a·x + b)² / 4a
     if len(f) <= 3:
         return [(f, 1)]  # linear, or quadratic with a nonzero discriminant
     df = _derivative(f)
     b = _gcd_Z(f, df)
     if len(b) == 1:
         return [(f, 1)]
-    c = _exact_quotient(f, b)
-    d = _sub(_exact_quotient(df, b), _derivative(c))
+    c = _exact_divide(f, b)
+    d = _sub(_exact_divide(df, b), _derivative(c))
     parts = []
     multiplicity = 1
     while len(c) > 1:
         a = _gcd_Z(c, d)
         if len(a) > 1:
             parts.append((a, multiplicity))
-            c = _exact_quotient(c, a)
-            d = _exact_quotient(d, a)
+            c = _exact_divide(c, a)
+            d = _exact_divide(d, a)
         d = _sub(d, _derivative(c))
         multiplicity += 1
     return parts
@@ -378,8 +344,8 @@ def _recombine(
             candidate = [f[-1]]
             for i in subset:
                 candidate = _mul(candidate, lifted[i], modulus)
-            candidate = _primitive([c - modulus if c > half else c for c in candidate])
-            quotient = _exact_quotient(f, candidate)
+            candidate = _split_content([c - modulus if c > half else c for c in candidate])[1]
+            quotient = _exact_divide(f, candidate)
             if quotient is not None:
                 found.append(candidate)
                 f = quotient

@@ -16,10 +16,11 @@ import pytest
 import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
-from eqlef.exact_algebra import IntMatrix, block_diagonal, char_poly, companion_matrix, factor_over_Q
+from eqlef.exact_algebra import IntMatrix, block_diagonal, char_poly, factor_over_Q
 from eqlef.invariants import universal_invariant
 from eqlef.realize import RealizationTarget, realize
 
+from matrix_builders import companion_matrix
 from test_complex_model import (
     ORBIT_SIZE_REFUSAL,
     STABILIZER_REFUSALS,

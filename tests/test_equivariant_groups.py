@@ -28,6 +28,8 @@ from eqlef.equivariant_groups import (
     weyl_group,
 )
 
+from matrix_builders import laplace_det
+
 
 # ---------------------------------------------------------------------------
 # finite groups
@@ -123,6 +125,25 @@ def test_document_group_table_entries_must_be_integers(table, message):
         load_complex(table_document(["1", "g"], table))
     assert str(caught.value) == message
     assert load_complex(table_document(["1", "g"], [[0, 1], ["1", 0]])).group.table == ((0, 1), (1, 0))
+
+
+FINITE_GROUP_TABLE_REFUSALS = [
+    ([[0, 1.7], [True, "0"]], "table entry at (0, 1) is a float, not an integer."),
+    ([[0, 1], [True, 0]], "table entry at (1, 0) is a boolean, not an integer."),
+    ([[0, 1], [1, "0"]], "table entry at (1, 1) is a string, not an integer."),
+    ([[0, 1.0], [1, 0]], "table entry at (0, 1) is a float, not an integer."),
+    ([[0, None], [1, 0]], "table entry at (0, 1) is of type NoneType, not an integer."),
+    # entries are checked row by row, type before range
+    ([[0, 2], [1, "0"]], "table entry at (0, 1) is 2, outside 0..1."),
+]
+
+
+@pytest.mark.parametrize("table, message", FINITE_GROUP_TABLE_REFUSALS)
+def test_finite_group_refuses_entries_that_are_not_ints(table, message):
+    # the validating constructor converts nothing: 1.7, True and '0' are not indices
+    with pytest.raises(ValueError) as caught:
+        FiniteGroup(["1", "g"], table)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
@@ -495,7 +516,7 @@ def test_twist_commutation_validation():
 def reference_action_verdict(weyl, action):
     """The full check: unimodular θ(w), θ(1) = I, and θ(a)θ(b) = θ(a·b) for all |W|² pairs."""
     k = action[0].rows
-    if k and any(abs(matrix.det()) != 1 for matrix in action):
+    if k and any(abs(laplace_det(matrix.to_rows())) != 1 for matrix in action):
         return False
     if action[weyl.identity] != IntMatrix.identity(k):
         return False
@@ -734,7 +755,7 @@ def test_twisted_class_count_equals_determinant():
         phi = IntMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
         )
-        determinant = (phi - IntMatrix.identity(k)).det()
+        determinant = laplace_det((phi - IntMatrix.identity(k)).to_rows())
         if determinant == 0:
             continue
         aut = AutGroup(k, trivial)

@@ -1,9 +1,9 @@
 """Exact integer linear algebra, cross-checked against independent oracles.
 
 Oracles used here are deliberately naive re-derivations: cofactor-expansion
-determinants and brute-force divisor searches.  Factorizations are checked
-against sympy, which eqlef itself does not use.  Frozen values were computed
-by hand.
+determinants and brute-force divisor searches.  Polynomial arithmetic and
+factorizations are checked against sympy, which eqlef itself does not use.
+Frozen values were computed by hand.
 """
 
 import math
@@ -23,33 +23,16 @@ from eqlef.exact_algebra import (
     IntMatrix,
     IntPolynomial,
     block_diagonal,
-    block_upper_triangular,
     char_poly,
-    companion_matrix,
     factor_over_Q,
-    inverse_unimodular,
     polynomial_sort_key,
 )
+
+from matrix_builders import block_upper_triangular, companion_matrix, laplace_det
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
-
-
-def laplace_det(rows):
-    """Cofactor-expansion determinant over plain Python ints."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, pivot in enumerate(rows[0]):
-        if pivot == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        total += (-1) ** j * pivot * laplace_det(minor)
-    return total
 
 
 def poly_laplace_det(rows):
@@ -99,14 +82,6 @@ def random_unimodular(rng, n, operations=6):
 # determinants and characteristic polynomials
 
 
-def test_determinant_matches_cofactor_expansion():
-    rng = random.Random(101)
-    for _ in range(300):
-        n = rng.randint(0, 4)
-        a = random_matrix(rng, n)
-        assert a.det() == laplace_det(a.to_rows())
-
-
 def test_char_poly_matches_polynomial_determinant():
     rng = random.Random(102)
     x = IntPolynomial.x()
@@ -137,7 +112,7 @@ def test_char_poly_constant_term_is_sign_adjusted_determinant():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n)
         p = char_poly(a)
-        assert p.coefficient(0) == (-1) ** n * a.det()
+        assert p.coefficient(0) == (-1) ** n * laplace_det(a.to_rows())
         assert p.is_monic and p.degree == n
 
 
@@ -164,40 +139,65 @@ def test_determinant_multiplicative():
     for _ in range(100):
         n = rng.randint(1, 4)
         a, b = random_matrix(rng, n), random_matrix(rng, n)
-        assert (a @ b).det() == a.det() * b.det()
-
-
-# ---------------------------------------------------------------------------
-# unimodular inverses
-
-
-def test_inverse_unimodular_round_trip():
-    rng = random.Random(108)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        u = random_unimodular(rng, n)
-        assert u @ inverse_unimodular(u) == IntMatrix.identity(n)
-        assert inverse_unimodular(u) @ u == IntMatrix.identity(n)
-
-
-def test_inverse_unimodular_rejects_nonunit_determinant():
-    with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        assert laplace_det((a @ b).to_rows()) == laplace_det(a.to_rows()) * laplace_det(b.to_rows())
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 
 
-def test_polynomial_arithmetic_respects_evaluation():
+X = sympy.Symbol("x")
+
+
+def to_sympy(p, domain="ZZ"):
+    return sympy.Poly(list(reversed(p.coefficients)) or [0], X, domain=domain)
+
+
+def from_sympy(poly):
+    return IntPolynomial(tuple(int(c) for c in reversed(poly.all_coeffs())))
+
+
+def sympy_exact_quotient(p, d):
+    """The oracle: p / d over ℚ when it is a polynomial with integer coefficients, else None."""
+    quotient, remainder = sympy.div(to_sympy(p, "QQ"), to_sympy(d, "QQ"))
+    coefficients = quotient.all_coeffs()
+    if not remainder.is_zero or any(not c.is_integer for c in coefficients):
+        return None
+    return from_sympy(quotient)
+
+
+def random_polynomial(rng, max_degree, bound=6):
+    """Coefficients in [−bound, bound], so leading coefficients are rarely units."""
+    return IntPolynomial(tuple(rng.randint(-bound, bound) for _ in range(rng.randint(0, max_degree + 1))))
+
+
+def test_polynomial_kernels_match_sympy():
+    # +, −, * and exact division, which share the kernels of the factorizer
     rng = random.Random(109)
-    for _ in range(200):
-        p = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 5))))
-        q = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 5))))
-        for value in (-2, -1, 0, 1, 3):
-            assert (p + q).evaluate(value) == p.evaluate(value) + q.evaluate(value)
-            assert (p * q).evaluate(value) == p.evaluate(value) * q.evaluate(value)
-            assert (p - q).evaluate(value) == p.evaluate(value) - q.evaluate(value)
+    zero = IntPolynomial.zero()
+    cases = exact = inexact = 0
+    for _ in range(300):
+        p, d = random_polynomial(rng, 5), random_polynomial(rng, 3)
+        assert p + d == from_sympy(to_sympy(p) + to_sympy(d))
+        assert p - d == from_sympy(to_sympy(p) - to_sympy(d))
+        assert p * d == from_sympy(to_sympy(p) * to_sympy(d))
+        if d.is_zero:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                p.try_exact_divide(d)
+            continue
+        # d·s divides exactly; p, p + d·s and a zero or lower-degree dividend usually do not
+        s = random_polynomial(rng, 3)
+        for dividend in (p, d * s, d * s + p, zero, IntPolynomial(p.coefficients[: d.degree])):
+            expected = sympy_exact_quotient(dividend, d)
+            assert dividend.try_exact_divide(d) == expected
+            cases += 1
+            exact += expected is not None
+            inexact += expected is None
+    assert zero.try_exact_divide(IntPolynomial((3, 2))) == zero
+    assert IntPolynomial((1, 1)).try_exact_divide(IntPolynomial((0, 0, 2))) is None
+    assert IntPolynomial((2, 4, 6)).try_exact_divide(IntPolynomial((2,))) == IntPolynomial((1, 2, 3))
+    assert IntPolynomial((1, 4, 6)).try_exact_divide(IntPolynomial((2,))) is None
+    assert exact > cases // 4 and inexact > cases // 4
 
 
 def test_polynomial_exact_division_round_trip():
@@ -430,8 +430,9 @@ def test_block_constructors_shapes_and_determinants():
         diagonal = block_diagonal(a, c)
         triangular = block_upper_triangular(a, b, c)
         assert (diagonal.rows, diagonal.cols) == (n + m, n + m)
-        assert diagonal.det() == a.det() * c.det()
-        assert triangular.det() == a.det() * c.det()
+        determinant = laplace_det(a.to_rows()) * laplace_det(c.to_rows())
+        assert laplace_det(diagonal.to_rows()) == determinant
+        assert laplace_det(triangular.to_rows()) == determinant
         assert char_poly(triangular) == char_poly(a) * char_poly(c)
         for i in range(m):
             for j in range(n):

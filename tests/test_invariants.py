@@ -1123,3 +1123,68 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
         "universal_invariant": 1,
         "twisted_classes": 2 * per_class,
     }
+
+
+# ---------------------------------------------------------------------------
+# basis renumbering of documents
+
+
+def renumbered_document(document, permutation):
+    """``document`` with each degree's basis renumbered: new element p is old element σ(p).
+
+    ``permutation(rank)`` gives σ for each degree in turn.  The rows and
+    columns of ``map``, the rows of ``boundary`` and the columns of the
+    boundary of the degree above, ``relative_mask`` and ``stabilizers`` all
+    follow σ.
+    """
+    document = copy.deepcopy(document)
+    for iso in document["iso_classes"]:
+        below = None
+        for entry in iso["chain"]:
+            sigma = permutation(entry["rank"])
+            entry["map"] = [[entry["map"][i][j] for j in sigma] for i in sigma]
+            entry["relative_mask"] = [entry["relative_mask"][i] for i in sigma]
+            entry["stabilizers"] = [entry["stabilizers"][i] for i in sigma]
+            if "boundary" in entry:
+                # a boundary into a missing degree has no columns
+                tau = below[1] if below and below[0] == entry["degree"] - 1 else []
+                entry["boundary"] = [[entry["boundary"][i][j] for j in tau] for i in sigma]
+            below = (entry["degree"], sigma)
+    return document
+
+
+def report_bytes(document):
+    """``eqlef invariants --json``'s payload for ``document``."""
+    report = build_report(load_complex(document))
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@st.composite
+def renumbering_sources(draw):
+    """A builtin, a wedge realization or a torus map, as a document with every field spelled out."""
+    kind = draw(st.sampled_from(("builtin", "wedge", "torus")))
+    if kind == "builtin":
+        return serialize_complex(load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES)))))
+    if kind == "wedge":
+        target = RealizationTarget(draw(square_matrices()), draw(square_matrices()))
+        return serialize_complex(realize(target))
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3))
+    return serialize_complex(load_complex(torus_document(degrees)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(document=renumbering_sources(), data=st.data())
+def test_report_is_invariant_under_basis_renumbering(document, data):
+    renumbered = renumbered_document(
+        document, lambda rank: data.draw(st.permutations(range(rank)))
+    )
+    assert report_bytes(renumbered) == report_bytes(document)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_COMPLEXES))
+def test_every_builtin_report_is_invariant_under_reversing_its_bases(name):
+    # the non-free builtins, with the masks and stabilizers moved, on every run
+    document = serialize_complex(load_builtin(name))
+    reversed_bases = renumbered_document(document, lambda rank: list(range(rank))[::-1])
+    assert reversed_bases != document
+    assert report_bytes(reversed_bases) == report_bytes(document)

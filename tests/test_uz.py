@@ -4,16 +4,10 @@ import random
 
 import pytest
 
-from eqlef.exact_algebra import (
-    IntMatrix,
-    IntPolynomial,
-    block_upper_triangular,
-    companion_matrix,
-    factor_over_Q,
-    inverse_unimodular,
-)
+from eqlef.exact_algebra import IntMatrix, IntPolynomial, factor_over_Q
 from eqlef.uz import UZClass, class_of_matrix
 
+from matrix_builders import block_upper_triangular, companion_matrix, unimodular_inverse
 from test_exact_algebra import random_matrix, random_unimodular
 
 
@@ -63,7 +57,7 @@ def test_conjugation_invariance():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n)
         u = random_unimodular(rng, n)
-        conjugated = u @ a @ inverse_unimodular(u)
+        conjugated = u @ a @ unimodular_inverse(u)
         assert class_of_matrix(a) == class_of_matrix(conjugated)
 
 
