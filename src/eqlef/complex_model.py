@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import re
 import sys
 from typing import Any, Callable, Mapping, Sequence
@@ -32,7 +33,6 @@ from .equivariant_groups import (
     Subgroup,
     TwistData,
     _INT_ONLY,
-    _accumulate_matrix_product,
     _check_group_order,
     weyl_group,
 )
@@ -661,33 +661,98 @@ def _validate_mask_closure(iso: IsoClassData) -> None:
                         )
 
 
-def _products_cancel(*products: tuple[GroupRingMatrix, GroupRingMatrix, int]) -> bool:
-    """Whether Σ sign·(left @ right) over ``products`` is zero, with no product built."""
-    sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
-    for left, right, sign in products:
-        _accumulate_matrix_product(sums, left, right, sign)
-    return not any(any(cell.values()) for cell in sums.values())
+def _products_cancel(
+    phi_pi: IntMatrix, *products: tuple[GroupRingMatrix, GroupRingMatrix, int, bool]
+) -> bool:
+    """Whether Σ sign·(ψ(left) @ right) over ``products`` is zero, where ψ is
+    φ_π on the translation vectors if the flag is set and the identity if not.
+
+    Every matrix is over the translation group, so a product term is
+    (cell (j, l), v₁ + v₂), or (cell, φ_π·v₁ + v₂) when twisted, and each is
+    summed under one packed integer key: a balanced mixed radix, built with
+    shifts only.  With M_i the largest |v_i| of any term and
+    T_i = Σ_j |φ_ij|·M_j, coordinate i of either sum lies in [−2D_i, 2D_i]
+    for D_i = max(M_i, T_i).  Its bit field has b_i = bitlen(2D_i) + 1 bits,
+    so it is strictly inside (−2^{b_i−1}, 2^{b_i−1}), and the vector part is
+    strictly inside (−2^{B−1}, 2^{B−1}) for B = Σ b_i.  The key is
+    (j·cols + l)·2^B plus the vector part, so distinct (cell, vector) pairs
+    get distinct keys, and the sums cancel exactly when the products do.
+    """
+    rank = phi_pi.rows
+    bounds = [0] * rank  # M_i
+    if rank:
+        vectors = [v for p in products for m in p[:2] for e in m.entries for v, _, _ in e.terms]
+        bounds = [max(map(abs, column)) for column in zip(*vectors)] or bounds
+    shifts, width = [], 0
+    for i in range(rank):
+        reach = max(bounds[i], sum(abs(a) * m for a, m in zip(phi_pi.row(i), bounds)))  # D_i
+        shifts.append(width)
+        width += (2 * reach).bit_length() + 1
+    twist_rows = [(shift, phi_pi.row(i)) for i, shift in enumerate(shifts) if any(phi_pi.row(i))]
+    spread = 1 << width
+    sums: dict[int, int] = {}
+    for left, right, sign, twisted in products:
+        if left.cols != right.rows:
+            raise ValueError(
+                f"cannot multiply {left.rows}×{left.cols} by {right.rows}×{right.cols}."
+            )
+        assert left.aut.weyl.order == right.aut.weyl.order == 1  # every w is the identity
+        right_rows = right._nonzero_rows()
+        packed_rows: dict[int, list[tuple[int, int]]] = {}
+        for j, left_row in enumerate(left._nonzero_rows()):
+            base = j * right.cols * spread
+            for i, entry in left_row:
+                if not right_rows[i]:
+                    continue
+                packed = packed_rows.get(i)
+                if packed is None:
+                    packed = packed_rows[i] = [
+                        (l * spread + sum(map(operator.lshift, v, shifts)), c)
+                        for l, other in right_rows[i]
+                        for v, _, c in other.terms
+                    ]
+                for v, _, c1 in entry.terms:
+                    if twisted:
+                        key = base + sum(
+                            sum(map(operator.mul, row, v)) << s for s, row in twist_rows
+                        )
+                    else:
+                        key = base + sum(map(operator.lshift, v, shifts))
+                    c1 *= sign
+                    for k2, c2 in packed:
+                        k2 += key
+                        sums[k2] = sums.get(k2, 0) + c1 * c2
+    return not any(sums.values())
 
 
 def _validate_chain_algebra(iso: IsoClassData) -> None:
     """Expanded-level checks: boundaries compose to zero and commute with the map.
 
     Both identities are checked by letting the products cancel in one set of
-    per-entry sums: ∂_p·∂_{p−1}, and ψ(∂_p)·f_{p−1} − f_p·∂_p.
+    sums (:func:`_products_cancel`): ∂_p·∂_{p−1}, and ψ(∂_p)·f_{p−1} − f_p·∂_p.
+    Each term is summed under an integer key packing its result cell and its
+    vector in a balanced mixed radix whose fields hold any coordinate a sum
+    of two terms can reach, so distinct terms never share a key and the
+    check is exact.  Each check sizes its own radix, so ∂_p·∂_{p−1}, whose
+    vectors are small, is not widened by a map's large translations.
     """
     ladder = iso.ladder
+    phi_pi = iso.twist.phi_pi
     for k, (entry, _, map_here, expanded_boundary) in enumerate(ladder):
         if expanded_boundary is None:
             continue
         _, _, map_below, boundary_below = ladder[k - 1]  # the degree just below
         if boundary_below is not None:
-            if not _products_cancel((expanded_boundary, boundary_below, 1)):
+            if not _products_cancel(phi_pi, (expanded_boundary, boundary_below, 1, False)):
                 raise ValueError(
                     f"boundary composition is nonzero between degrees {entry.degree} "
                     f"and {entry.degree - 1} of {iso.label}."
                 )
-        twisted = expanded_boundary.apply_twist(iso.twist)
-        if not _products_cancel((twisted, map_below, 1), (map_here, expanded_boundary, -1)):
+        if not _products_cancel(
+            phi_pi,
+            (expanded_boundary, map_below, 1, True),
+            (map_here, expanded_boundary, -1, False),
+        ):
             raise ValueError(
                 f"chain map does not commute with the boundary at degree "
                 f"{entry.degree} of {iso.label}."

@@ -26,9 +26,9 @@ results from terms it already trusts and does not check them again; over a
 trivial W the expansion shares the module entries' ``terms`` tuples.
 Products and traces walk only the nonzero entries of each row and collect
 each result entry in one dict keyed by (vector, w); θ(w) is applied only
-when w is not the identity.  Matrix products add into such dicts
-(:func:`_accumulate_matrix_product`), so an identity between sums of
-products is checked by letting them cancel, with no product matrix built.
+when w is not the identity.  The loader checks its chain identities without
+these kernels: ``complex_model._validate_chain_algebra`` lets the products
+cancel under packed integer keys, with no product matrix built.
 Group-ring values hash by their terms alone.  The translation-only group of
 each rank is one shared :class:`AutGroup` (:meth:`AutGroup.translations`),
 so same-group checks are identity tests.
@@ -1141,9 +1141,18 @@ class GroupRingMatrix:
         )
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
-        _accumulate_matrix_product(sums, self, other)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}×{self.cols} by {other.rows}×{other.cols}."
+            )
         aut = self.aut
+        _require_same_aut(aut, other.aut)
+        sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
+        other_rows = other._nonzero_rows()
+        for j, row in enumerate(self._nonzero_rows()):
+            for i, entry in row:
+                for l, factor in other_rows[i]:
+                    _accumulate_product(aut, sums.setdefault((j, l), {}), entry.terms, factor.terms)
         zero = GroupRingElement.zero(aut)
         return GroupRingMatrix(
             aut,
@@ -1211,30 +1220,6 @@ class GroupRingMatrix:
 
     def __repr__(self) -> str:
         return f"GroupRingMatrix({self.rows}×{self.cols} over {self.aut!r})"
-
-
-def _accumulate_matrix_product(
-    sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]],
-    left: GroupRingMatrix,
-    right: GroupRingMatrix,
-    sign: int = 1,
-) -> None:
-    """Add sign·(left @ right) into ``sums``, keyed by result cell (j, l), then by (vector, w).
-
-    Only nonzero entries are walked, and a cell no product reaches gets no key.
-    """
-    if left.cols != right.rows:
-        raise ValueError(
-            f"cannot multiply {left.rows}×{left.cols} by {right.rows}×{right.cols}."
-        )
-    aut = left.aut
-    _require_same_aut(aut, right.aut)
-    right_rows = right._nonzero_rows()
-    for j, left_row in enumerate(left._nonzero_rows()):
-        for i, entry in left_row:
-            terms = entry.terms if sign == 1 else [(v, w, sign * c) for v, w, c in entry.terms]
-            for l, other in right_rows[i]:
-                _accumulate_product(aut, sums.setdefault((j, l), {}), terms, other.terms)
 
 
 def pi1_projection(

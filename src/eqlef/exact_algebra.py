@@ -405,20 +405,20 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row by row: the right rows scaled by the left row's nonzero entries, summed."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}×{self.cols} by {other.rows}×{other.cols}."
             )
-        rows = []
+        right = [other.row(k) for k in range(other.rows)]
+        entries: list[int] = []
         for i in range(self.rows):
-            left_row = self.row(i)
-            rows.append(
-                [
-                    sum(left_row[k] * other.entries[k * other.cols + j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, other.cols)
+            total = [0] * other.cols
+            for a, row in zip(self.row(i), right):
+                if a:
+                    total = list(map(operator.add, total, row if a == 1 else [a * b for b in row]))
+            entries += total
+        return IntMatrix(self.rows, other.cols, tuple(entries))
 
     def apply_to_vector(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product with a column vector."""

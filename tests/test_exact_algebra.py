@@ -134,6 +134,46 @@ def test_char_poly_matches_sympy_beyond_the_cofactor_oracle():
             )
 
 
+def _triple_loop_product(a, b):
+    return [
+        [sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def test_matrix_product_equals_the_triple_loop():
+    """Rectangular and empty shapes, zero rows and columns, negative and large entries."""
+    rng = random.Random(118)
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        bound = rng.choice((1, 9, 10**20))
+        density = rng.random()
+        a, b = (
+            [
+                [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)
+            ]
+            for r, c in ((n, k), (k, m))
+        )
+        if n and rng.random() < 0.3:
+            a[rng.randrange(n)] = [0] * k
+        if m and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in b:
+                row[j] = 0
+        left = IntMatrix(n, k, [e for row in a for e in row])
+        right = IntMatrix(k, m, [e for row in b for e in row])
+        product = left @ right
+        assert (product.rows, product.cols) == (n, m)
+        assert product.to_rows() == _triple_loop_product(left, right)
+    permutation = list(range(64))
+    rng.shuffle(permutation)
+    p = IntMatrix(64, 64, [int(permutation[i] == j) for i in range(64) for j in range(64)])
+    assert (p @ p).to_rows() == _triple_loop_product(p, p)
+    with pytest.raises(ValueError, match="cannot multiply 2×3 by 2×3"):
+        IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
 def test_determinant_multiplicative():
     rng = random.Random(104)
     for _ in range(100):

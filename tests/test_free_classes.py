@@ -6,6 +6,8 @@ and the checking :class:`GroupRingElement` constructor.
 """
 
 import copy
+import functools
+import operator
 import random
 
 import pytest
@@ -15,7 +17,13 @@ from hypothesis import strategies as st
 from eqlef import complex_model
 from eqlef.complex_model import _decode_entry, _decode_int, load_builtin, load_complex
 from eqlef.corpus import BUILTIN_COMPLEXES
-from eqlef.equivariant_groups import AutGroup, FiniteGroup, GroupRingElement, GroupRingMatrix
+from eqlef.equivariant_groups import (
+    AutGroup,
+    FiniteGroup,
+    GroupRingElement,
+    GroupRingMatrix,
+    TwistData,
+)
 from eqlef.exact_algebra import IntMatrix
 from eqlef.invariants import KClass, induce
 from eqlef.realize import RealizationTarget, realize
@@ -202,16 +210,219 @@ def test_equal_nonzero_products_cancel():
     twisted = boundary.apply_twist(iso.twist)
     assert twisted @ map_below == map_here @ boundary
     assert not (map_here @ boundary).is_zero
-    assert complex_model._products_cancel((twisted, map_below, 1), (map_here, boundary, -1))
-    assert not complex_model._products_cancel((twisted, map_below, 1), (map_here, boundary, 1))
+    phi = iso.twist.phi_pi
+    assert complex_model._products_cancel(
+        phi, (boundary, map_below, 1, True), (map_here, boundary, -1, False)
+    )
+    assert not complex_model._products_cancel(
+        phi, (boundary, map_below, 1, True), (map_here, boundary, 1, False)
+    )
 
     (square,) = load_complex(torus_document((2, 3))).classes
     top, below = square.ladder[2][3], square.ladder[1][3]
     assert not top.is_zero and not below.is_zero
-    assert complex_model._products_cancel((top, below, 1))
+    phi = square.twist.phi_pi
+    assert complex_model._products_cancel(phi, (top, below, 1, False))
     zero = GroupRingElement.zero(below.aut)
     one_face = GroupRingMatrix(below.aut, 2, 1, [below.entry(0, 0), zero])
-    assert not complex_model._products_cancel((top, one_face, 1))
+    assert not complex_model._products_cancel(phi, (top, one_face, 1, False))
+
+
+def _reference_cancel(phi, products):
+    """Σ sign·(ψ(left) @ right) == 0, from built products, ``apply_twist`` and ``==``."""
+    twist = TwistData(phi)
+    sides = {1: [], -1: []}
+    for left, right, sign, twisted in products:
+        sides[sign].append((left.apply_twist(twist) if twisted else left) @ right)
+    plus, minus = (functools.reduce(operator.add, sides[s]) if sides[s] else None for s in (1, -1))
+    if minus is None:
+        return plus.is_zero
+    if plus is None:
+        return minus.is_zero
+    return plus == minus
+
+
+def _single(aut, vector, rows=1, cols=1, at=(0, 0)):
+    zero = GroupRingElement.zero(aut)
+    entries = [zero] * (rows * cols)
+    entries[at[0] * cols + at[1]] = GroupRingElement(aut, [(vector, 0, 1)])
+    return GroupRingMatrix(aut, rows, cols, entries)
+
+
+@st.composite
+def packed_products(draw):
+    """φ_π and signed, possibly twisted products over ℤᵏ, k ≤ 4, coordinates up to ±10³⁰.
+
+    Half the cases add each product's negation (ψ materialized with
+    ``apply_twist`` on the untwisted copy), so the sums cancel; a perturbation
+    of one coordinate or coefficient then makes a near miss.
+    """
+    k = draw(st.integers(0, 4))
+    aut = AutGroup.translations(k)
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    phi = IntMatrix(k, k, [a for r in draw(st.lists(row, min_size=k, max_size=k)) for a in r])
+    bound = draw(st.sampled_from((3, 10**6, 10**30)))
+    # nonzero first: zero vectors are fixed by every φ_π and hide a dropped twist
+    coordinate = st.integers(1, bound) | st.integers(-bound, -1) | st.just(0)
+    term = st.tuples(st.lists(coordinate, min_size=k, max_size=k), st.just(0), st.integers(-3, 3))
+    element = st.lists(term, max_size=3).map(lambda terms: GroupRingElement(aut, terms))
+
+    def matrix(rows, cols):
+        count = rows * cols
+        return GroupRingMatrix(aut, rows, cols, draw(st.lists(element, min_size=count, max_size=count)))
+
+    a, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    products = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.integers(0, 3))
+        sign, twisted = draw(st.sampled_from((1, -1))), draw(st.booleans())
+        products.append((matrix(a, b), matrix(b, c), sign, twisted))
+    if draw(st.booleans()):
+        twist = TwistData(phi)
+        products += [
+            (left.apply_twist(twist) if twisted else left, right, -sign, False)
+            for left, right, sign, twisted in products
+        ]
+        if draw(st.booleans()):
+            p = draw(st.integers(0, len(products) - 1))
+            left, right, sign, twisted = products[p]
+            cells = [(r, l) for r, e in enumerate(right.entries) for l in range(len(e.terms))]
+            if cells:
+                r, t = draw(st.sampled_from(cells))
+                terms = list(right.entries[r].terms)
+                vector, w, coefficient = terms[t]
+                if k and draw(st.booleans()):
+                    i = draw(st.integers(0, k - 1))
+                    step = draw(st.sampled_from((1, -1)))
+                    vector = vector[:i] + (vector[i] + step,) + vector[i + 1 :]
+                else:
+                    coefficient += 1
+                terms[t] = (vector, w, coefficient)
+                entries = list(right.entries)
+                entries[r] = GroupRingElement(aut, terms)
+                right = GroupRingMatrix(aut, right.rows, right.cols, entries)
+                products[p] = (left, right, sign, twisted)
+    return phi, products
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(packed_products())
+def test_packed_check_agrees_with_built_products(case):
+    phi, products = case
+    assert complex_model._products_cancel(phi, *products) == _reference_cancel(phi, products)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+    st.integers(2, 10**30),
+    st.sampled_from(("plain", "identity", "negated", "shifted", "tripled")),
+)
+def test_packed_keys_do_not_alias_near_the_edge_of_a_field(position, bound, twist):
+    """Two sums whose coordinate i differs by a power of two P, the larger one
+    the most any sum can reach, and whose coordinate i + 1 differs by 1 (for
+    the last coordinate, whose result cells differ by 1): if field i, or the
+    spread between cells, had exactly log₂ P bits, both would get one key.
+
+    M = ``bound`` is the largest |v_i| of any term, and φ_π is a signed
+    permutation (T_i = M) or 3·I (T_i = 3M), so the most is (T_i / M + 1)·M.
+    """
+    k, i = position
+    aut = AutGroup.translations(k)
+    scale = 3 if twist == "tripled" else 1
+    permutation = [(j + (twist == "shifted")) % k for j in range(k)]
+    sign = -1 if twist == "negated" else 1
+    phi = IntMatrix(
+        k, k, [scale * sign * (permutation[r] == c) for r in range(k) for c in range(k)]
+    )
+    last = i == k - 1
+
+    def unit(j, value):
+        return tuple(value if m == j else 0 for m in range(k))
+
+    def product(digit, carried, product_sign):
+        """A product whose one term has coordinate i equal to ``digit``."""
+        left = max(-bound, min(bound, digit // scale))
+        if twist != "plain":  # the v with φ_π·v = scale·left·e_i
+            left_vector = unit(permutation[i], sign * left)
+        else:
+            left_vector = unit(i, left)
+        right = list(unit(i, digit - scale * left))
+        if carried and not last:
+            right[i + 1] = 1
+        cell = (0, 1) if carried and last else (0, 0)
+        return (
+            _single(aut, left_vector),
+            _single(aut, tuple(right), 1, 2 if last else 1, cell),
+            product_sign,
+            twist != "plain",
+        )
+
+    high = (scale + 1) * bound
+    for power in range(bound.bit_length(), high.bit_length() + 2):
+        low = high - (1 << power)
+        if low < -high:
+            break
+        products = [product(high, False, 1), product(low, True, -1)]
+        assert not _reference_cancel(phi, products)
+        assert not complex_model._products_cancel(phi, *products)
+
+
+def _translated(document, u, perturb=None):
+    """``document`` with every chain-map term multiplied by t^u.
+
+    ``perturb = (degree, term)`` adds 1 to the first coordinate of that map
+    term (counted over the degree's nonzero diagonal entries).
+    """
+    document = copy.deepcopy(document)
+    for degree in document["iso_classes"][0]["chain"]:
+        count = 0
+        for r, row in enumerate(degree["map"]):
+            entry = row[r]
+            terms = entry if isinstance(entry, list) else [entry]
+            moved = []
+            for term in terms:
+                vector = term["vector"] if isinstance(term, dict) else [0] * len(u)
+                coefficient = term["coeff"] if isinstance(term, dict) else term
+                if coefficient == 0:
+                    continue
+                vector = [a + b for a, b in zip(vector, u)]
+                if perturb == (degree["degree"], count):
+                    vector[0] += 1
+                count += 1
+                moved.append({"coeff": coefficient, "vector": vector})
+            row[r] = moved or 0
+    return document
+
+
+_REFUSAL = (
+    "chain map does not commute with the boundary at degree {} of "
+    "(subgroup {{1}}, component 'torus')."
+)
+
+
+@pytest.mark.parametrize(
+    "degrees, perturbed, refusal",
+    [
+        ((2, -1, 3), (1, 0), _REFUSAL.format(1)),
+        ((2, -1, 3, -2, 2), (3, 5), _REFUSAL.format(3)),
+    ],
+    ids=["T3", "T5"],
+)
+def test_maps_translated_by_a_4000_digit_vector_load_exactly(
+    degrees, perturbed, refusal, monkeypatch
+):
+    """f·t^u is a chain map whenever f is, for any u; one coordinate off by one is refused
+    with the message that comparing built products gives."""
+    rng = random.Random(f"translated:{degrees}")
+    u = [rng.choice((-1, 1)) * rng.randrange(10**3999, 10**4000) for _ in degrees]
+    document = torus_document(degrees)
+    (iso,) = load_complex(_translated(document, u)).classes
+    reference_validate_chain_algebra(iso)
+    mutant = _translated(document, u, perturbed)
+    assert _verdict(mutant) == refusal
+    monkeypatch.setattr(complex_model, "_validate_chain_algebra", reference_validate_chain_algebra)
+    assert _verdict(mutant) == refusal
 
 
 # -- decoding ----------------------------------------------------------------
