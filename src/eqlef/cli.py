@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import pathlib
 import sys
 import traceback
@@ -42,10 +43,10 @@ from .complex_model import (
     serialize_complex,
 )
 from .corpus import BUILTIN_COMPLEXES
-from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, char_poly, factor_over_Q
-from .invariants import _encode_uz, _integer_class, _sign, _split_blocks, build_report, render_report
+from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, IntPolynomial
+from .invariants import _encode_uz, _integer_class, _sign, build_report, render_report
 from .realize import RealizationTarget, realize
-from .uz import UZClass, class_of_matrix
+from .uz import class_of_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -141,13 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _json_loads(text: str, name: str, shown: str) -> Any:
     """``json.loads``, with its failures as input errors naming the input.
 
-    ``shown`` is how a syntax error names the input; ``name`` is how an
-    overlong bare number names it, without echoing the text.
+    ``shown`` names the input in a syntax error; ``name`` names it, without
+    echoing the text, for an overlong bare number or too deep a nesting.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"could not parse {shown}: {exc}.") from exc
+    except RecursionError:
+        raise _InputError(f"{name} is nested too deeply to parse.") from None
     except ValueError:  # a bare JSON number beyond the interpreter's digit limit
         raise _InputError(
             f"{name} has an integer with more digits than "
@@ -240,29 +243,19 @@ def _note(message: str, args: argparse.Namespace) -> None:
 
 def cmd_class(args: argparse.Namespace) -> int:
     matrix = _parse_square_matrix(args.matrix, "matrix")
+    uz = class_of_matrix(matrix)
     if matrix.rows == 0:
-        uz = class_of_matrix(matrix)
-        if args.json:
-            _emit(_dump_json({"class": _encode_uz(uz)}), args)
-        else:
-            _emit(str(uz), args)
+        _emit(_dump_json({"class": _encode_uz(uz)}) if args.json else str(uz), args)
         return 0
-    polynomial = char_poly(matrix)
-    content, factors = factor_over_Q(polynomial)
-    uz = UZClass(factors)  # what class_of_matrix computes, without factoring again
-    factored = " · ".join(
-        f"({factor})" + ("" if multiplicity == 1 else f"^{multiplicity}")
-        for factor, multiplicity in factors
-    )
-    if content != 1:
-        factored = f"{content} · {factored}"
+    factors = uz.terms  # χ is monic: its factors are the class's terms, χ their product
+    polynomial = math.prod((factor**power for factor, power in factors), start=IntPolynomial.one())
     _note(f"{matrix.rows}×{matrix.cols} matrix, {len(factors)} irreducible factors", args)
     if args.json:
         payload = {
             "class": _encode_uz(uz),
             "characteristic_polynomial": str(polynomial),
             "factorization": {
-                "content": content,
+                "content": 1,
                 "factors": [
                     {"polynomial": str(factor), "multiplicity": multiplicity}
                     for factor, multiplicity in factors
@@ -271,6 +264,10 @@ def cmd_class(args: argparse.Namespace) -> int:
         }
         _emit(_dump_json(payload), args)
     else:
+        factored = " · ".join(
+            f"({factor})" + ("" if multiplicity == 1 else f"^{multiplicity}")
+            for factor, multiplicity in factors
+        )
         _emit(
             f"{uz}\ncharacteristic polynomial: {polynomial}\nfactorization: {factored}",
             args,
@@ -295,16 +292,14 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_realize(args: argparse.Namespace) -> int:
     """Realize ``[a] − [b']`` as a wedge model and check its integer class.
 
-    The class is summed over the strongly connected diagonal blocks of each
-    degree's map, in document order, with no canonical search.
+    The class is summed over each degree's relative map, whose diagonal
+    blocks :func:`class_of_matrix` factors, with no canonical search.
     """
     a = _parse_square_matrix(args.a, "matrix a")
     b_prime = _parse_square_matrix(args.b_prime, "matrix b'")
     complex_data = realize(RealizationTarget(a, b_prime))
     uz_image = _integer_class(
-        (block, _sign(entry.degree))
-        for entry in complex_data.classes[0].degrees
-        for block in _split_blocks(entry.relative_map)
+        (entry.relative_map, _sign(entry.degree)) for entry in complex_data.classes[0].degrees
     )
     expected = class_of_matrix(a) - class_of_matrix(b_prime)
     if uz_image != expected:

@@ -47,7 +47,7 @@ from .equivariant_groups import (
     twisted_classes,
 )
 from .exact_algebra import FormalSum
-from .uz import UZClass, class_of_matrix
+from .uz import UZClass, _diagonal_blocks, class_of_matrix
 
 __all__ = [
     "ClassSum",
@@ -197,27 +197,6 @@ def _canonical_block(matrix: GroupRingMatrix) -> GroupRingMatrix:
     return GroupRingMatrix(matrix.aut, n, n, entries)
 
 
-def _split_blocks(matrix: GroupRingMatrix) -> list[GroupRingMatrix]:
-    """Split along the strongly connected components of the support digraph.
-
-    The class of a visibly block-triangular matrix is the sum of the classes
-    of its diagonal blocks, so only the component submatrices survive.
-    """
-    n = matrix.rows
-    edges = [[i for i in range(n) if not matrix.entry(j, i).is_zero] for j in range(n)]
-    reach = []
-    for start in range(n):
-        seen, frontier = {start}, [start]
-        while frontier:
-            for i in edges[frontier.pop()]:
-                if i not in seen:
-                    seen.add(i)
-                    frontier.append(i)
-        reach.append(seen)
-    components = {tuple(i for i in sorted(reach[j]) if j in reach[i]) for j in range(n)}
-    return [matrix.submatrix(list(c), list(c)) for c in sorted(components)]
-
-
 class KClass(FormalSum):
     """A formal integer combination of square group-ring matrices.
 
@@ -249,7 +228,9 @@ class KClass(FormalSum):
         support digraph, and each block takes its exact permutation-canonical
         form (one search at every size); empty matrices vanish.
         """
-        return [_canonical_block(block) for block in _split_blocks(cls.check_key(matrix))]
+        n = cls.check_key(matrix).rows
+        support = [sum(1 << i for i, e in enumerate(matrix.row(j)) if not e.is_zero) for j in range(n)]
+        return [_canonical_block(matrix.submatrix(c, c)) for c in _diagonal_blocks(support)]
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[GroupRingMatrix, int]]) -> "KClass":
@@ -326,13 +307,13 @@ class UniversalInvariant:
 
 
 def _integer_class(terms: Iterable[tuple[GroupRingMatrix, int]]) -> UZClass:
-    """Σ c · class_of_matrix(block.augmented()) over ``(block, c)`` pairs.
+    """Σ c · class_of_matrix(matrix.augmented()) over ``(matrix, c)`` pairs.
 
-    Exact on the diagonal blocks of a block-triangular matrix, in any order:
-    χ is multiplicative over the blocks and unchanged by renumbering.
+    :func:`class_of_matrix` splits each matrix into its diagonal blocks, so
+    the matrices may be whole relative maps or the blocks of a normal form.
     """
     return UZClass(
-        tuple((p, c * m) for block, c in terms for p, m in class_of_matrix(block.augmented()).terms)
+        tuple((p, c * m) for matrix, c in terms for p, m in class_of_matrix(matrix.augmented()).terms)
     )
 
 
@@ -636,18 +617,16 @@ def _relabel_matrix(value: Any, mapping: Mapping[str, str]) -> Any:
     return value
 
 
-def _relabel_document(
-    document: Mapping, mapping: Mapping[str, int], g_group: FiniteGroup, factor: int
-) -> dict:
-    """A ``serialize_complex`` document moved along an embedding, orbit sizes × ``factor``.
+def _relabel_document(document: Mapping, mapping: Mapping[str, int], g_group: FiniteGroup) -> dict:
+    """A ``serialize_complex`` document moved along an embedding, without orbit sizes.
 
     The loader wants each class's subgroup to be the least conjugate, so a
     class on K moves along c_x∘``mapping``, c_x the conjugation by the
     ``least_conjugator`` x of mapping(K): its subgroup, Weyl labels,
     ``action`` keys, stabilizers, entries' ``weyl_elem`` and fixed points.
     A Weyl element is labelled by the least element of its coset, so each
-    Weyl label becomes the least element of its image coset.  The group
-    spec is left to the caller.
+    Weyl label becomes the least element of its image coset.  The loader
+    derives each orbit size; the group spec is left to the caller.
     """
     subgroups: dict[tuple[str, ...], list[str]] = {}
     classes = []
@@ -666,8 +645,8 @@ def _relabel_document(
             **raw_class,
             "subgroup_class": list(image.member_labels),
             "weyl": [weyl_mapping[v] for v in raw_class["weyl"]],
-            "orbit_size": raw_class["orbit_size"] * factor,
         }
+        del updated["orbit_size"]
         if "action" in raw_class:
             updated["action"] = {
                 weyl_mapping[label]: matrix for label, matrix in raw_class["action"].items()
@@ -727,9 +706,10 @@ def induce(
     Supported regimes: the embedding is an isomorphism (relabeling), or the
     source group is trivial (free induction: each component acquires a free
     orbit of |G| copies; the name gains ``-induced``, and the description
-    and fixed points are dropped).  Both go through :func:`_relabel_document`
-    with factor |G|/|H|.  The returned invariant is the induced image of the
-    source's ℓ; it equals ``klein_williams`` of the induced complex.
+    and fixed points are dropped).  Both go through :func:`_relabel_document`.
+    The returned invariant is the induced image of the source's ℓ, pushed
+    forward with factor |G|/|H|; it equals ``klein_williams`` of the induced
+    complex.
     """
     mapping = _validate_embedding(c.group, g_group, embedding)
     if c.group.order not in (1, g_group.order):
@@ -738,7 +718,7 @@ def induce(
             f"got source order {c.group.order} inside target order {g_group.order}."
         )
     factor = g_group.order // c.group.order
-    document = _relabel_document(serialize_complex(c), mapping, g_group, factor)
+    document = _relabel_document(serialize_complex(c), mapping, g_group)
     document["group"] = {
         "labels": list(g_group.labels),
         "table": [list(row) for row in g_group.table],

@@ -5,7 +5,8 @@ builds a validated complex over the trivial group — the cellular model of a
 self-map on a wedge of 2- and 3-spheres — whose universal class normalizes
 to ``[a] − [b_prime]`` and whose integer-class image is
 ``class_of_matrix(a) − class_of_matrix(b_prime)``.  ``eqlef realize`` checks
-that round trip block by block, never factoring diag(1, ``b_prime``) whole.
+that round trip through ``class_of_matrix``, block by block, never factoring
+diag(1, ``b_prime``) or a block-triangular ``a`` or ``b_prime`` whole.
 
 The model has one 0-cell (mapped identically), no 1-cells, one 2-cell per
 row of ``a``, and one 3-cell per row of ``b_prime`` plus one extra 3-cell

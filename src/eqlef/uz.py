@@ -5,8 +5,8 @@ irreducible factors of its characteristic polynomial; the group is free
 abelian on the irreducible monic integer polynomials.  The two defining
 relations — additivity on block-triangular matrices and invariance under
 conjugation — both follow from the characteristic polynomial, so
-:func:`class_of_matrix` factors the characteristic polynomial and records
-multiplicities.
+:func:`class_of_matrix` factors the characteristic polynomial of each
+diagonal block and records multiplicities; every caller goes through it.
 """
 
 from __future__ import annotations
@@ -58,12 +58,31 @@ class UZClass(FormalSum):
         return " ".join(rendered)
 
 
+def _diagonal_blocks(support: list[int]) -> list[list[int]]:
+    """The strongly connected components of a support digraph, by least index.
+
+    ``support[j]`` has bit i set when entry (j, i) is nonzero.  i and j share
+    a component exactly when their transitively closed reaches are equal.
+
+    >>> _diagonal_blocks([0b010, 0b001, 0b011])
+    [[0, 1], [2]]
+    """
+    reach = [row | 1 << j for j, row in enumerate(support)]
+    for k in range(len(reach)):
+        bit, through = 1 << k, reach[k]
+        reach = [row | through if row & bit else row for row in reach]
+    components: dict[int, list[int]] = {}
+    for j, row in enumerate(reach):
+        components.setdefault(row, []).append(j)
+    return list(components.values())
+
+
 def class_of_matrix(a: IntMatrix) -> UZClass:
     """Canonical universal class of a square integer matrix.
 
-    The characteristic polynomial is factored over ℚ and each irreducible
-    factor contributes its multiplicity.  A 0×0 matrix yields the zero
-    class.
+    The class is additive over the strongly connected diagonal blocks of the
+    support, so only their characteristic polynomials are factored over ℚ,
+    each irreducible factor counting its multiplicity; 0×0 gives zero.
 
     >>> str(class_of_matrix(IntMatrix.from_rows([[0, -1], [1, 0]])))
     '+1·(x²+1)'
@@ -72,7 +91,11 @@ def class_of_matrix(a: IntMatrix) -> UZClass:
     """
     if not a.is_square:
         raise ValueError(f"universal class requires a square matrix, got {a.rows}×{a.cols}.")
-    if a.rows == 0:
-        return UZClass.zero()
-    _, factors = factor_over_Q(char_poly(a))
+    n, entries = a.rows, a.entries
+    support = [sum(1 << i for i, e in enumerate(a.row(j)) if e) for j in range(n)]
+    factors = []
+    for block in _diagonal_blocks(support):
+        whole = len(block) == n  # the block is ``a`` itself: the same cache key
+        submatrix = a if whole else IntMatrix.from_rows([[entries[i * n + k] for k in block] for i in block])
+        factors.extend(factor_over_Q(char_poly(submatrix))[1])
     return UZClass(tuple(factors))

@@ -57,3 +57,18 @@ def block_upper_triangular(top_left: IntMatrix, top_right: IntMatrix, bottom_rig
     rows = [list(top_left.row(i)) + list(top_right.row(i)) for i in range(top_left.rows)]
     rows += [[0] * top_left.cols + list(bottom_right.row(i)) for i in range(bottom_right.rows)]
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
+
+
+def coupled_blocks(rng, sizes, bound=3, coupling=0.125):
+    """Block upper triangular: random diagonal blocks of ``sizes``, ±1 above them with probability ``coupling``."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows[i][start : start + size] = [rng.randint(-bound, bound) for _ in range(size)]
+            rows[i][start + size :] = [
+                rng.choice((-1, 1)) if rng.random() < coupling else 0 for _ in range(n - start - size)
+            ]
+        start += size
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)

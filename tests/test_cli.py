@@ -17,10 +17,11 @@ import eqlef
 from eqlef import load_complex
 from eqlef.cli import build_parser, main
 from eqlef.exact_algebra import IntMatrix, block_diagonal, char_poly, factor_over_Q
-from eqlef.invariants import universal_invariant
+from eqlef.invariants import _encode_uz, universal_invariant
 from eqlef.realize import RealizationTarget, realize
+from eqlef.uz import UZClass
 
-from matrix_builders import companion_matrix
+from matrix_builders import companion_matrix, coupled_blocks
 from test_complex_model import (
     ORBIT_SIZE_REFUSAL,
     STABILIZER_REFUSALS,
@@ -160,11 +161,11 @@ def test_class_computes_the_characteristic_polynomial_and_its_factors_once(
 
 
 def test_realize_then_class_derives_each_matrix_class_once(capsys):
-    # the realization's class, over the diagonal blocks of each degree in
+    # class_of_matrix derives each degree's map by its diagonal blocks, in
     # document order: [1] (miss), A (miss), then diag(1, B′) splits into
-    # [1] (hit), [1] (hit) and [5] (miss); the round-trip target: A (hit)
-    # and B′ (miss); `class A`: A (hit).  Four misses, four hits, and
-    # diag(1, B′) is never derived whole
+    # [1] (hit), [1] (hit) and [5] (miss); the round-trip target: A (hit),
+    # then B′ splits into [1] (hit) and [5] (hit); `class A`: A (hit).  Three
+    # misses, six hits, and neither diag(1, B′) nor B′ is derived whole
     a, b_prime = "[[2,1,0],[1,3,1],[0,1,4]]", "[[1,2],[0,5]]"
     char_poly.cache_clear()
     factor_over_Q.cache_clear()
@@ -172,7 +173,7 @@ def test_realize_then_class_derives_each_matrix_class_once(capsys):
     assert run(capsys, ["class", a, "--json"])[0] == 0
     for cached in (char_poly, factor_over_Q):
         info = cached.cache_info()
-        assert (info.misses, info.hits) == (4, 4)
+        assert (info.misses, info.hits) == (3, 6)
 
 
 def test_realize_runs_no_canonical_search(capsys, monkeypatch):
@@ -195,7 +196,8 @@ def test_realize_runs_no_canonical_search(capsys, monkeypatch):
 
 def test_realize_never_factors_the_whole_top_map(capsys):
     # B′ has an x−1 block, so χ of the top map diag(1, B′), (x−1)·χ_B′, is
-    # reducible; the model's class needs only its blocks' χ
+    # reducible; the model's class and the round-trip target need only
+    # their blocks' χ
     a = "[[2,1,0],[1,3,1],[0,1,4]]"
     b_prime = IntMatrix.from_rows([[1, 2, 0], [0, 2, 1], [0, 1, 3]])
     char_poly.cache_clear()
@@ -203,10 +205,68 @@ def test_realize_never_factors_the_whole_top_map(capsys):
     assert run(capsys, ["realize", a, json.dumps(b_prime.to_rows())])[0] == 0
     whole = char_poly(block_diagonal(IntMatrix.identity(1), b_prime))
     hits = factor_over_Q.cache_info().hits
-    factor_over_Q(whole)
+    for polynomial in (whole, char_poly(b_prime)):  # (x−1)·χ_B′ and χ_B′ = (x−1)(x²−5x+5)
+        factor_over_Q(polynomial)
+        assert factor_over_Q.cache_info().hits == hits  # a miss: never factored
+
+
+def block_triangular_64():
+    """32 random 2×2 diagonal blocks, ±1 couplings above them: a degree-64 χ."""
+    return coupled_blocks(random.Random(1964), [2] * 32)
+
+
+def whole_matrix_class_output(m, as_json):
+    """``eqlef class`` output, built from the factored χ of the whole matrix."""
+    polynomial = char_poly(m)
+    content, factors = factor_over_Q(polynomial)
+    uz = UZClass(factors)
+    if as_json:
+        factorization = {
+            "content": content,
+            "factors": [{"polynomial": str(f), "multiplicity": k} for f, k in factors],
+        }
+        payload = {
+            "class": _encode_uz(uz),
+            "characteristic_polynomial": str(polynomial),
+            "factorization": factorization,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    factored = " · ".join(f"({f})" + ("" if k == 1 else f"^{k}") for f, k in factors)
+    return f"{uz}\ncharacteristic polynomial: {polynomial}\nfactorization: {factored}\n"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        IntMatrix.from_rows([[1, 2], [0, 5]]),
+        IntMatrix.from_rows([[1, 2, 0], [0, 2, 1], [0, 1, 3]]),
+        block_triangular_64(),
+    ],
+    ids=["B'", "B'-with-a-2x2-block", "64x64"],
+)
+def test_class_factors_each_block_and_prints_the_whole_matrix_output(capsys, matrix):
+    outputs = []
+    for flags in ([], ["--json"]):
+        char_poly.cache_clear()
+        factor_over_Q.cache_clear()
+        code, out, _ = run(capsys, ["class", json.dumps(matrix.to_rows())] + flags)
+        assert code == 0
+        whole = char_poly(matrix)
+        hits = factor_over_Q.cache_info().hits
+        factor_over_Q(whole)
+        assert factor_over_Q.cache_info().hits == hits  # a miss: never factored
+        outputs.append(out)
+    assert outputs == [whole_matrix_class_output(matrix, as_json) for as_json in (False, True)]
+
+
+def test_realize_never_factors_a_block_triangular_target_whole(capsys):
+    a = block_triangular_64()
+    char_poly.cache_clear()
+    factor_over_Q.cache_clear()
+    assert run(capsys, ["realize", json.dumps(a.to_rows()), "[]"])[0] == 0
+    hits = factor_over_Q.cache_info().hits
+    factor_over_Q(char_poly(a))
     assert factor_over_Q.cache_info().hits == hits  # a miss: never factored
-    factor_over_Q(char_poly(b_prime))
-    assert factor_over_Q.cache_info().hits == hits + 1  # the round-trip target was
 
 
 @pytest.mark.parametrize(
@@ -337,6 +397,27 @@ def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
     assert where in err
     assert bare or "5000 digits" in err
     assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
+
+
+@pytest.mark.parametrize("command", ["class", "check", "invariants"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
+    """50 000 nested arrays (an object for ``invariants``) overflow json.loads' recursion."""
+    depth = 50_000
+    if command == "invariants":
+        text = '{"a":' * depth + "1" + "}" * depth
+    else:
+        text = "[" * depth + "]" * depth
+    if command == "class":
+        argv, where = ["class", text], "matrix input"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        argv, where = [command, str(path)], repr(str(path))
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert where in err and "nested too deeply" in err
 
 
 def test_class_accepts_signed_decimal_strings(capsys):

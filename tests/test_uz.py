@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqlef.exact_algebra import IntMatrix, IntPolynomial, factor_over_Q
-from eqlef.uz import UZClass, class_of_matrix
+from eqlef.exact_algebra import IntMatrix, IntPolynomial, char_poly, factor_over_Q
+from eqlef.uz import UZClass, _diagonal_blocks, class_of_matrix
 
-from matrix_builders import block_upper_triangular, companion_matrix, unimodular_inverse
+from matrix_builders import block_upper_triangular, companion_matrix, coupled_blocks, unimodular_inverse
 from test_exact_algebra import random_matrix, random_unimodular
 
 
@@ -105,3 +107,67 @@ def test_zero_coefficients_dropped():
 def test_rectangular_matrix_rejected():
     with pytest.raises(ValueError, match="square"):
         class_of_matrix(IntMatrix.zeros(2, 3))
+
+
+def reference_blocks(support):
+    """Strongly connected components by a search from every start, sorted."""
+    n = len(support)
+    reach = []
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            j = frontier.pop()
+            for i in range(n):
+                if support[j] >> i & 1 and i not in seen:
+                    seen.add(i)
+                    frontier.append(i)
+        reach.append(seen)
+    components = {tuple(i for i in sorted(reach[j]) if j in reach[i]) for j in range(n)}
+    return [list(c) for c in sorted(components)]
+
+
+@st.composite
+def supports(draw):
+    """Random support digraphs on n ≤ 64 rows, with cycles, triangular parts,
+    empty rows and disconnected unions mixed in."""
+    n = draw(st.integers(0, 64))
+    if n == 0:
+        return []
+    index = st.integers(0, n - 1)
+    edges = set(draw(st.lists(st.tuples(index, index), max_size=3 * n)))
+    if draw(st.booleans()):  # the cycles of a permutation
+        edges |= set(enumerate(draw(st.permutations(range(n)))))
+    if draw(st.booleans()):  # upper triangular: no edge back to a lesser index
+        edges = {(j, i) for j, i in edges if j <= i}
+    if draw(st.booleans()):  # a disconnected union of two halves
+        half = draw(st.integers(0, n))
+        edges = {(j, i) for j, i in edges if (j < half) == (i < half)}
+    empty = set(draw(st.lists(index, max_size=n)))
+    support = [0] * n
+    for j, i in edges:
+        if j not in empty:
+            support[j] |= 1 << i
+    return support
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(supports())
+def test_diagonal_blocks_match_a_search_from_every_start(support):
+    assert _diagonal_blocks(support) == reference_blocks(support)
+
+
+@st.composite
+def renumbered_block_triangular(draw):
+    """(M, P·M·Pᵀ) for block upper triangular M with up to 12 rows."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    m = coupled_blocks(random.Random(draw(st.integers(0, 2**32))), sizes, coupling=0.5)
+    order = draw(st.permutations(range(m.rows)))
+    renumbered = IntMatrix(m.rows, m.rows, tuple(m.entry(i, j) for i in order for j in order))
+    return m, renumbered
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(renumbered_block_triangular())
+def test_class_of_a_renumbered_block_triangular_matrix_is_its_factored_char_poly(pair):
+    m, renumbered = pair
+    assert class_of_matrix(renumbered) == UZClass(factor_over_Q(char_poly(m))[1])
