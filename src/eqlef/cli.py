@@ -43,6 +43,7 @@ from .complex_model import (
     serialize_complex,
 )
 from .corpus import BUILTIN_COMPLEXES
+from .equivariant_groups import _shown
 from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, IntPolynomial
 from .invariants import _encode_uz, _integer_class, _sign, build_report, render_report
 from .realize import RealizationTarget, realize
@@ -159,9 +160,10 @@ def _json_loads(text: str, name: str, shown: str) -> Any:
 
 
 def _parse_matrix(text: str) -> IntMatrix:
-    value = _json_loads(text, "matrix input", f"matrix {text!r}")
+    shown = _shown(repr(text))
+    value = _json_loads(text, "matrix input", f"matrix {shown}")
     if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
-        raise _InputError(f"matrix input must be a JSON list of rows, got {text!r}.")
+        raise _InputError(f"matrix input must be a JSON list of rows, got {shown}.")
     rows = []
     for i, row in enumerate(value):
         converted = []
@@ -172,7 +174,7 @@ def _parse_matrix(text: str) -> IntMatrix:
                 raise
             except ValueError as exc:
                 raise _InputError(
-                    f"matrix entry ({i}, {j}) must be an integer, got {entry!r}."
+                    f"matrix entry ({i}, {j}) must be an integer, got {_shown(repr(entry))}."
                 ) from exc
         rows.append(converted)
     if not rows:
@@ -205,14 +207,18 @@ def _load_input_complex(text: str) -> EquivariantComplex:
         document = _json_loads(stripped, "inline JSON document", "inline JSON document")
         return load_complex(document)
     path = pathlib.Path(text)
-    if path.exists():
+    try:
+        exists = path.exists()
+    except OSError:  # a name too long for the file system names no file
+        exists = False
+    if exists:
         document = _json_loads(
             path.read_text(encoding="utf-8"), f"document {text!r}", f"document {text!r}"
         )
         return load_complex(document)
     builtin_names = ", ".join(sorted(BUILTIN_COMPLEXES))
     raise _InputError(
-        f"input {text!r} is not a builtin name ({builtin_names}), an existing "
+        f"input {_shown(repr(text))} is not a builtin name ({builtin_names}), an existing "
         "file, or an inline JSON document."
     )
 

@@ -34,6 +34,7 @@ from .equivariant_groups import (
     TwistData,
     _INT_ONLY,
     _check_group_order,
+    _shown,
     weyl_group,
 )
 
@@ -100,9 +101,10 @@ def _require_list(value: Any, where: str) -> list:
 def _check_allowed_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
     for key in mapping:
         if key not in allowed:
+            shown = _shown(f"'{key}'")
             raise _Malformed(
                 where,
-                lambda at: f"unknown field '{key}' at {at}; allowed fields: {sorted(allowed)}.",
+                lambda at: f"unknown field {shown} at {at}; allowed fields: {sorted(allowed)}.",
             )
 
 
@@ -131,7 +133,9 @@ def _decode_int(value: Any, where: str = "") -> int:
                     lambda at: f"integer at {at} has {digits} digits, more than "
                     f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}.",
                 ) from None
-        raise _Malformed(where, lambda at: f"expected an integer at {at}, got {value!r}.")
+        raise _Malformed(
+            where, lambda at: f"expected an integer at {at}, got {_shown(repr(value))}."
+        )
     raise _Malformed(
         where, lambda at: f"expected an integer at {at}, got {type(value).__name__}."
     )

@@ -90,16 +90,21 @@ def _check_group_order(order: int, what: str) -> None:
         )
 
 
-_MAX_SHOWN_NAME = 64
+_MAX_SHOWN = 64
 _INT_ONLY = frozenset({int})
 _KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
 
 
+def _shown(text: str) -> str:
+    """``text`` for a one-line message: whole, or its head and its length once it is long."""
+    if len(text) <= _MAX_SHOWN:
+        return text
+    return f"{text[:_MAX_SHOWN]}… ({len(text)} characters)"
+
+
 def _shown_name(name: str) -> str:
-    """A builtin group name for a message: quoted, or its length once it is long."""
-    if len(name) > _MAX_SHOWN_NAME:
-        return f"({len(name)} characters)"
-    return f"'{name}'"
+    """A builtin group name for a message: quoted, or shortened once it is long."""
+    return f"'{name}'" if len(name) <= _MAX_SHOWN else _shown(name)
 
 
 def _name_number(name: str, kind: str, form: str) -> int:

@@ -4,9 +4,14 @@ Computes, for a validated :class:`~eqlef.complex_model.EquivariantComplex`:
 
 * :func:`universal_invariant` -- the universal class u, a per-isotropy-class
   formal sum of group-ring matrices in a Grothendieck-style normal form
-  (block splitting, an exact permutation-canonical form per block,
-  cancellation), with an integer-class image when the automorphism data is
-  trivial; different normal forms stay inconclusive (see :class:`KClass`),
+  (block splitting, a canonical renumbering per block, cancellation), with
+  an integer-class image when the automorphism data is trivial; different
+  normal forms stay inconclusive (see :class:`KClass`).  A block's
+  canonical renumbering comes from individualization-refinement: the least
+  leaf by refinement trace, then row-major key, found with trace,
+  automorphism and orbit pruning under the node budget
+  :data:`MAX_CANONICAL_NODES`; 1×1 and 2×2 blocks keep their lex-least
+  renumbering,
 * :func:`lambda_invariant` -- the generalized Lefschetz class λ, the
   projected alternating group-ring trace per isotropy class,
 * :func:`reidemeister_trace` / :func:`reidemeister_from_fixed_points` --
@@ -26,6 +31,8 @@ Computes, for a validated :class:`~eqlef.complex_model.EquivariantComplex`:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 from typing import Any, Iterable, Mapping, Sequence
 
 from .complex_model import (
@@ -50,6 +57,7 @@ from .exact_algebra import FormalSum
 from .uz import UZClass, _diagonal_blocks, class_of_matrix
 
 __all__ = [
+    "MAX_CANONICAL_NODES",
     "ClassSum",
     "KClass",
     "UniversalEntry",
@@ -126,74 +134,187 @@ class ClassSum(FormalSum):
 # the universal class and its normal form
 
 
-def _canonical_block(matrix: GroupRingMatrix) -> GroupRingMatrix:
-    """The simultaneous renumbering of the block with the least row-major key.
+MAX_CANONICAL_NODES = 8_000
+"""The most search nodes :func:`_canonical_block` visits for one block.
 
-    Individualization-refinement (McKay–Piperno): row r is picked from the
-    first cell of an ordered partition of the unplaced indices.  A
-    candidate's row key is its entries against the placed rows, its diagonal
-    entry, then the sorted entries within each remaining cell, in cell order;
-    only least keys are branched on, a branch whose key is worse than the
-    best at its depth is pruned, and the chosen row splits every cell by its
-    entries, ascending.  A leaf equal to the best leaf is an automorphism:
-    the search jumps back to where the two diverge and skips the orbits of
-    explored candidates.  Exact at every size; the work is exponential only
-    in ties that no automorphism explains.
+A node is the root or one individualization, each with its refinement.
+A directed n-cycle needs 3 nodes at every n, an all-equal n×n block (every
+renumbering is an automorphism) n(n+1)/2, so 2,080 at n = 64, and the
+graph of a random 8×8 Latin square (strongly regular, so one
+individualization refines to only three cells) 2,753.  A block that needs
+more has ties that refinement does not split and no automorphism
+explains, and is refused with ``ValueError`` naming this limit.  At n = 64
+a node costs 0.05 to 0.25 ms on a 2-vCPU virtual machine (those blocks,
+the rook's graph K₈×K₈ and the 6-cube), so a search that reaches the
+limit ends in about 2 s.
+"""
+
+
+def _canonical_block(matrix: GroupRingMatrix) -> GroupRingMatrix:
+    """The block simultaneously renumbered into its canonical form.
+
+    Individualization-refinement (McKay & Piperno, *Practical graph
+    isomorphism, II*, 2014).  Entries are ranked by their terms, and the
+    pair (v, w) is coloured by (rank of entry (v, w), rank of entry (w, v)).
+    A node is an ordered partition of the indices, refined to the coarsest
+    equitable one: starting from the cells of equal diagonal rank,
+    ascending, each splitter cell W from a queue splits every cell by its
+    members' sorted colours towards W, subcells in ascending key order; a
+    split cell queues its subcells, all but its first largest one unless it
+    was queued itself (Hopcroft).  A child individualizes one index of the
+    first non-singleton cell.  A node's refinement trace (each split's cell,
+    splitter size, keys and subcell sizes) is an invariant of the node; a
+    node whose trace is larger than the best trace at its depth is pruned,
+    its refinement stopping as soon as the trace passes the best one, and
+    the form is the leaf with the least (trace sequence, row-major rank
+    key).  A leaf equal
+    to the best is an automorphism: the search jumps back to the depth
+    where the two diverge and skips the stabilizer orbits of explored
+    children.
+
+    The form is a renumbering of the block that depends only on the block's
+    renumbering class, and a 1×1 or 2×2 block keeps its least row-major key.
+    A directed n-cycle is discrete after one individualization.  A search
+    past :data:`MAX_CANONICAL_NODES` nodes raises ``ValueError``.
     """
     n = matrix.rows
-    rank = {terms: i for i, terms in enumerate(sorted({e.terms for e in matrix.entries}))}
-    table = [[rank[matrix.entry(i, j).terms] for j in range(n)] for i in range(n)]
-    best_keys: list[tuple[int, ...]] = []
-    best_order: list[int] = []
-    automorphisms: list[dict[int, int]] = []
+    if n < 2:
+        return matrix
+    rank = {terms: r for r, terms in enumerate(sorted({e.terms for e in matrix.entries}))}
+    table = [[rank[e.terms] for e in matrix.row(v)] for v in range(n)]
+    width = len(rank)
+    # towards[w][v]: the colour of the pair (v, w)
+    towards = [[table[v][w] * width + table[w][v] for v in range(n)] for w in range(n)]
 
-    def search(placed: list[int], cells: list[list[int]]) -> int:
-        """Explore below ``placed``; return the depth to resume at."""
-        depth = len(placed)
-        if depth == n:
-            if not best_order:
-                best_order.extend(placed)
+    def refine(
+        lab: list[int], size: list[int], cells: list[int], queue: list[int], bound: list | None
+    ) -> list:
+        """Refine the partition in place from the splitter cells starting at ``queue``.
+
+        ``lab`` lists the indices cell by cell, ``size[s]`` is the size of
+        the cell starting at position s, and ``cells`` lists the starts of
+        the cells of two or more indices, ascending.  Returns the trace, or
+        a prefix of it that is already larger than ``bound``.
+        """
+        trace = []
+        tied = bound is not None  # the trace so far equals a prefix of bound
+        pending = set(queue)
+        for s in queue:  # the queue grows while it is read
+            if not cells:
+                break
+            pending.discard(s)
+            length = size[s]
+            if length == 1:
+                keys_of = towards[lab[s]]
+            else:  # each index's colours towards the splitter, sorted
+                colours = zip(*[towards[w] for w in lab[s : s + length]])
+                keys_of = [tuple(sorted(t)) for t in colours]
+            key = keys_of.__getitem__
+            still_open = []
+            for c in cells:
+                end = c + size[c]
+                members = lab[c:end]
+                keys = list(map(key, members))
+                if keys.count(keys[0]) == len(keys):
+                    still_open.append(c)
+                    continue
+                values = sorted(set(keys))
+                sizes = list(map(keys.count, values))
+                members.sort(key=key)
+                lab[c:end] = members
+                starts = list(itertools.accumulate(sizes[:-1], initial=c))
+                for a, m in zip(starts, sizes):
+                    size[a] = m
+                    if m > 1:
+                        still_open.append(a)
+                entry = (c, length, tuple(zip(values, sizes)))
+                trace.append(entry)
+                if tied:
+                    if len(trace) > len(bound) or entry > bound[len(trace) - 1]:
+                        return trace
+                    tied = entry == bound[len(trace) - 1]
+                if c in pending:
+                    new = starts[1:]
+                else:  # every cell is equitable towards the old cell
+                    largest = sizes.index(max(sizes))
+                    new = starts[:largest] + starts[largest + 1 :]
+                queue.extend(new)
+                pending.update(new)
+            cells[:] = still_open
+        return trace
+
+    diagonal = [table[v][v] for v in range(n)]
+    lab = sorted(range(n), key=diagonal.__getitem__)
+    size = [1] * n
+    starts = [s for s in range(n) if s == 0 or diagonal[lab[s]] != diagonal[lab[s - 1]]]
+    for a, b in zip(starts, starts[1:] + [n]):
+        size[a] = b - a
+    cells = [a for a in starts if size[a] > 1]
+    refine(lab, size, cells, starts[:], None)
+
+    best_traces: list[list] = []  # best_traces[d]: the trace of the best leaf's depth-(d+1) node
+    best = None  # the best leaf's (key, order, individualized path), while known
+    automorphisms: list[list[int]] = []
+    nodes = 1
+
+    def search(lab: list[int], size: list[int], cells: list[int], path: list[int]) -> int:
+        """Explore below the node ``path`` individualizes; return the depth to resume at."""
+        nonlocal nodes, best
+        depth = len(path)
+        if not cells:
+            row_major = operator.itemgetter(*lab)
+            key = [row_major(table[v]) for v in lab]
+            if best is None or key < best[0]:
+                best = (key, lab, path)
                 return depth
-            automorphisms.append(dict(zip(best_order, placed)))
-            return next(i for i in range(n) if placed[i] != best_order[i])
-        candidates = []
-        for p in cells[0]:
-            row = table[p]
-            refined = [
-                [q for q in cell if row[q] == value]
-                for cell in [[q for q in cells[0] if q != p]] + cells[1:]
-                for value in sorted({row[q] for q in cell})
-            ]
-            # each refined cell holds one value, ascending within its old cell
-            row_key = tuple(row[q] for q in placed) + (row[p],)
-            row_key += tuple(row[c[0]] for c in refined for _ in c)
-            candidates.append((row_key, p, refined))
-        least = min(row_key for row_key, _, _ in candidates)
-        if depth < len(best_keys) and least > best_keys[depth]:
-            return depth
-        if depth == len(best_keys) or least < best_keys[depth]:
-            del best_keys[depth:]
-            best_order.clear()
-            best_keys.append(least)
+            if key > best[0]:
+                return depth
+            image = [0] * n
+            for v, w in zip(best[1], lab):
+                image[v] = w
+            automorphisms.append(image)
+            return next(d for d in range(depth) if path[d] != best[2][d])
+        s = cells[0]
+        length = size[s]
         explored: set[int] = set()
-        for row_key, p, refined in candidates:
-            if row_key != least or p in explored:
+        for v in lab[s : s + length]:
+            if v in explored:
                 continue
-            resume = search(placed + [p], refined)
-            if resume < depth:
-                return resume
-            explored.add(p)
-            stabilizer = [g for g in automorphisms if all(g[q] == q for q in placed)]
-            size = 0
-            while size < len(explored):
-                size = len(explored)
+            nodes += 1
+            if nodes > MAX_CANONICAL_NODES:
+                raise ValueError(
+                    f"the canonical form of a {n}×{n} block needs more than "
+                    f"MAX_CANONICAL_NODES = {MAX_CANONICAL_NODES} search nodes."
+                )
+            child = lab[:]
+            i = child.index(v, s)
+            child[s], child[i] = v, child[s]
+            child_size = size[:]
+            child_size[s], child_size[s + 1] = 1, length - 1
+            child_cells = cells[1:] if length == 2 else [s + 1] + cells[1:]
+            bound = best_traces[depth] if depth < len(best_traces) else None
+            trace = refine(child, child_size, child_cells, [s], bound)
+            if depth == len(best_traces) or trace < best_traces[depth]:
+                del best_traces[depth:]
+                best = None
+                best_traces.append(trace)
+            if trace == best_traces[depth]:
+                resume = search(child, child_size, child_cells, path + [v])
+                if resume < depth:
+                    return resume
+            explored.add(v)
+            stabilizer = [g for g in automorphisms if all(g[p] == p for p in path)]
+            grown = len(explored) - 1
+            while grown != len(explored):
+                grown = len(explored)
                 explored |= {g[x] for g in stabilizer for x in explored}
         return depth
 
-    search([], [list(range(n))])
-    if best_order == list(range(n)):
+    search(lab, size, cells, [])
+    order = best[1]
+    if order == list(range(n)):
         return matrix
-    entries = tuple(matrix.entry(i, j) for i in best_order for j in best_order)
+    entries = tuple(matrix.entries[v * n + w] for v in order for w in order)
     return GroupRingMatrix(matrix.aut, n, n, entries)
 
 
@@ -225,8 +346,11 @@ class KClass(FormalSum):
         """The blocks of ``matrix``, each in its canonical form.
 
         A matrix splits along the strongly connected components of its
-        support digraph, and each block takes its exact permutation-canonical
-        form (one search at every size); empty matrices vanish.
+        support digraph, and each block takes its canonical renumbering
+        (:func:`_canonical_block`: the same form for every renumbering of the
+        block, a different one for any other block); empty matrices vanish.
+        A block whose search passes :data:`MAX_CANONICAL_NODES` nodes raises
+        ``ValueError``.
         """
         n = cls.check_key(matrix).rows
         support = [sum(1 << i for i, e in enumerate(matrix.row(j)) if not e.is_zero) for j in range(n)]

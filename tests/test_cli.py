@@ -346,6 +346,33 @@ def test_invariants_names_the_pi1_rank_limit(capsys, rank):
     assert f"pi1_rank at iso_classes[0] is {rank}" in err and "MAX_MATRIX_ORDER = 64" in err
 
 
+def test_invariants_of_a_realized_64_cycle(capsys, tmp_path):
+    # the model's u is the 64-cycle block, whose canonical search is short
+    n = 64
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    path = tmp_path / "cycle64.json"
+    assert run(capsys, ["realize", json.dumps(cycle), "[]", "--output", str(path)])[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["invariants", "--json", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    (term,) = json.loads(out)["classes"][0]["u"]["terms"]
+    assert len(term["matrix"]) == n
+
+
+def test_invariants_names_the_canonical_node_limit(capsys, tmp_path, monkeypatch):
+    all_ones = [[1] * 8 for _ in range(8)]  # its canonical search needs 36 nodes
+    path = tmp_path / "ones8.json"
+    assert run(capsys, ["realize", json.dumps(all_ones), "[]", "--output", str(path)])[0] == 0
+    monkeypatch.setattr(eqlef.invariants, "MAX_CANONICAL_NODES", 35)
+    code, out, err = run(capsys, ["invariants", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the canonical form of a 8×8 block needs more than "
+        "MAX_CANONICAL_NODES = 35 search nodes.\n"
+    )
+
+
 def test_class_names_the_recombination_limit(capsys):
     # irreducible, but 32 quadratics modulo every prime
     companion = companion_matrix(swinnerton_dyer(6))
@@ -693,6 +720,72 @@ def test_long_unknown_or_malformed_group_name_names_its_length(capsys, name):
     assert out == ""
     assert len(err.splitlines()) == 1 and len(err) < 300
     assert f"({len(name)} characters)" in err
+
+
+LONG = "x" * 10_000
+
+
+def long_rank_document():
+    document = minimal_document()
+    document["iso_classes"][0]["chain"][0]["rank"] = LONG
+    return json.dumps(document)
+
+
+def long_field_document():
+    document = minimal_document()
+    document[LONG] = 1
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["class", '[["x"]]'], "matrix entry (0, 0) must be an integer, got 'x'."),
+        (["class", '"x"'], "matrix input must be a JSON list of rows, got '\"x\"'."),
+        (
+            ["class", "nonsense"],
+            "could not parse matrix 'nonsense': Expecting value: line 1 column 1 (char 0).",
+        ),
+        (
+            ["check", "nosuch"],
+            "input 'nosuch' is not a builtin name (example1, example2, example3), "
+            "an existing file, or an inline JSON document.",
+        ),
+    ],
+)
+def test_short_echoed_input_is_whole(capsys, argv, line):
+    assert run(capsys, argv) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message, echoed",
+    [
+        (["class", json.dumps([[LONG]])], "matrix entry (0, 0) must be an integer, got ", LONG),
+        (
+            ["class", json.dumps(LONG)],
+            "matrix input must be a JSON list of rows, got ",
+            json.dumps(LONG),
+        ),
+        (["class", LONG], "could not parse matrix ", LONG),
+        (
+            ["check", long_rank_document()],
+            "expected an integer at iso_classes[0].chain[0].rank, got ",
+            LONG,
+        ),
+        (["check", long_field_document()], "unknown field ", LONG),
+        (["check", LONG], "input ", LONG),
+    ],
+    ids=[
+        "matrix-entry", "matrix-rows", "matrix-syntax", "document-integer", "document-field", "input"
+    ],
+)
+def test_long_echoed_input_is_shortened(capsys, argv, message, echoed):
+    # the quoted value keeps its first 64 characters and names its length
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    quoted = repr(echoed)
+    assert err.startswith(f"error: {message}{quoted[:64]}… ({len(quoted)} characters)")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import random
-from unittest import mock
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,7 +85,7 @@ def renumbered(rows, sigma):
 
 
 def exhaustive_canonical_block(matrix):
-    """Reference oracle: the least row-major key over all n! renumberings."""
+    """The least row-major key over all n! renumberings (the form 1×1 and 2×2 blocks keep)."""
     n = matrix.rows
 
     def key(p):
@@ -340,15 +340,35 @@ def test_kclass_arithmetic_and_render():
     assert str(doubled) == "+2·[1]"
 
 
-@pytest.mark.parametrize("n", [9, 12])
+def timed_kclass(rows):
+    """The KClass of one integer block, and the least wall time of three constructions."""
+    matrix = int_ring_matrix(rows)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        kclass = KClass.from_terms([(matrix, 1)])
+        seconds.append(time.perf_counter() - start)
+    return kclass, min(seconds)
+
+
+@pytest.mark.parametrize("n", [9, 12, 16, 32, 64])
 def test_kclass_renumbered_long_cycle_compares_equal(n):
+    # a directed cycle is discrete after one individualization
     rng = random.Random(404 + n)
     cycle = [[1 if i == (j + 1) % n else 0 for i in range(n)] for j in range(n)]
     sigma = list(range(n))
     rng.shuffle(sigma)
     original = KClass.from_terms([(int_ring_matrix(cycle), 1)])
-    renumbered_cycle = KClass.from_terms([(int_ring_matrix(renumbered(cycle, sigma)), 1)])
+    renumbered_cycle, seconds = timed_kclass(renumbered(cycle, sigma))
     assert renumbered_cycle.compare(original) == "equal"
+    assert seconds < 0.1
+
+
+def test_kclass_of_an_all_equal_64_by_64_block():
+    # every renumbering is an automorphism; 2,080 search nodes at n = 64
+    kclass, seconds = timed_kclass([[1] * 64 for _ in range(64)])
+    assert kclass.terms == ((int_ring_matrix([[1] * 64 for _ in range(64)]), 1),)
+    assert seconds < 0.5
 
 
 @st.composite
@@ -365,18 +385,76 @@ def tied_blocks(draw, max_size):
     return rows, draw(st.permutations(range(n)))
 
 
+@st.composite
+def tied_pairs(draw, max_size):
+    """A tied block and a renumbering of it, perhaps with one entry changed or two swapped."""
+    rows, sigma = draw(tied_blocks(max_size))
+    other = renumbered(rows, sigma)
+    n = len(rows)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "change", "swap"]))
+    if edit == "change":
+        (i, j), value = draw(cell), draw(st.sampled_from([0, 1, -1, 2]))
+        other[i][j] = value
+    elif edit == "swap":
+        (i, j), (k, m) = draw(cell), draw(cell)
+        other[i][j], other[k][m] = other[k][m], other[i][j]
+    return rows, other
+
+
+def renumberings(rows):
+    return (renumbered(rows, p) for p in itertools.permutations(range(len(rows))))
+
+
+def int_rows(matrix):
+    """The integer rows of a matrix that :func:`int_ring_matrix` built."""
+    coefficients = [sum(c for _, _, c in entry.terms) for entry in matrix.entries]
+    return [coefficients[i * matrix.cols : (i + 1) * matrix.cols] for i in range(matrix.rows)]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(tied_blocks(max_size=6))
-@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2]], [0, 1, 2, 3]))
-def test_kclass_normal_form_matches_exhaustive_oracle(block):
+@given(tied_pairs(max_size=6))
+@example(
+    (
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]],
+    )
+)
+def test_kclass_normal_form_matches_exhaustive_oracle(pair):
+    # two forms are equal exactly when some renumbering carries one block to the other
     from eqlef import invariants
 
-    rows, _ = block
-    matrix = int_ring_matrix(rows)
-    assert invariants._canonical_block(matrix) == exhaustive_canonical_block(matrix)
-    with mock.patch.object(invariants, "_canonical_block", exhaustive_canonical_block):
-        expected = KClass.from_terms([(matrix, 1)])
-    assert KClass.from_terms([(matrix, 1)]) == expected
+    rows, other = pair
+    form = invariants._canonical_block(int_ring_matrix(rows))
+    assert int_rows(form) in renumberings(rows)
+    same_form = form == invariants._canonical_block(int_ring_matrix(other))
+    assert same_form == (other in renumberings(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_blocks_keep_their_least_row_major_key(n):
+    # the golden digests and builtin reports hold only such blocks
+    from eqlef import invariants
+
+    for values in itertools.product(range(-2, 3), repeat=n * n):
+        matrix = int_ring_matrix([values[i * n : (i + 1) * n] for i in range(n)])
+        assert invariants._canonical_block(matrix) == exhaustive_canonical_block(matrix)
+
+
+def test_canonical_search_refuses_past_its_node_budget(monkeypatch):
+    from eqlef import invariants
+
+    monkeypatch.setattr(invariants, "MAX_CANONICAL_NODES", 35)
+    all_equal = int_ring_matrix([[1] * 8 for _ in range(8)])  # needs 36 nodes
+    message = (
+        "the canonical form of a 8×8 block needs more than "
+        "MAX_CANONICAL_NODES = 35 search nodes."
+    )
+    with pytest.raises(ValueError) as refusal:
+        KClass.from_terms([(all_equal, 1)])
+    assert str(refusal.value) == message
+    monkeypatch.setattr(invariants, "MAX_CANONICAL_NODES", 36)
+    assert KClass.from_terms([(all_equal, 1)]).terms == ((all_equal, 1),)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
