@@ -378,6 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return globals()[args.handler](args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            exc.filename = _shown(exc.filename)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

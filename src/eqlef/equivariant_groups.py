@@ -340,7 +340,8 @@ class FiniteGroup:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(
-                f"unknown group element label '{label}'; known labels: {list(self.labels)}."
+                f"unknown group element label '{_shown(label)}'; "
+                f"known labels: {[_shown(known) for known in self.labels]}."
             )
 
     def restricted_to(self, members: Sequence[int]) -> "FiniteGroup":
@@ -400,14 +401,6 @@ class Subgroup:
     @classmethod
     def from_labels(cls, parent: FiniteGroup, labels: Iterable[str]) -> "Subgroup":
         return cls(parent, (parent.element_index(label) for label in labels))
-
-    @classmethod
-    def trivial(cls, parent: FiniteGroup) -> "Subgroup":
-        return cls(parent, (parent.identity,))
-
-    @classmethod
-    def full(cls, parent: FiniteGroup) -> "Subgroup":
-        return cls(parent, range(parent.order))
 
     @property
     def order(self) -> int:
@@ -542,9 +535,9 @@ def weyl_group(g: FiniteGroup, h: Subgroup) -> WeylGroup:
     For the trivial H the quotient is ``g`` itself.
 
     >>> g = FiniteGroup.builtin("Z2")
-    >>> weyl_group(g, Subgroup.trivial(g)).group.order
-    2
-    >>> weyl_group(g, Subgroup.full(g)).group.order
+    >>> weyl_group(g, Subgroup(g, [g.identity])).group is g
+    True
+    >>> weyl_group(g, Subgroup(g, range(g.order))).group.order
     1
     """
     if h.parent != g:
@@ -600,9 +593,10 @@ class AutGroup:
     θ(s)θ(w) = θ(s·w).  The g that pass for all w are closed under products,
     so θ is a homomorphism, and θ(w)θ(w⁻¹) = I makes it unimodular.
 
-    >>> aut = AutGroup.trivial()
-    >>> aut.identity
-    ((), 0)
+    >>> flip = [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]
+    >>> aut = AutGroup(1, FiniteGroup.builtin("Z2"), flip)
+    >>> aut.multiply(((3,), 1), ((1,), 0))
+    ((2,), 1)
     """
 
     __slots__ = ("pi1_rank", "weyl", "action")
@@ -642,10 +636,6 @@ class AutGroup:
         self.pi1_rank = pi1_rank
         self.weyl = weyl
         self.action = action
-
-    @classmethod
-    def trivial(cls) -> "AutGroup":
-        return cls.translations(0)
 
     @classmethod
     @functools.lru_cache(maxsize=32)  # keyed by rank alone, so it stays small
@@ -736,18 +726,12 @@ def _accumulate_product(
     right: Sequence[tuple[tuple[int, ...], int, int]],
 ) -> None:
     """Add the product of two term sequences into ``sums``, keyed by (vector, w)."""
-    identity = aut.weyl.identity
     add = operator.add
     for v1, w1, c1 in left:
-        if w1 == identity:  # (v1, 1)·(v2, w2) = (v1 + v2, w2): no θ
-            for v2, w2, c2 in right:
-                key = (tuple(map(add, v1, v2)), w2)
-                sums[key] = sums.get(key, 0) + c1 * c2
-        else:
-            products = aut.weyl.table[w1]
-            for v2, w2, c2 in right:
-                key = (tuple(map(add, v1, aut.act(w1, v2))), products[w2])
-                sums[key] = sums.get(key, 0) + c1 * c2
+        products = aut.weyl.table[w1]
+        for v2, w2, c2 in right:
+            key = (tuple(map(add, v1, aut.act(w1, v2))), products[w2])
+            sums[key] = sums.get(key, 0) + c1 * c2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -877,7 +861,7 @@ def twisted_classes(aut: AutGroup, twist: TwistData) -> TwistedClassSet:
     λ and ℓ pass a class's own group; the Reidemeister trace passes the
     translation-only group of the same rank, so it uses lattice moves only.
 
-    >>> classes = twisted_classes(AutGroup.trivial(), TwistData(IntMatrix.zeros(0, 0)))
+    >>> classes = twisted_classes(AutGroup.translations(0), TwistData(IntMatrix.zeros(0, 0)))
     >>> classes.representative(())
     ()
     """
@@ -895,8 +879,8 @@ class GroupRingElement:
 
     >>> aut = AutGroup(0, FiniteGroup.builtin("Z2"))
     >>> e = GroupRingElement.basis(aut, (), 1)
-    >>> (e * e).identity_coefficient()
-    1
+    >>> (e * e).terms
+    (((), 0, 1),)
     """
 
     __slots__ = ("aut", "terms")
@@ -950,11 +934,6 @@ class GroupRingElement:
         return cls._from_sums(aut, {})
 
     @classmethod
-    def identity(cls, aut: AutGroup) -> "GroupRingElement":
-        vector, w = aut.identity
-        return cls(aut, ((vector, w, 1),))
-
-    @classmethod
     def basis(
         cls, aut: AutGroup, vector: Sequence[int], w: int, coefficient: int = 1
     ) -> "GroupRingElement":
@@ -969,13 +948,6 @@ class GroupRingElement:
     def augmentation(self) -> int:
         """Sum of all coefficients (every group element sent to 1)."""
         return sum(coefficient for _, _, coefficient in self.terms)
-
-    def identity_coefficient(self) -> int:
-        identity_vector, identity_w = self.aut.identity
-        for vector, w, coefficient in self.terms:
-            if vector == identity_vector and w == identity_w:
-                return coefficient
-        return 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -1090,17 +1062,6 @@ class GroupRingMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def from_rows(
-        cls, aut: AutGroup, rows: Sequence[Sequence[GroupRingElement]]
-    ) -> "GroupRingMatrix":
-        row_list = [list(r) for r in rows]
-        n = len(row_list)
-        c = len(row_list[0]) if row_list else 0
-        if any(len(r) != c for r in row_list):
-            raise ValueError("ragged rows in group-ring matrix.")
-        return cls(aut, n, c, tuple(e for row in row_list for e in row))
 
     def entry(self, i: int, j: int) -> GroupRingElement:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -195,20 +195,8 @@ class IntPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
 
     # -- basic queries ------------------------------------------------
 
@@ -231,12 +219,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.leading_coefficient == 1
 
-    def coefficient(self, degree: int) -> int:
-        """Coefficient of ``x**degree`` (zero when out of range)."""
-        if 0 <= degree < len(self.coefficients):
-            return self.coefficients[degree]
-        return 0
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -251,9 +233,6 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(tuple(_mul(self.coefficients, other.coefficients)))
 
-    def scale(self, factor: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(factor * c for c in self.coefficients))
-
     def __pow__(self, exponent: int) -> "IntPolynomial":
         if exponent < 0:
             raise ValueError(f"polynomial exponent must be nonnegative, got {exponent}.")
@@ -261,26 +240,6 @@ class IntPolynomial:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def try_exact_divide(self, divisor: "IntPolynomial") -> "IntPolynomial | None":
-        """Quotient ``self / divisor`` over the integers, or None.
-
-        Returns the quotient when the division is exact with integer
-        coefficients at every step of the long division, otherwise None.
-        Zero divided by a nonzero polynomial is zero, a nonzero polynomial of
-        lower degree than ``divisor`` gives None, and a zero ``divisor``
-        raises ``ValueError``.
-
-        >>> p = IntPolynomial((-1, 0, 1))
-        >>> str(p.try_exact_divide(IntPolynomial((1, 1))))
-        'x−1'
-        >>> p.try_exact_divide(IntPolynomial((2, 1))) is None
-        True
-        """
-        if divisor.is_zero:
-            raise ValueError("cannot divide by the zero polynomial.")
-        quotient = _exact_divide(self.coefficients, divisor.coefficients)
-        return None if quotient is None else IntPolynomial(tuple(quotient))
 
     # -- rendering ----------------------------------------------------
 
@@ -438,14 +397,6 @@ class IntMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}×{self.cols} vs {other.rows}×{other.cols}."
             )
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"[empty {self.rows}×{self.cols}]"
-        body = "; ".join(
-            " ".join(str(e) for e in self.row(i)) for i in range(self.rows)
-        )
-        return f"[{body}]"
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
@@ -633,19 +584,6 @@ class FormalSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, key: Any) -> int:
-        """The coefficient of ``key``'s normal form; 0 for a key that normalizes away.
-
-        A key that :meth:`normal_keys` rewrites into several has no single
-        coefficient, so it raises ``ValueError``.
-        """
-        parts = list(self.normal_keys(key))
-        if len(parts) > 1:
-            raise ValueError(
-                f"key normalizes to {len(parts)} keys; ask for the coefficient of each."
-            )
-        return dict(self.terms).get(parts[0], 0) if parts else 0
 
     def scale(self, factor: int) -> "FormalSum":
         return self._from_normal((key, factor * c) for key, c in self.terms)

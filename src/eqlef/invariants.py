@@ -407,17 +407,6 @@ class UniversalInvariant:
 
     entries: tuple[UniversalEntry, ...]
 
-    def entry_for(self, subgroup_labels: Sequence[str], component: str) -> UniversalEntry:
-        key = (tuple(subgroup_labels), component)
-        for entry in self.entries:
-            if (entry.subgroup_labels, entry.component) == key:
-                return entry
-        raise ValueError(f"no universal-class entry for {key}.")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(entry.kclass.is_zero for entry in self.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"
@@ -479,17 +468,6 @@ class LambdaVector:
     """The generalized Lefschetz class λ: one projected trace per isotropy class."""
 
     entries: tuple[LambdaEntry, ...]
-
-    def entry_for(self, subgroup_labels: Sequence[str], component: str) -> LambdaEntry:
-        key = (tuple(subgroup_labels), component)
-        for entry in self.entries:
-            if (entry.subgroup_labels, entry.component) == key:
-                return entry
-        raise ValueError(f"no λ entry for {key}.")
-
-    def totals(self) -> tuple[int, ...]:
-        """Per-class coefficient totals, in document order."""
-        return tuple(entry.value.total() for entry in self.entries)
 
     @property
     def is_zero(self) -> bool:
@@ -621,13 +599,6 @@ class EllInvariant:
     @property
     def is_zero(self) -> bool:
         return all(slot.total.is_zero for slot in self.slots)
-
-    def slot_for(self, subgroup_labels: Sequence[str]) -> EllSlot:
-        key = tuple(subgroup_labels)
-        for slot in self.slots:
-            if slot.subgroup_labels == key:
-                return slot
-        raise ValueError(f"no ℓ slot for subgroup class {list(key)}.")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EllInvariant):

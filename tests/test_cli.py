@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
@@ -786,6 +788,32 @@ def test_long_echoed_input_is_shortened(capsys, argv, message, echoed):
     assert len(err.splitlines()) == 1 and len(err) < 300
     quoted = repr(echoed)
     assert err.startswith(f"error: {message}{quoted[:64]}… ({len(quoted)} characters)")
+
+
+def test_short_output_path_error_is_whole(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = "missing/" + "x" * 56  # 64 characters, in a directory that does not exist
+    code, out, err = run(capsys, ["example", "example1", "--output", path])
+    expected = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
+def test_long_output_path_error_is_shortened(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = "missing/" + LONG
+    code, out, err = run(capsys, ["example", "example1", "--output", path])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert f"'{path[:64]}… ({len(path)} characters)'" in err
+
+
+def test_long_unknown_weyl_label_is_shortened(capsys):
+    document = json.loads(run(capsys, ["example", "example1"])[1])
+    document["iso_classes"][0]["weyl"] = ["1", LONG]
+    code, out, err = run(capsys, ["check", json.dumps(document)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert f"label '{LONG[:64]}… ({len(LONG)} characters)'; known labels: ['1', 'g']." in err
 
 
 # ---------------------------------------------------------------------------

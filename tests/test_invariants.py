@@ -65,11 +65,14 @@ TRIVIAL_AUT = AutGroup(0, FiniteGroup.builtin("trivial"))
 def int_ring_matrix(rows, aut=TRIVIAL_AUT):
     """A group-ring matrix with plain integer entries (identity group part)."""
     zero_vector = (0,) * aut.pi1_rank
-    return GroupRingMatrix.from_rows(
+    return GroupRingMatrix(
         aut,
+        len(rows),
+        len(rows[0]) if rows else 0,
         [
-            [GroupRingElement.basis(aut, zero_vector, aut.weyl.identity, v) for v in row]
+            GroupRingElement.basis(aut, zero_vector, aut.weyl.identity, v)
             for row in rows
+            for v in row
         ],
     )
 
@@ -110,7 +113,7 @@ def test_example1_frozen_values():
     assert str(u.entries[0].kclass) == f"+[{MINUS}g]"
     assert u.entries[0].uz_image is None
     assert u.entries[1].kclass.is_zero
-    assert lam.totals() == (0, 0)
+    assert tuple(entry.value.total() for entry in lam.entries) == (0, 0)
     assert all(entry.value.is_zero for entry in lam.entries)
     for iso in c.classes:
         assert reidemeister_trace(iso).is_zero
@@ -151,7 +154,7 @@ def test_example2_frozen_values():
         == f"+2·[{MINUS}1] +2·[1] {MINUS}[0, {MINUS}1; {MINUS}1, 0]"
     )
     assert str(u.entries[1].uz_image) == f"+1·(x{MINUS}1) +1·(x+1)"
-    assert lam.totals() == (1, 0)
+    assert tuple(entry.value.total() for entry in lam.entries) == (1, 0)
     assert str(lam.entries[0].value) == "1[1]"
     assert lam.entries[1].value.is_zero
 
@@ -193,7 +196,7 @@ def test_example3_frozen_values():
     assert [
         None if entry.uz_image is None else str(entry.uz_image) for entry in u.entries
     ] == [None, None, None, f"+1·(x{MINUS}1)", f"+1·(x{MINUS}1)"]
-    assert lam.totals() == (1, -1, -1, 1, 1)
+    assert tuple(entry.value.total() for entry in lam.entries) == (1, -1, -1, 1, 1)
     assert [str(entry.value) for entry in lam.entries] == [
         "1[1]",
         f"{MINUS}1[0]",
@@ -217,7 +220,7 @@ def test_example3_frozen_values():
         ("1", "h"),
         ("1", "g", "h", "gh"),
     ]
-    pole_slot = ell.slot_for(("1", "g", "h", "gh"))
+    pole_slot = ell.slots[3]
     assert [contrib.component for contrib in pole_slot.contributions] == [
         "pole-a",
         "pole-b",
@@ -242,7 +245,7 @@ def test_lambda_identity_class_is_relative_euler_characteristic():
             for degree in iso.degrees
         )
         zero_vector = (0,) * iso.aut.pi1_rank
-        assert entry.value.coefficient(zero_vector) == relative_euler
+        assert dict(entry.value.terms).get(zero_vector, 0) == relative_euler
 
 
 def test_reidemeister_trace_matches_fixed_point_data():
@@ -489,12 +492,12 @@ def test_classsum_merging_and_render():
 def test_classsum_algebra():
     a = ClassSum.from_mapping({(): 2, (1,): 1})
     b = ClassSum.from_mapping({(): -1})
-    assert (a + b).coefficient(()) == 1
-    assert (a - b).coefficient(()) == 3
-    assert (-a).coefficient((1,)) == -1
+    assert dict((a + b).terms)[()] == 1
+    assert dict((a - b).terms)[()] == 3
+    assert dict((-a).terms)[(1,)] == -1
     assert a.scale(3).total() == 9
     assert a.total() == 3
-    assert a.coefficient((2,)) == 0
+    assert (2,) not in dict(a.terms)
     assert (b + ClassSum.from_mapping({(): 1})).is_zero
 
 
@@ -525,7 +528,6 @@ def test_formal_sum_group_laws(cls, data):
         multiple = multiple + a
     assert a.scale(k) == multiple
     assert cls.from_mapping(dict(a.terms)) == a
-    assert all(a.coefficient(key) == coefficient for key, coefficient in a.terms)
     if cls is KClass:
         assert cls.from_terms(x) + cls.from_terms(y) == cls.from_terms(x + y)
     # the operators on normal sums agree with normalizing their terms again
@@ -565,21 +567,6 @@ def test_operators_on_normal_sums_do_not_normalize_again(monkeypatch):
     assert difference == summed.scale(1) + scaled
     KClass.from_terms([(cycle, 1)])
     assert len(calls) == 1  # the count sees the constructor
-
-
-def test_kclass_coefficient_looks_keys_up_by_normal_form():
-    m = int_ring_matrix([[1, 2], [3, 0]])  # strongly connected: one block
-    a = KClass.from_terms([(m, 1)])
-    # one of the two numberings is not the stored normal form
-    assert a.coefficient(m) == 1
-    assert a.coefficient(m.submatrix([1, 0], [1, 0])) == 1
-    assert a.coefficient(int_ring_matrix([])) == 0
-    with pytest.raises(ValueError, match="normalizes to 2 keys"):
-        a.coefficient(int_ring_matrix([[1, 0], [0, 2]]))
-
-
-# ---------------------------------------------------------------------------
-# induction
 
 
 def test_induce_identity_isomorphism():
@@ -1090,11 +1077,10 @@ def test_render_report_shows_key_lines():
 def test_universal_invariant_lookup_and_render():
     c = load_builtin("example3")
     u = universal_invariant(c)
-    entry = u.entry_for(("1", "g", "h", "gh"), "pole-a")
+    entry = u.entries[3]
+    assert (entry.subgroup_labels, entry.component) == (("1", "g", "h", "gh"), "pole-a")
     assert str(entry.kclass) == "+[1]"
     assert "[integer class: +1·(x−1)]" in str(u)
-    with pytest.raises(ValueError, match="no universal-class entry"):
-        u.entry_for(("1",), "nonexistent")
 
 
 RENDERED_BUILTINS = {

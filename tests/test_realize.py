@@ -73,8 +73,8 @@ def test_model_structure():
             assert d.boundary.is_zero
     # top degree carries b_prime padded with one identity cell
     top = iso.degrees[3].chain_map
-    assert top.entry(0, 0).identity_coefficient() == 1
-    assert top.entry(1, 1).identity_coefficient() == 5
+    assert top.entry(0, 0).terms == (((), 0, 1),)
+    assert top.entry(1, 1).terms == (((), 0, 5),)
 
 
 def test_round_trip_recovers_target_classes():
@@ -101,11 +101,14 @@ def test_universal_class_normalizes_to_difference():
         aut = c.classes[0].aut
 
         def ring_matrix(rows):
-            return GroupRingMatrix.from_rows(
+            return GroupRingMatrix(
                 aut,
+                len(rows),
+                len(rows),
                 [
-                    [GroupRingElement.basis(aut, (), aut.weyl.identity, v) for v in row]
+                    GroupRingElement.basis(aut, (), aut.weyl.identity, v)
                     for row in rows
+                    for v in row
                 ],
             )
 
