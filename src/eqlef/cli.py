@@ -43,7 +43,7 @@ from .complex_model import (
     serialize_complex,
 )
 from .corpus import BUILTIN_COMPLEXES
-from .equivariant_groups import _shown
+from .equivariant_groups import _MAX_SHOWN, _shown
 from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, IntPolynomial
 from .invariants import _encode_uz, _integer_class, _sign, build_report, render_report
 from .realize import RealizationTarget, realize
@@ -212,10 +212,9 @@ def _load_input_complex(text: str) -> EquivariantComplex:
     except OSError:  # a name too long for the file system names no file
         exists = False
     if exists:
-        document = _json_loads(
-            path.read_text(encoding="utf-8"), f"document {text!r}", f"document {text!r}"
-        )
-        return load_complex(document)
+        # a path of up to _MAX_SHOWN characters is echoed whole, quotes and all
+        name = f"document {repr(text) if len(text) <= _MAX_SHOWN else _shown(repr(text))}"
+        return load_complex(_json_loads(path.read_text(encoding="utf-8"), name, name))
     builtin_names = ", ".join(sorted(BUILTIN_COMPLEXES))
     raise _InputError(
         f"input {_shown(repr(text))} is not a builtin name ({builtin_names}), an existing "

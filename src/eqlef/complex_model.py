@@ -21,7 +21,7 @@ import itertools
 import operator
 import re
 import sys
-from typing import Any, Callable, Mapping, Sequence
+from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 from .corpus import BUILTIN_COMPLEXES
 from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix
@@ -98,7 +98,7 @@ def _require_list(value: Any, where: str) -> list:
     return list(value)
 
 
-def _check_allowed_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
+def _check_allowed_keys(mapping: Mapping, allowed: AbstractSet[str], where: str) -> None:
     for key in mapping:
         if key not in allowed:
             shown = _shown(f"'{key}'")
@@ -154,32 +154,37 @@ def _decode_rows(
     """The rows of the array of arrays at ``where``, each entry decoded by ``decode``.
 
     ``decode`` raises :class:`_Malformed` with a location relative to the
-    entry, which gets the prefix ``where[i][j]`` on the way out.  With
-    ``shape = (rows, cols)``, the array must have exactly that shape.
+    entry, which gets the prefix ``where[i][j]`` on the way out; a row is
+    decoded in one pass, and walked again only to find ``j`` once it fails.
+    With ``shape = (rows, cols)``, the array must have exactly that shape.
     """
     raw_rows = _require_list(value, where)
     if shape is not None and len(raw_rows) != shape[0]:
         raise ValueError(f"expected {shape[0]} rows at {where}, got {len(raw_rows)}.")
     rows = []
-    i = j = None
-    try:
-        for i, raw_row in enumerate(raw_rows):
-            j = None
+    for i, raw_row in enumerate(raw_rows):
+        try:
             row = _require_list(raw_row, "")
-            if shape is not None and len(row) != shape[1]:
-                raise ValueError(
-                    f"expected {shape[1]} entries in row {i} at {where}, got {len(row)}."
-                )
-            if decode is _decode_int and _INT_ONLY.issuperset(map(type, row)):
-                rows.append(row)  # plain ints decode to themselves
-                continue
-            decoded = []
-            for j, item in enumerate(row):
-                decoded.append(decode(item))
-            rows.append(decoded)
-    except _Malformed as exc:
-        exc.within(f"{where}[{i}]" if j is None else f"{where}[{i}][{j}]")
-        raise
+        except _Malformed as exc:
+            exc.within(f"{where}[{i}]")
+            raise
+        if shape is not None and len(row) != shape[1]:
+            raise ValueError(
+                f"expected {shape[1]} entries in row {i} at {where}, got {len(row)}."
+            )
+        if decode is _decode_int and _INT_ONLY.issuperset(map(type, row)):
+            rows.append(row)  # plain ints decode to themselves
+            continue
+        try:
+            rows.append(list(map(decode, row)))
+        except _Malformed as exc:
+            for j, item in enumerate(row):  # the first entry that fails again
+                try:
+                    decode(item)
+                except _Malformed:
+                    break
+            exc.within(f"{where}[{i}][{j}]")
+            raise
     return rows
 
 
@@ -198,7 +203,7 @@ def _encode_int_matrix(matrix: IntMatrix) -> list[list[int | str]]:
 # ---------------------------------------------------------------------------
 # group-ring entry coding
 
-_TERM_FIELDS = {"coeff", "vector", "weyl_elem"}
+_TERM_FIELDS = frozenset({"coeff", "vector", "weyl_elem"})
 
 
 def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
@@ -208,7 +213,8 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
     ``vector`` (default 0) and ``weyl_elem`` (default the identity).
     """
     if type(item) is dict or (type(item) is not int and isinstance(item, Mapping)):
-        _check_allowed_keys(item, _TERM_FIELDS, "")
+        if not _TERM_FIELDS.issuperset(item):
+            _check_allowed_keys(item, _TERM_FIELDS, "")
         coefficient = _decode_int(item.get("coeff", 1), ".coeff")
         raw_vector = item.get("vector")
         if raw_vector is None:
@@ -221,15 +227,18 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
                     lambda at: f"vector at {at} has length {len(vector_list)}; "
                     f"expected {aut.pi1_rank}.",
                 )
-            decoded = []
-            i = 0
-            try:
-                for i, v in enumerate(vector_list):
-                    decoded.append(_decode_int(v))
-            except _Malformed as exc:
-                exc.within(f".vector[{i}]")
-                raise
-            vector = tuple(decoded)
+            if _INT_ONLY.issuperset(map(type, vector_list)):
+                vector = tuple(vector_list)  # plain ints decode to themselves
+            else:
+                decoded = []
+                i = 0
+                try:
+                    for i, v in enumerate(vector_list):
+                        decoded.append(_decode_int(v))
+                except _Malformed as exc:
+                    exc.within(f".vector[{i}]")
+                    raise
+                vector = tuple(decoded)
         raw_weyl = item.get("weyl_elem")
         if raw_weyl is None:
             w = aut.weyl.identity
@@ -326,7 +335,8 @@ class ChainDegree:
     group ring: one pair (row j, r) per row and per Weyl coset of its
     stabilizer, r the coset's least element.  The loader builds it from the
     stabilizers, before any matrix is read.  :attr:`relative_map` is the
-    square part of the chain map on the unmasked rows and columns.
+    square part of the chain map on the unmasked rows and columns: the chain
+    map itself when no cell is masked.
     """
 
     degree: int
@@ -347,6 +357,8 @@ class ChainDegree:
 
     @functools.cached_property
     def relative_map(self) -> GroupRingMatrix:
+        if not any(self.relative_mask):
+            return self.chain_map
         unmasked = self.unmasked_indices
         return self.chain_map.submatrix(unmasked, unmasked)
 
@@ -685,7 +697,14 @@ def _products_cancel(
     rank = phi_pi.rows
     bounds = [0] * rank  # M_i
     if rank:
-        vectors = [v for p in products for m in p[:2] for e in m.entries for v, _, _ in e.terms]
+        vectors = [
+            v
+            for p in products
+            for m in p[:2]
+            for row in m._nonzero_rows()
+            for _, e in row
+            for v, _, _ in e.terms
+        ]
         bounds = [max(map(abs, column)) for column in zip(*vectors)] or bounds
     shifts, width = [], 0
     for i in range(rank):

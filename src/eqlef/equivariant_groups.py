@@ -814,7 +814,9 @@ class TwistedClassSet:
     computed by reducing top-down against a column-echelon basis of the
     image lattice of (φ_π − I), which picks the unique coset element whose
     pivot-row entries lie in ``[0, pivot)``, and then minimizing
-    lexicographically over the Weyl orbit.
+    lexicographically over the Weyl orbit.  Each set remembers the
+    representative of every vector it has reduced, so its memo holds only
+    the vectors projected through that set and lives as long as it does.
 
     >>> phi = IntMatrix.from_rows([[-1]])
     >>> classes = twisted_classes(AutGroup.translations(1), TwistData(phi))
@@ -822,7 +824,7 @@ class TwistedClassSet:
     ((1,), (0,))
     """
 
-    __slots__ = ("aut", "twist", "_basis")
+    __slots__ = ("aut", "twist", "_basis", "_memo")
 
     def __init__(self, aut: AutGroup, twist: TwistData) -> None:
         twist.validate_against(aut)
@@ -831,6 +833,7 @@ class TwistedClassSet:
         k = aut.pi1_rank
         difference = twist.phi_pi - IntMatrix.identity(k)
         self._basis = _echelon_columns(k, (difference.column(j) for j in range(k)))
+        self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _lattice_reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         reduced = list(vector)
@@ -841,18 +844,23 @@ class TwistedClassSet:
 
     def representative(self, vector: Sequence[int]) -> tuple[int, ...]:
         """The canonical representative of the class of ``vector``."""
+        try:
+            return self._memo[vector]
+        except (KeyError, TypeError):  # not reduced yet, or unhashable, as a list is
+            pass
         vector = tuple(int(v) for v in vector)
         if len(vector) != self.aut.pi1_rank:
             raise ValueError(
                 f"vector of length {len(vector)} does not match rank {self.aut.pi1_rank}."
             )
         reduced = self._lattice_reduce(vector)
-        if self.aut.weyl.order == 1:
-            return reduced
-        return min(
-            self._lattice_reduce(self.aut.act(w, reduced))
-            for w in range(self.aut.weyl.order)
-        )
+        if self.aut.weyl.order != 1:
+            reduced = min(
+                self._lattice_reduce(self.aut.act(w, reduced))
+                for w in range(self.aut.weyl.order)
+            )
+        self._memo[vector] = reduced
+        return reduced
 
 
 def twisted_classes(aut: AutGroup, twist: TwistData) -> TwistedClassSet:
@@ -1034,12 +1042,13 @@ class GroupRingMatrix:
     C → C' with source rank r and target rank r' is an r×r' matrix and
     composition "first M, then N with twist ψ" is ``ψ(M) @ N``.
 
-    Entries are stored densely, but products and traces are sparse: they
-    walk only the nonzero entries of each row and build each result entry
-    once, from one dict of (vector, w) sums.
+    Entries are stored densely, in ``entries``.  The nonzero entries of each
+    row are listed once per matrix, on first use, and kept as a tuple of
+    tuples (:meth:`_nonzero_rows`); products, the chain check and the block
+    split walk only those, and a trace reads only the diagonal.
     """
 
-    __slots__ = ("aut", "rows", "cols", "entries")
+    __slots__ = ("aut", "rows", "cols", "entries", "_sparse")
 
     def __init__(
         self,
@@ -1071,12 +1080,20 @@ class GroupRingMatrix:
     def row(self, i: int) -> tuple[GroupRingElement, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def _nonzero_rows(self) -> list[list[tuple[int, GroupRingElement]]]:
-        """Per row, the ``(column, entry)`` pairs of its nonzero entries."""
-        return [
-            [(i, entry) for i, entry in enumerate(self.row(j)) if entry.terms]
+    def _nonzero_rows(self) -> tuple[tuple[tuple[int, GroupRingElement], ...], ...]:
+        """Per row, the ``(column, entry)`` pairs of its nonzero entries.
+
+        Built on the first call and kept, immutable, for the next ones.
+        """
+        try:
+            return self._sparse
+        except AttributeError:
+            pass
+        self._sparse = tuple(
+            tuple((i, entry) for i, entry in enumerate(self.row(j)) if entry.terms)
             for j in range(self.rows)
-        ]
+        )
+        return self._sparse
 
     @property
     def is_square(self) -> bool:

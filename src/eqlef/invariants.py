@@ -353,8 +353,11 @@ class KClass(FormalSum):
         ``ValueError``.
         """
         n = cls.check_key(matrix).rows
-        support = [sum(1 << i for i, e in enumerate(matrix.row(j)) if not e.is_zero) for j in range(n)]
-        return [_canonical_block(matrix.submatrix(c, c)) for c in _diagonal_blocks(support)]
+        support = [sum(1 << i for i, _ in row) for row in matrix._nonzero_rows()]
+        return [
+            _canonical_block(matrix if len(c) == n else matrix.submatrix(c, c))
+            for c in _diagonal_blocks(support)
+        ]
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[GroupRingMatrix, int]]) -> "KClass":
@@ -549,14 +552,16 @@ def lefschetz_number(d: IsoClassData) -> int:
     """The Lefschetz number of the component self-map.
 
     Computed as the alternating trace of the integer chain matrices of the
-    component: expand over Weyl cosets, apply the augmentation, and trace.
+    component: expand over Weyl cosets, then sum (−1)^p·aug(tr(expanded
+    map)).  Augmentation is additive, so the augmentation of the trace is the
+    trace of the entrywise augmentation, and only the diagonal is read.
 
     >>> from .complex_model import load_builtin
     >>> lefschetz_number(load_builtin("example2").classes[0])
     2
     """
     return sum(
-        _sign(entry.degree) * expanded_map.augmented().trace()
+        _sign(entry.degree) * expanded_map.trace().augmentation()
         for entry, _, expanded_map, _ in d.ladder
     )
 

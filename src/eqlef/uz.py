@@ -63,12 +63,18 @@ def _diagonal_blocks(support: list[int]) -> list[list[int]]:
 
     ``support[j]`` has bit i set when entry (j, i) is nonzero.  i and j share
     a component exactly when their transitively closed reaches are equal.
+    The closure stops once every row reaches every index, as a dense
+    matrix's rows do after the first step.
 
     >>> _diagonal_blocks([0b010, 0b001, 0b011])
     [[0, 1], [2]]
     """
+    n = len(support)
+    full = (1 << n) - 1
     reach = [row | 1 << j for j, row in enumerate(support)]
-    for k in range(len(reach)):
+    for k in range(n):
+        if reach.count(full) == n:
+            break
         bit, through = 1 << k, reach[k]
         reach = [row | through if row & bit else row for row in reach]
     components: dict[int, list[int]] = {}

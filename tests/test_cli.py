@@ -400,8 +400,9 @@ def test_class_rejects_loose_integer_strings(capsys, entry):
 @pytest.mark.parametrize(
     "form", ["matrix", "document", "bare-matrix", "bare-document", "bare-inline"]
 )
-def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
+def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, monkeypatch, form):
     """5000 digits, as a decimal string or as a bare JSON number (json.loads fails)."""
+    monkeypatch.chdir(tmp_path)  # a short relative path, which is echoed whole
     bare = form.startswith("bare")
     number = "9" * 5000 if bare else '"' + "9" * 5000 + '"'
     if form.endswith("matrix"):
@@ -413,10 +414,10 @@ def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
             {"degree": 0, "rank": 1, "relative_mask": [False], "map": [["N"]]}
         ]
         text = json.dumps(document).replace('"N"', number)
-        path = tmp_path / "long.json"
-        path.write_text(text, encoding="utf-8")
-        argv = ["invariants", text if form == "bare-inline" else str(path)]
-        where = {"bare-inline": "inline JSON document", "bare-document": repr(str(path))}.get(
+        path = "long.json"
+        (tmp_path / path).write_text(text, encoding="utf-8")
+        argv = ["invariants", text if form == "bare-inline" else path]
+        where = {"bare-inline": "inline JSON document", "bare-document": repr(path)}.get(
             form, "map[0][0]"
         )
     code, out, err = run(capsys, argv)
@@ -429,8 +430,9 @@ def test_overlong_integer_string_names_the_digit_limit(capsys, tmp_path, form):
 
 
 @pytest.mark.parametrize("command", ["class", "check", "invariants"])
-def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, monkeypatch, command):
     """50 000 nested arrays (an object for ``invariants``) overflow json.loads' recursion."""
+    monkeypatch.chdir(tmp_path)  # a short relative path, which is echoed whole
     depth = 50_000
     if command == "invariants":
         text = '{"a":' * depth + "1" + "}" * depth
@@ -439,9 +441,9 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
     if command == "class":
         argv, where = ["class", text], "matrix input"
     else:
-        path = tmp_path / "deep.json"
-        path.write_text(text, encoding="utf-8")
-        argv, where = [command, str(path)], repr(str(path))
+        path = "deep.json"
+        (tmp_path / path).write_text(text, encoding="utf-8")
+        argv, where = [command, path], repr(path)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -814,6 +816,34 @@ def test_long_unknown_weyl_label_is_shortened(capsys):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and len(err) < 300
     assert f"label '{LONG[:64]}… ({len(LONG)} characters)'; known labels: ['1', 'g']." in err
+
+
+def test_short_document_path_is_whole(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = "d" * 59 + ".json"  # 64 characters
+    (tmp_path / path).write_text("nonsense", encoding="utf-8")
+    assert run(capsys, ["check", path]) == (
+        1,
+        "",
+        f"error: could not parse document '{path}': "
+        "Expecting value: line 1 column 1 (char 0).\n",
+    )
+
+
+def test_long_document_path_is_shortened(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    directory = "/".join(["d" * 199] * 4)  # each part within the file system's name limit
+    path = f"{directory}/{'x' * 200}"
+    assert len(path) == 1000
+    (tmp_path / directory).mkdir(parents=True)
+    (tmp_path / path).write_text("nonsense", encoding="utf-8")
+    code, out, err = run(capsys, ["check", path])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    quoted = repr(path)
+    assert err.startswith(
+        f"error: could not parse document {quoted[:64]}… ({len(quoted)} characters): "
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -744,6 +744,44 @@ def test_malformed_value_message_is_pinned(path, value, message):
     assert str(info.value) == message
 
 
+def wide_row_document(n):
+    """One degree of rank ``n`` over the translations of ℤ, every map entry two terms."""
+    chain_map = [[[{"coeff": 2, "vector": [i - j]}, 1] for i in range(n)] for j in range(n)]
+    iso = {"subgroup_class": ["1"], "component": "c", "pi1_rank": 1, "phi_pi": [[1]]}
+    iso["chain"] = [{"degree": 0, "rank": n, "map": chain_map}]
+    return {"format_version": 1, "group": {"builtin": "trivial"}, "iso_classes": [iso]}
+
+
+LATE_TERMS = [
+    # (bad second term of an entry, its message with the term's location as {at})
+    (True, "expected an integer at {at}, got a boolean."),
+    ("x", "expected an integer at {at}, got 'x'."),
+    ({"coeff": 1.5}, "expected an integer at {at}.coeff, got float."),
+    ({"coef": 1}, "unknown field 'coef' at {at}; allowed fields: ['coeff', 'vector', 'weyl_elem']."),
+    ({"vector": [1, 2]}, "vector at {at} has length 2; expected 1."),
+    ({"vector": [False]}, "expected an integer at {at}.vector[0], got a boolean."),
+    ({"weyl_elem": 0}, "expected a Weyl element label at {at}.weyl_elem."),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(n // 2, n - 1))
+    ),
+    st.sampled_from(LATE_TERMS),
+)
+def test_malformed_entry_late_in_a_row_names_its_column(cell, late):
+    n, i, j = cell
+    bad, message = late
+    document = wide_row_document(n)
+    load_complex(copy.deepcopy(document))  # the unmodified document is valid
+    document["iso_classes"][0]["chain"][0]["map"][i][j] = [{"coeff": 3, "vector": [1]}, bad]
+    with pytest.raises(ValueError) as info:
+        load_complex(document)
+    assert str(info.value) == message.format(at=f"iso_classes[0].chain[0].map[{i}][{j}][term 1]")
+
+
 def test_non_dict_mapping_terms_decode():
     document = z2_table_document()
     document["iso_classes"][0]["chain"][0]["map"][1][0] = [

@@ -812,6 +812,30 @@ def test_weyl_moves_identify_reflected_vectors():
     assert without.representative((4,)) != without.representative((-4,))
 
 
+WEYL_MERGING_SETS = (
+    # (θ on the translations of a ℤ₂ Weyl group, φ_π commuting with it)
+    ([[0, 1], [1, 0]], [[3, 1], [1, 3]]),
+    ([[-1]], [[1]]),
+    ([[-1, 0], [0, -1]], [[2, 1], [0, -1]]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_remembered_representatives_match_a_fresh_set(data):
+    theta, phi = data.draw(st.sampled_from(WEYL_MERGING_SETS))
+    k = len(phi)
+    aut = AutGroup(k, FiniteGroup.builtin("Z2"), [IntMatrix.identity(k), IntMatrix.from_rows(theta)])
+    twist = TwistData(IntMatrix.from_rows(phi))
+    remembering = twisted_classes(aut, twist)
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * k), min_size=1, max_size=12))
+    for vector in vectors + vectors:  # the second pass reads the memo
+        fresh = twisted_classes(aut, twist).representative(vector)
+        assert remembering.representative(vector) == fresh
+        assert remembering.representative(list(vector)) == fresh
+    assert remembering._memo.keys() == set(vectors)  # only the vectors it projected
+
+
 # ---------------------------------------------------------------------------
 # group-ring arithmetic
 
@@ -972,6 +996,20 @@ def sparse_matrix_pairs(draw):
 
     n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
     return matrix(n, m), matrix(m, p), matrix(n, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_matrix_pairs())
+def test_nonzero_rows_are_kept_immutable_and_match_the_entries(matrices):
+    for m in matrices:
+        rows = m._nonzero_rows()
+        assert rows is m._nonzero_rows()  # built once per matrix
+        assert rows == tuple(
+            tuple((i, m.entry(j, i)) for i in range(m.cols) if not m.entry(j, i).is_zero)
+            for j in range(m.rows)
+        )
+        assert type(rows) is tuple
+        assert all(type(row) is tuple and all(type(pair) is tuple for pair in row) for row in rows)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

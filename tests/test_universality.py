@@ -3,11 +3,14 @@
 Wherever u carries an integer class, it equals the whole-matrix formula
 Σ_p (−1)^p class_of_matrix(relative map in degree p), although eqlef reads
 it off u's normal-form blocks; and λ = tr_π(u), i.e. λ equals
-Σ c · pi1_projection(block.trace()) over u's normal-form terms.
+Σ c · pi1_projection(block.trace()) over u's normal-form terms.  The
+Lefschetz number, read off the augmented trace, equals the trace of the
+entrywise-augmented expanded maps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +22,7 @@ from eqlef import (
     UZClass,
     class_of_matrix,
     lambda_invariant,
+    lefschetz_number,
     load_builtin,
     load_complex,
     pi1_projection,
@@ -94,6 +98,27 @@ def test_oracles_on_seeded_realizations(seed):
     assert assert_oracles(realized(a, b_prime)) == 1
 
 
+def augmented_lefschetz(iso):
+    """Σ_p (−1)^p tr(augmented expanded map): the entrywise augmentation, then the trace."""
+    return sum(
+        (-1) ** entry.degree * expanded_map.augmented().trace()
+        for entry, _, expanded_map, _ in iso.ladder
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_COMPLEXES))
+def test_lefschetz_number_is_the_augmented_trace_on_builtins(name):
+    for iso in load_builtin(name).classes:
+        assert lefschetz_number(iso) == augmented_lefschetz(iso)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+def test_lefschetz_number_is_the_augmented_trace_on_tori(degrees):
+    (iso,) = load_complex(torus_document(degrees)).classes
+    assert lefschetz_number(iso) == augmented_lefschetz(iso) == math.prod(1 - d for d in degrees)
+
+
 @st.composite
 def block_triangular(draw, max_blocks=3, max_block=3):
     """Rows of a renumbered block-upper-triangular matrix.
@@ -131,3 +156,10 @@ def block_triangular(draw, max_blocks=3, max_block=3):
 @given(block_triangular(), block_triangular())
 def test_oracles_on_block_triangular_targets(a, b_prime):
     assert assert_oracles(realized(a, b_prime)) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(block_triangular(), block_triangular())
+def test_lefschetz_number_is_the_augmented_trace_on_realizations(a, b_prime):
+    for iso in realized(a, b_prime).classes:
+        assert lefschetz_number(iso) == augmented_lefschetz(iso)

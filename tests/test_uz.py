@@ -154,6 +154,37 @@ def test_diagonal_blocks_match_a_search_from_every_start(support):
     assert _diagonal_blocks(support) == reference_blocks(support)
 
 
+def full_closure_blocks(support):
+    """The components from the transitive closure run over every index, never stopped early."""
+    reach = [row | 1 << j for j, row in enumerate(support)]
+    for k in range(len(reach)):
+        reach = [row | reach[k] if row >> k & 1 else row for row in reach]
+    components = {}
+    for j, row in enumerate(reach):
+        components.setdefault(row, []).append(j)
+    return list(components.values())
+
+
+def seeded_supports(seed):
+    """Random supports from sparse to dense, then a 64-cycle and a 64×64
+    block upper triangular support with 2×2 diagonal blocks."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.02, 0.1, 0.3, 0.7, 1.0))
+        yield [sum(1 << i for i in range(n) if rng.random() < density) for _ in range(n)]
+    yield [1 << (j + 1) % 64 for j in range(64)]
+    yield [
+        sum(1 << i for i in range(64) if i // 2 == j // 2 or (i // 2 > j // 2 and rng.random() < 0.125))
+        for j in range(64)
+    ]
+
+
+def test_closure_stopped_once_full_matches_the_full_closure():
+    for support in seeded_supports(2026):
+        assert _diagonal_blocks(support) == full_closure_blocks(support)
+
+
 @st.composite
 def renumbered_block_triangular(draw):
     """(M, P·M·Pᵀ) for block upper triangular M with up to 12 rows."""
