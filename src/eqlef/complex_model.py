@@ -145,6 +145,27 @@ def _encode_int(value: int) -> int | str:
     return value if abs(value) <= _JSON_SAFE_BOUND else str(value)
 
 
+def _decode_list(items: list, where: str, decode: Callable[[Any], Any]) -> list:
+    """Every item of ``items`` decoded by ``decode``, plain ints as they are.
+
+    ``decode`` raises :class:`_Malformed` with a location relative to the
+    item, which gets the prefix ``where[j]`` on the way out; the list is
+    decoded in one pass, and walked again only to find ``j`` once it fails.
+    """
+    if decode is _decode_int and _INT_ONLY.issuperset(map(type, items)):
+        return items  # plain ints decode to themselves
+    try:
+        return list(map(decode, items))
+    except _Malformed as exc:
+        for j, item in enumerate(items):  # the first item that fails again
+            try:
+                decode(item)
+            except _Malformed:
+                break
+        exc.within(f"{where}[{j}]")
+        raise
+
+
 def _decode_rows(
     value: Any,
     where: str,
@@ -153,9 +174,7 @@ def _decode_rows(
 ) -> list[list]:
     """The rows of the array of arrays at ``where``, each entry decoded by ``decode``.
 
-    ``decode`` raises :class:`_Malformed` with a location relative to the
-    entry, which gets the prefix ``where[i][j]`` on the way out; a row is
-    decoded in one pass, and walked again only to find ``j`` once it fails.
+    Failures are located at ``where[i][j]`` (see :func:`_decode_list`).
     With ``shape = (rows, cols)``, the array must have exactly that shape.
     """
     raw_rows = _require_list(value, where)
@@ -172,19 +191,7 @@ def _decode_rows(
             raise ValueError(
                 f"expected {shape[1]} entries in row {i} at {where}, got {len(row)}."
             )
-        if decode is _decode_int and _INT_ONLY.issuperset(map(type, row)):
-            rows.append(row)  # plain ints decode to themselves
-            continue
-        try:
-            rows.append(list(map(decode, row)))
-        except _Malformed as exc:
-            for j, item in enumerate(row):  # the first entry that fails again
-                try:
-                    decode(item)
-                except _Malformed:
-                    break
-            exc.within(f"{where}[{i}][{j}]")
-            raise
+        rows.append(_decode_list(row, f"{where}[{i}]", decode))
     return rows
 
 
@@ -227,18 +234,7 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
                     lambda at: f"vector at {at} has length {len(vector_list)}; "
                     f"expected {aut.pi1_rank}.",
                 )
-            if _INT_ONLY.issuperset(map(type, vector_list)):
-                vector = tuple(vector_list)  # plain ints decode to themselves
-            else:
-                decoded = []
-                i = 0
-                try:
-                    for i, v in enumerate(vector_list):
-                        decoded.append(_decode_int(v))
-                except _Malformed as exc:
-                    exc.within(f".vector[{i}]")
-                    raise
-                vector = tuple(decoded)
+            vector = tuple(_decode_list(vector_list, ".vector", _decode_int))
         raw_weyl = item.get("weyl_elem")
         if raw_weyl is None:
             w = aut.weyl.identity

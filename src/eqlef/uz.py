@@ -63,8 +63,10 @@ def _diagonal_blocks(support: list[int]) -> list[list[int]]:
 
     ``support[j]`` has bit i set when entry (j, i) is nonzero.  i and j share
     a component exactly when their transitively closed reaches are equal.
-    The closure stops once every row reaches every index, as a dense
-    matrix's rows do after the first step.
+    The closure stops once every row reaches every index, which shows the
+    support is one block, as a matrix without zero entries does at once.
+    Row k is then full too, so the rows are counted only when it is, and
+    every other step pays one integer comparison for the check.
 
     >>> _diagonal_blocks([0b010, 0b001, 0b011])
     [[0, 1], [2]]
@@ -73,9 +75,9 @@ def _diagonal_blocks(support: list[int]) -> list[list[int]]:
     full = (1 << n) - 1
     reach = [row | 1 << j for j, row in enumerate(support)]
     for k in range(n):
-        if reach.count(full) == n:
-            break
         bit, through = 1 << k, reach[k]
+        if through == full and reach.count(full) == n:
+            break
         reach = [row | through if row & bit else row for row in reach]
     components: dict[int, list[int]] = {}
     for j, row in enumerate(reach):

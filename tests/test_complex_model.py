@@ -782,6 +782,22 @@ def test_malformed_entry_late_in_a_row_names_its_column(cell, late):
     assert str(info.value) == message.format(at=f"iso_classes[0].chain[0].map[{i}][{j}][term 1]")
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_malformed_coordinate_late_in_a_vector_names_its_index(k):
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    iso = {"subgroup_class": ["1"], "component": "c", "pi1_rank": k, "phi_pi": identity}
+    vector = ["-1"] + [0] * (k - 1)  # a decimal string among plain ints decodes
+    iso["chain"] = [{"degree": 0, "rank": 1, "map": [[{"vector": vector}]]}]
+    document = {"format_version": 1, "group": {"builtin": "trivial"}, "iso_classes": [iso]}
+    load_complex(copy.deepcopy(document))  # the unmodified document is valid
+    vector[-1] = "y"
+    with pytest.raises(ValueError) as info:
+        load_complex(document)
+    assert str(info.value) == (
+        f"expected an integer at iso_classes[0].chain[0].map[0][0][term 0].vector[{k - 1}], got 'y'."
+    )
+
+
 def test_non_dict_mapping_terms_decode():
     document = z2_table_document()
     document["iso_classes"][0]["chain"][0]["map"][1][0] = [
