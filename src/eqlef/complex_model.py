@@ -24,7 +24,7 @@ import sys
 from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 from .corpus import BUILTIN_COMPLEXES
-from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix
+from .exact_algebra import MAX_MATRIX_ORDER, IntMatrix, _INT_ONLY
 from .equivariant_groups import (
     AutGroup,
     FiniteGroup,
@@ -32,7 +32,6 @@ from .equivariant_groups import (
     GroupRingMatrix,
     Subgroup,
     TwistData,
-    _INT_ONLY,
     _check_group_order,
     _shown,
     weyl_group,
@@ -249,20 +248,19 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
 def _decode_entry(value: Any, aut: AutGroup) -> GroupRingElement:
     """A group-ring entry, one term or a list of them; failures name ``[term k]``.
 
-    :func:`_decode_term` has checked every term, so the terms are combined
-    here and enter through the unchecked ``GroupRingElement._from_sums``.
+    :func:`_decode_term` has checked every term, so the terms enter through
+    the unchecked combiner ``GroupRingElement._combined``.
     """
     items = value if isinstance(value, (list, tuple)) else (value,)
-    sums: dict[tuple[tuple[int, ...], int], int] = {}
+    terms = []
     k = 0
     try:
         for k, item in enumerate(items):
-            vector, w, coefficient = _decode_term(item, aut)
-            sums[(vector, w)] = sums.get((vector, w), 0) + coefficient
+            terms.append(_decode_term(item, aut))
     except _Malformed as exc:
         exc.within(f"[term {k}]")
         raise
-    return GroupRingElement._from_sums(aut, sums)
+    return GroupRingElement._combined(aut, terms)
 
 
 def _encode_term(
@@ -396,8 +394,8 @@ class IsoClassData:
         return class_label(self.subgroup.member_labels, self.component)
 
     def pi1_aut(self) -> AutGroup:
-        """The translation-only automorphism group used for expanded matrices."""
-        return AutGroup.translations(self.aut.pi1_rank)
+        """The translation-only group of the expanded matrices: :attr:`aut` if W is trivial."""
+        return self.aut if self.aut.weyl.order == 1 else AutGroup.translations(self.aut.pi1_rank)
 
     @functools.cached_property
     def ladder(
@@ -429,37 +427,28 @@ class IsoClassData:
         representative r of its stabilizer; a term c·(v, w) of the entry at
         (j, i) contributes c·(θ(r)·v) at target coset representative of
         r·w modulo the target stabilizer.  A trivial W makes this the
-        identity: every expanded basis is ``[(j, 0)]``, so the matrix is
-        re-homed onto :meth:`pi1_aut`, each entry sharing its module entry's
-        terms and every zero one zero.
+        identity, since every expanded basis is ``[(j, 0)]`` and
+        :meth:`pi1_aut` is :attr:`aut`, so the module matrix is returned as
+        it is.
         """
-        pi1 = self.pi1_aut()
         weyl = self.aut.weyl
         if weyl.order == 1:
-            zero = GroupRingElement.zero(pi1)
-            return GroupRingMatrix(
-                pi1,
-                matrix.rows,
-                matrix.cols,
-                tuple(
-                    GroupRingElement._from_normal(pi1, element.terms) if element.terms else zero
-                    for element in matrix.entries
-                ),
-            )
+            return matrix
+        pi1 = self.pi1_aut()
         position = {key: p for p, key in enumerate(target.expanded_basis)}
-        accumulated: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
+        accumulated: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
         for a, (j, r) in enumerate(source.expanded_basis):
             for i, element in enumerate(matrix.row(j)):
                 stabilizer = target.stabilizers[i]
                 for vector, w, coefficient in element.terms:
                     b = position[(i, weyl.coset_representative(weyl.multiply(r, w), stabilizer))]
-                    sums = accumulated.setdefault((a, b), {})
-                    key = (self.aut.act(r, vector), pi1.weyl.identity)
-                    sums[key] = sums.get(key, 0) + coefficient
+                    accumulated.setdefault((a, b), []).append(
+                        (self.aut.act(r, vector), pi1.weyl.identity, coefficient)
+                    )
         zero = GroupRingElement.zero(pi1)
         rows, cols = len(source.expanded_basis), len(target.expanded_basis)
         entries = tuple(
-            GroupRingElement._from_sums(pi1, accumulated[(a, b)])
+            GroupRingElement._combined(pi1, accumulated[(a, b)])
             if (a, b) in accumulated
             else zero
             for a in range(rows)

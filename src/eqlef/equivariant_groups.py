@@ -19,16 +19,15 @@ computations:
 
 Group-ring terms are validated once, where they enter: the public
 :class:`GroupRingElement` constructor, or the document decoder, which checks
-each term itself and passes the combined terms to the unchecked
-:meth:`GroupRingElement._from_sums`.  Arithmetic (sums, products, negation,
-scaling, twists, coset reduction, traces and the Weyl expansion) builds its
-results from terms it already trusts and does not check them again; over a
-trivial W the expansion shares the module entries' ``terms`` tuples.
-Products and traces walk only the nonzero entries of each row and collect
-each result entry in one dict keyed by (vector, w); θ(w) is applied only
-when w is not the identity.  The loader checks its chain identities without
-these kernels: ``complex_model._validate_chain_algebra`` lets the products
-cancel under packed integer keys, with no product matrix built.
+each term itself.  Every element is then built by one unchecked combiner,
+:meth:`GroupRingElement._combined`, which adds equal (vector, w) pairs,
+drops zeros and sorts the rest; arithmetic (sums, products, negation,
+scaling, twists, coset reduction, traces and the Weyl expansion) passes it
+terms made from terms it already trusts.  Products walk only the nonzero
+entries of each row, a trace reads only the diagonal, and θ(w) is applied
+only when w is not the identity.  The loader checks its chain identities
+without these kernels: ``complex_model._validate_chain_algebra`` lets the
+products cancel under packed integer keys, with no product matrix built.
 Group-ring values hash by their terms alone.  The translation-only group of
 each rank is one shared :class:`AutGroup` (:meth:`AutGroup.translations`),
 so same-group checks are identity tests.
@@ -48,9 +47,9 @@ import functools
 import itertools
 import operator
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exact_algebra import IntMatrix
+from .exact_algebra import IntMatrix, _require_ints
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -91,8 +90,6 @@ def _check_group_order(order: int, what: str) -> None:
 
 
 _MAX_SHOWN = 64
-_INT_ONLY = frozenset({int})
-_KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
 
 
 def _shown(text: str) -> str:
@@ -196,10 +193,7 @@ class FiniteGroup:
                 f"multiplication table must be {n}×{n} to match {n} labels."
             )
         for i, row in enumerate(row_tuples):
-            if not _INT_ONLY.issuperset(map(type, row)):
-                j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int)
-                kind = _KIND_NAMES.get(type(v), f"of type {type(v).__name__}")
-                raise ValueError(f"table entry at ({i}, {j}) is {kind}, not an integer.")
+            _require_ints(row, lambda j: f"table entry at ({i}, {j})")
             if min(row) < 0 or max(row) >= n:
                 j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
                 raise ValueError(
@@ -716,22 +710,17 @@ def _require_same_aut(a: AutGroup, b: AutGroup) -> None:
         raise ValueError("cannot combine elements over different automorphism groups.")
 
 
-_TERM_ORDER = operator.itemgetter(1, 0)  # terms sort by (Weyl index, vector)
-
-
-def _accumulate_product(
+def _product_terms(
     aut: AutGroup,
-    sums: dict[tuple[tuple[int, ...], int], int],
     left: Sequence[tuple[tuple[int, ...], int, int]],
     right: Sequence[tuple[tuple[int, ...], int, int]],
-) -> None:
-    """Add the product of two term sequences into ``sums``, keyed by (vector, w)."""
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The terms (v₁ + θ(w₁)·v₂, w₁·w₂, c₁·c₂) of the product of two term sequences."""
     add = operator.add
     for v1, w1, c1 in left:
         products = aut.weyl.table[w1]
         for v2, w2, c2 in right:
-            key = (tuple(map(add, v1, aut.act(w1, v2))), products[w2])
-            sums[key] = sums.get(key, 0) + c1 * c2
+            yield (tuple(map(add, v1, aut.act(w1, v2))), products[w2], c1 * c2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -808,8 +797,8 @@ class TwistedClassSet:
 
     The relation is chosen by the group passed in: over an :class:`AutGroup`
     with Weyl group W the moves are the lattice moves a ∼ a + (φ_π − I)·m
-    and the Weyl moves a ∼ θ(w)·a; over the translation-only group
-    (:meth:`AutGroup.translations`) only the lattice moves remain, which is
+    and the Weyl moves a ∼ θ(w)·a; over a group with a trivial W, such as
+    :meth:`AutGroup.translations`, only the lattice moves remain, which is
     the Reidemeister relation of the component map.  Representatives are
     computed by reducing top-down against a column-echelon basis of the
     image lattice of (φ_π − I), which picks the unique coset element whose
@@ -866,8 +855,9 @@ class TwistedClassSet:
 def twisted_classes(aut: AutGroup, twist: TwistData) -> TwistedClassSet:
     """The twisted class set over ``aut``, whose Weyl group gives the Weyl moves.
 
-    λ and ℓ pass a class's own group; the Reidemeister trace passes the
-    translation-only group of the same rank, so it uses lattice moves only.
+    λ and ℓ pass a class's own group; the Reidemeister trace passes its
+    translation-only group (``IsoClassData.pi1_aut``: the class's own group
+    when W is trivial), so it uses lattice moves only.
 
     >>> classes = twisted_classes(AutGroup.translations(0), TwistData(IntMatrix.zeros(0, 0)))
     >>> classes.representative(())
@@ -879,11 +869,13 @@ def twisted_classes(aut: AutGroup, twist: TwistData) -> TwistedClassSet:
 class GroupRingElement:
     """A finitely supported integer combination of automorphism-group elements.
 
-    Terms are stored as sorted ``(vector, weyl_index, coefficient)`` triples
-    with zero coefficients dropped.  This constructor validates every term
-    (vector length, Weyl index); the document decoder, which checks its terms
-    as it reads them, and the arithmetic below build elements through the
-    unchecked :meth:`_from_sums`, since terms made from valid terms are valid.
+    Terms are ``(vector, weyl_index, coefficient)`` triples, sorted by
+    (weyl_index, vector), with equal pairs added and zeros dropped.  This
+    constructor validates every term (each vector entry, Weyl index and
+    coefficient must be an ``int``; a boolean, float or string is refused,
+    not converted), then builds the element, as the document decoder and
+    the arithmetic below do, with the unchecked combiner :meth:`_combined`,
+    since terms made from valid terms are valid.
 
     >>> aut = AutGroup(0, FiniteGroup.builtin("Z2"))
     >>> e = GroupRingElement.basis(aut, (), 1)
@@ -898,48 +890,45 @@ class GroupRingElement:
         aut: AutGroup,
         terms: Iterable[tuple[tuple[int, ...], int, int]],
     ) -> None:
-        combined: dict[tuple[tuple[int, ...], int], int] = {}
-        for vector, w, coefficient in terms:
-            vector = tuple(int(v) for v in vector)
+        checked = []
+        for k, (vector, w, coefficient) in enumerate(terms):
+            vector = tuple(vector)
             if len(vector) != aut.pi1_rank:
                 raise ValueError(
                     f"support vector of length {len(vector)} does not match "
                     f"rank {aut.pi1_rank}."
                 )
+            _require_ints(vector, lambda i: f"vector entry {i} of term {k}")
+            _require_ints((w,), lambda _: f"Weyl index of term {k}")
+            _require_ints((coefficient,), lambda _: f"coefficient of term {k}")
             if not 0 <= w < aut.weyl.order:
                 raise ValueError(f"Weyl index {w} outside 0..{aut.weyl.order - 1}.")
-            if coefficient:
-                key = (vector, int(w))
-                combined[key] = combined.get(key, 0) + int(coefficient)
+            checked.append((vector, w, coefficient))
         self.aut = aut
-        self.terms = tuple(
-            sorted(((v, w, c) for (v, w), c in combined.items() if c), key=_TERM_ORDER)
-        )
+        self.terms = GroupRingElement._combined(aut, checked).terms
 
     @classmethod
-    def _from_sums(
-        cls, aut: AutGroup, sums: Mapping[tuple[tuple[int, ...], int], int]
+    def _combined(
+        cls, aut: AutGroup, terms: Iterable[tuple[tuple[int, ...], int, int]]
     ) -> "GroupRingElement":
-        """The element Σ c·(v, w) over ``sums``, whose keys are trusted as valid."""
-        return cls._from_normal(
-            aut, tuple(sorted(((v, w, c) for (v, w), c in sums.items() if c), key=_TERM_ORDER))
-        )
-
-    @classmethod
-    def _from_normal(
-        cls, aut: AutGroup, terms: tuple[tuple[tuple[int, ...], int, int], ...]
-    ) -> "GroupRingElement":
-        """The element with ``terms``, trusted as valid, sorted and free of zeros."""
+        """The element Σ c·(v, w) over ``terms``, trusted as valid: equal (v, w)
+        pairs added, zero sums dropped, and the rest sorted by (w, v)."""
+        sums: dict[tuple[tuple[int, ...], int], int] = {}
+        for vector, w, coefficient in terms:
+            key = (vector, w)
+            sums[key] = sums.get(key, 0) + coefficient
         element = object.__new__(cls)
         element.aut = aut
-        element.terms = terms
+        element.terms = tuple(
+            sorted(((v, w, c) for (v, w), c in sums.items() if c), key=operator.itemgetter(1, 0))
+        )
         return element
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, aut: AutGroup) -> "GroupRingElement":
-        return cls._from_sums(aut, {})
+        return cls._combined(aut, ())
 
     @classmethod
     def basis(
@@ -961,10 +950,7 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         _require_same_aut(self.aut, other.aut)
-        sums = {(v, w): c for v, w, c in self.terms}
-        for v, w, c in other.terms:
-            sums[(v, w)] = sums.get((v, w), 0) + c
-        return GroupRingElement._from_sums(self.aut, sums)
+        return GroupRingElement._combined(self.aut, self.terms + other.terms)
 
     def __neg__(self) -> "GroupRingElement":
         return self.scale(-1)
@@ -973,23 +959,21 @@ class GroupRingElement:
         return self + (-other)
 
     def scale(self, factor: int) -> "GroupRingElement":
-        return GroupRingElement._from_sums(
-            self.aut, {(v, w): factor * c for v, w, c in self.terms}
+        return GroupRingElement._combined(
+            self.aut, [(v, w, factor * c) for v, w, c in self.terms]
         )
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         _require_same_aut(self.aut, other.aut)
-        sums: dict[tuple[tuple[int, ...], int], int] = {}
-        _accumulate_product(self.aut, sums, self.terms, other.terms)
-        return GroupRingElement._from_sums(self.aut, sums)
+        return GroupRingElement._combined(
+            self.aut, _product_terms(self.aut, self.terms, other.terms)
+        )
 
     def apply_twist(self, twist: TwistData) -> "GroupRingElement":
         """Apply (v, w) ↦ (φ_π·v, w) to every support element."""
-        sums: dict[tuple[tuple[int, ...], int], int] = {}
-        for v, w, c in self.terms:
-            key = (twist.phi_pi.apply_to_vector(v), w)
-            sums[key] = sums.get(key, 0) + c
-        return GroupRingElement._from_sums(self.aut, sums)
+        return GroupRingElement._combined(
+            self.aut, [(twist.phi_pi.apply_to_vector(v), w, c) for v, w, c in self.terms]
+        )
 
     def coset_reduce(self, stabilizer: Sequence[int]) -> "GroupRingElement":
         """Canonical form modulo right multiplication by a Weyl stabilizer.
@@ -998,11 +982,10 @@ class GroupRingElement:
         w·stabilizer); the vector part is unchanged because the stabilizer
         acts trivially on translations.
         """
-        sums: dict[tuple[tuple[int, ...], int], int] = {}
-        for vector, w, coefficient in self.terms:
-            key = (vector, self.aut.weyl.coset_representative(w, stabilizer))
-            sums[key] = sums.get(key, 0) + coefficient
-        return GroupRingElement._from_sums(self.aut, sums)
+        representative = self.aut.weyl.coset_representative
+        return GroupRingElement._combined(
+            self.aut, [(v, representative(w, stabilizer), c) for v, w, c in self.terms]
+        )
 
     # -- rendering ----------------------------------------------------
 
@@ -1132,19 +1115,21 @@ class GroupRingMatrix:
             )
         aut = self.aut
         _require_same_aut(aut, other.aut)
-        sums: dict[tuple[int, int], dict[tuple[tuple[int, ...], int], int]] = {}
+        cells: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
         other_rows = other._nonzero_rows()
         for j, row in enumerate(self._nonzero_rows()):
             for i, entry in row:
                 for l, factor in other_rows[i]:
-                    _accumulate_product(aut, sums.setdefault((j, l), {}), entry.terms, factor.terms)
+                    cells.setdefault((j, l), []).extend(
+                        _product_terms(aut, entry.terms, factor.terms)
+                    )
         zero = GroupRingElement.zero(aut)
         return GroupRingMatrix(
             aut,
             self.rows,
             other.cols,
             tuple(
-                GroupRingElement._from_sums(aut, sums[cell]) if cell in sums else zero
+                GroupRingElement._combined(aut, cells[cell]) if cell in cells else zero
                 for cell in itertools.product(range(self.rows), range(other.cols))
             ),
         )
@@ -1160,11 +1145,10 @@ class GroupRingMatrix:
     def trace(self) -> GroupRingElement:
         if not self.is_square:
             raise ValueError(f"trace requires a square matrix, got {self.rows}×{self.cols}.")
-        sums: dict[tuple[tuple[int, ...], int], int] = {}
-        for i in range(self.rows):
-            for v, w, c in self.entries[i * (self.cols + 1)].terms:
-                sums[(v, w)] = sums.get((v, w), 0) + c
-        return GroupRingElement._from_sums(self.aut, sums)
+        diagonal = self.entries[:: self.cols + 1]
+        return GroupRingElement._combined(
+            self.aut, itertools.chain.from_iterable(entry.terms for entry in diagonal)
+        )
 
     def augmented(self) -> IntMatrix:
         """The integer matrix of entrywise augmentations."""

@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_MATRIX_ORDER",
@@ -169,13 +169,29 @@ def _split_content(a: Sequence[int]) -> tuple[int, list[int]]:
     return content, [c // content for c in a]
 
 
+_INT_ONLY = frozenset({int})
+_KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
+
+
+def _require_ints(values: Sequence[Any], where: Callable[[int], str]) -> None:
+    """Raise unless every value is an ``int``, naming ``where(i)`` of the first that is not.
+
+    A boolean, float or string is refused, not converted.
+    """
+    if not _INT_ONLY.issuperset(map(type, values)):
+        i, value = next((i, v) for i, v in enumerate(values) if type(v) is not int)
+        kind = _KIND_NAMES.get(type(value), f"of type {type(value).__name__}")
+        raise ValueError(f"{where(i)} is {kind}, not an integer.")
+
+
 @dataclasses.dataclass(frozen=True)
 class IntPolynomial:
     """An integer polynomial, coefficients lowest degree first.
 
     Trailing zero coefficients are stripped on construction, so the zero
     polynomial has an empty coefficient tuple and every nonzero polynomial
-    has a nonzero leading coefficient.
+    has a nonzero leading coefficient.  Each coefficient must be an ``int``;
+    a boolean, float or string is refused, not converted.
 
     >>> p = IntPolynomial((-5, 2, 0, 1))
     >>> str(p)
@@ -187,7 +203,8 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        _require_ints(coeffs, lambda k: f"polynomial coefficient of degree {k}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -270,6 +287,9 @@ class IntPolynomial:
 class IntMatrix:
     """An immutable integer matrix stored row-major.
 
+    Each entry must be an ``int``; a boolean, float or string is refused,
+    not converted.
+
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m.entry(1, 0)
     3
@@ -286,12 +306,13 @@ class IntMatrix:
             raise ValueError(
                 f"matrix dimensions must be nonnegative, got {self.rows}×{self.cols}."
             )
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries for a "
                 f"{self.rows}×{self.cols} matrix, got {len(entries)}."
             )
+        _require_ints(entries, lambda k: f"matrix entry at ({k // self.cols}, {k % self.cols})")
         object.__setattr__(self, "entries", entries)
 
     # -- constructors -------------------------------------------------
@@ -306,8 +327,7 @@ class IntMatrix:
                 raise ValueError(
                     f"ragged matrix rows: row 0 has {c} entries, row {i} has {len(row)}."
                 )
-        flat = tuple(int(e) for row in row_list for e in row)
-        return cls(n, c, flat)
+        return cls(n, c, tuple(itertools.chain.from_iterable(row_list)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -1025,3 +1025,86 @@ def test_sparse_matmul_and_trace_match_dense_reference(matrices):
         assert a.entry(0, 0) * b.entry(0, 0) == dense_product(
             a.submatrix([0], [0]), b.submatrix([0], [0])
         ).entry(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the checking constructor and the term combiner
+
+
+GROUP_RING_TERM_REFUSALS = [
+    ([((1.7,), 0, 2.9)], "vector entry 0 of term 0 is a float, not an integer."),
+    ([((1,), 0, 1), ((2,), 0.5, 1)], "Weyl index of term 1 is a float, not an integer."),
+    ([((1,), 0, True)], "coefficient of term 0 is a boolean, not an integer."),
+    ([((1,), "0", 1)], "Weyl index of term 0 is a string, not an integer."),
+]
+
+
+@pytest.mark.parametrize("terms, message", GROUP_RING_TERM_REFUSALS)
+def test_group_ring_element_refuses_terms_that_are_not_ints(terms, message):
+    # (1.7,) is not read as (1,), nor a Weyl index 0.5 as 0
+    with pytest.raises(ValueError) as caught:
+        GroupRingElement(AutGroup.translations(1), terms)
+    assert str(caught.value) == message
+
+
+COMBINER_AUTS = (
+    AutGroup(0, FiniteGroup.builtin("trivial")),
+    AutGroup(1, FiniteGroup.builtin("Z2"), [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]),
+    AutGroup.translations(2),
+)
+
+
+def assert_combined(result, uncombined):
+    """``result`` is the normal form of the ``(v, w, c)`` triples ``uncombined``."""
+    uncombined = list(uncombined)
+    assert result == GroupRingElement(result.aut, uncombined)
+    keys = [(w, v) for v, w, _ in result.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(c != 0 for _, _, c in result.terms)
+    sums = collections.Counter()
+    for v, w, c in uncombined:
+        sums[(v, w)] += c
+    assert {(v, w): c for v, w, c in result.terms} == {key: c for key, c in sums.items() if c}
+
+
+@st.composite
+def combiner_cases(draw):
+    """Two elements, a scale factor, a twist, a Weyl stabilizer and a square matrix.
+
+    Vectors and coefficients are small, so terms collide and cancel often.
+    """
+    aut = draw(st.sampled_from(COMBINER_AUTS))
+    k = aut.pi1_rank
+    term = st.tuples(
+        st.tuples(*[st.integers(-1, 1)] * k),
+        st.integers(0, aut.weyl.order - 1),
+        st.integers(-2, 2),
+    )
+    element = st.lists(term, max_size=4).map(lambda terms: GroupRingElement(aut, terms))
+    phi = IntMatrix(k, k, tuple(draw(st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k))))
+    stabilizer = draw(st.sampled_from([(aut.weyl.identity,), tuple(range(aut.weyl.order))]))
+    n = draw(st.integers(0, 3))
+    square = GroupRingMatrix(aut, n, n, [draw(element) for _ in range(n * n)])
+    return draw(element), draw(element), draw(st.integers(-3, 3)), TwistData(phi), stabilizer, square
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(combiner_cases())
+def test_every_combining_operation_returns_the_normal_form(case):
+    a, b, factor, twist, stabilizer, square = case
+    aut, weyl, phi = a.aut, a.aut.weyl, twist.phi_pi
+    products = []
+    for v1, w1, c1 in a.terms:
+        for v2, w2, c2 in b.terms:
+            vector = tuple(map(operator.add, v1, aut.action[w1].apply_to_vector(v2)))
+            products.append((vector, weyl.multiply(w1, w2), c1 * c2))
+    assert_combined(a + b, a.terms + b.terms)
+    assert_combined(a.scale(factor), [(v, w, factor * c) for v, w, c in a.terms])
+    assert_combined(a * b, products)
+    assert_combined(a.apply_twist(twist), [(phi.apply_to_vector(v), w, c) for v, w, c in a.terms])
+    assert_combined(
+        a.coset_reduce(stabilizer),
+        [(v, min(weyl.multiply(w, s) for s in stabilizer), c) for v, w, c in a.terms],
+    )
+    diagonal = [t for i in range(square.rows) for t in square.entry(i, i).terms]
+    assert_combined(square.trace(), diagonal)

@@ -259,6 +259,32 @@ def test_polynomial_rendering():
     assert str(IntPolynomial((-1, 1))) == "x−1"
 
 
+INTEGER_CONSTRUCTOR_REFUSALS = [
+    (lambda: IntMatrix(1, 1, (1.5,)), "matrix entry at (0, 0) is a float, not an integer."),
+    (
+        lambda: IntMatrix.from_rows([[1, 2], [3, True]]),
+        "matrix entry at (1, 1) is a boolean, not an integer.",
+    ),
+    (lambda: IntMatrix(1, 2, (0, "7")), "matrix entry at (0, 1) is a string, not an integer."),
+    (
+        lambda: IntPolynomial((0.5, 2.5)),
+        "polynomial coefficient of degree 0 is a float, not an integer.",
+    ),
+    (
+        lambda: IntPolynomial((1, 0, "2")),
+        "polynomial coefficient of degree 2 is a string, not an integer.",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", INTEGER_CONSTRUCTOR_REFUSALS)
+def test_integer_constructors_refuse_values_that_are_not_ints(build, message):
+    # nothing is truncated or converted: 1.5 is not read as 1, nor True as 1
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_polynomial_sort_key_frozen_order():
     x = IntPolynomial((0, 1))
     x_minus_1 = IntPolynomial((-1, 1))

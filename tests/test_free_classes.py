@@ -25,7 +25,7 @@ from eqlef.equivariant_groups import (
     TwistData,
 )
 from eqlef.exact_algebra import IntMatrix
-from eqlef.invariants import KClass, induce
+from eqlef.invariants import KClass, induce, lefschetz_number, reidemeister_trace
 from eqlef.realize import RealizationTarget, realize
 
 from test_torus import torus_document
@@ -101,7 +101,8 @@ def test_free_class_expansion_equals_the_general_loop(name):
                 pairs.append((expanded_boundary, entry.boundary, below))
             for expanded, module, target in pairs:
                 assert expanded == reference_expand_matrix(iso, module, entry, target)
-                assert expanded.aut is pi1
+                assert expanded is module
+                assert expanded.aut is pi1 is iso.aut
                 assert all(e.aut is pi1 for e in expanded.entries)
                 assert all(e.terms is m.terms for e, m in zip(expanded.entries, module.entries))
 
@@ -109,7 +110,12 @@ def test_free_class_expansion_equals_the_general_loop(name):
 def test_free_classes_cover_a_weyl_identity_not_labelled_one():
     (iso,) = FREE_DOCUMENTS["induced:Sym:3:torus"]().classes
     assert iso.aut.weyl.labels == ("012",)
-    assert iso.ladder[0][2].aut is iso.pi1_aut() is not iso.aut
+    assert iso.pi1_aut() is iso.aut
+    for entry, _, expanded_map, expanded_boundary in iso.ladder:
+        assert expanded_map is entry.chain_map
+        assert expanded_boundary is entry.boundary
+    assert reidemeister_trace(iso).terms == (((0, 0), -1), ((0, 1), -1))
+    assert lefschetz_number(iso) == -2
 
 
 # -- the chain identities --------------------------------------------------
@@ -498,7 +504,7 @@ def test_group_ring_values_hash_without_hashing_their_group(monkeypatch):
 
     monkeypatch.setattr(AutGroup, "__hash__", refuse)
     x = GroupRingElement(first, [((1,), 1, 2), ((0,), 0, -1)])
-    y = GroupRingElement._from_sums(second, {((0,), 0): -1, ((1,), 1): 2})
+    y = GroupRingElement._combined(second, [((0,), 0, -1), ((1,), 1, 2)])
     assert x == y and hash(x) == hash(y)
     assert len({x, y, GroupRingElement.zero(first)}) == 2
     m = GroupRingMatrix(first, 1, 1, [x])
