@@ -803,9 +803,7 @@ class TwistedClassSet:
     computed by reducing top-down against a column-echelon basis of the
     image lattice of (φ_π − I), which picks the unique coset element whose
     pivot-row entries lie in ``[0, pivot)``, and then minimizing
-    lexicographically over the Weyl orbit.  Each set remembers the
-    representative of every vector it has reduced, so its memo holds only
-    the vectors projected through that set and lives as long as it does.
+    lexicographically over the Weyl orbit.
 
     >>> phi = IntMatrix.from_rows([[-1]])
     >>> classes = twisted_classes(AutGroup.translations(1), TwistData(phi))
@@ -813,7 +811,7 @@ class TwistedClassSet:
     ((1,), (0,))
     """
 
-    __slots__ = ("aut", "twist", "_basis", "_memo")
+    __slots__ = ("aut", "twist", "_basis")
 
     def __init__(self, aut: AutGroup, twist: TwistData) -> None:
         twist.validate_against(aut)
@@ -822,7 +820,6 @@ class TwistedClassSet:
         k = aut.pi1_rank
         difference = twist.phi_pi - IntMatrix.identity(k)
         self._basis = _echelon_columns(k, (difference.column(j) for j in range(k)))
-        self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _lattice_reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         reduced = list(vector)
@@ -833,11 +830,7 @@ class TwistedClassSet:
 
     def representative(self, vector: Sequence[int]) -> tuple[int, ...]:
         """The canonical representative of the class of ``vector``."""
-        try:
-            return self._memo[vector]
-        except (KeyError, TypeError):  # not reduced yet, or unhashable, as a list is
-            pass
-        vector = tuple(int(v) for v in vector)
+        vector = _require_ints(tuple(vector), lambda i: f"vector entry {i}")
         if len(vector) != self.aut.pi1_rank:
             raise ValueError(
                 f"vector of length {len(vector)} does not match rank {self.aut.pi1_rank}."
@@ -848,7 +841,6 @@ class TwistedClassSet:
                 self._lattice_reduce(self.aut.act(w, reduced))
                 for w in range(self.aut.weyl.order)
             )
-        self._memo[vector] = reduced
         return reduced
 
 

@@ -173,15 +173,16 @@ _INT_ONLY = frozenset({int})
 _KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
 
 
-def _require_ints(values: Sequence[Any], where: Callable[[int], str]) -> None:
+def _require_ints(values: Sequence[Any], where: Callable[[int], str]) -> Sequence[Any]:
     """Raise unless every value is an ``int``, naming ``where(i)`` of the first that is not.
 
-    A boolean, float or string is refused, not converted.
+    A boolean, float or string is refused, not converted.  Returns ``values``.
     """
     if not _INT_ONLY.issuperset(map(type, values)):
         i, value = next((i, v) for i, v in enumerate(values) if type(v) is not int)
         kind = _KIND_NAMES.get(type(value), f"of type {type(value).__name__}")
         raise ValueError(f"{where(i)} is {kind}, not an integer.")
+    return values
 
 
 @dataclasses.dataclass(frozen=True)
@@ -542,7 +543,8 @@ class FormalSum:
     the hook :meth:`normal_keys` lets a subclass rewrite one key into
     several, each counted with the key's coefficient.  :meth:`scale`, ``+``
     and ``−`` combine terms that are already normal, so they skip the hooks;
-    both operands of ``+`` and ``−`` are sums of the same kind.
+    both operands of ``+`` and ``−`` are sums of the same kind.  A coefficient
+    must be an ``int``: a boolean, float or string is refused, not converted.
 
     >>> a = FormalSum.from_mapping({"y": 2, "x": 1})
     >>> a.terms, (a - a.scale(2) + a).is_zero
@@ -552,10 +554,12 @@ class FormalSum:
     terms: tuple[tuple[Any, int], ...] = ()
 
     def __post_init__(self) -> None:
+        terms = tuple(self.terms)
+        _require_ints([c for _, c in terms], lambda k: f"coefficient of term {k}")
         normal_keys = self.normal_keys
         self._combine(
             (part, coefficient)
-            for key, coefficient in self.terms
+            for key, coefficient in terms
             for part in normal_keys(key)
         )
 
@@ -563,7 +567,7 @@ class FormalSum:
         """Store ``terms``, whose keys are normal, combined, without zeros and sorted."""
         combined: dict[Any, int] = {}
         for key, coefficient in terms:
-            combined[key] = combined.get(key, 0) + int(coefficient)
+            combined[key] = combined.get(key, 0) + coefficient
         nonzero = (term for term in combined.items() if term[1] != 0)
         sort_key = self.sort_key
         normalized = sorted(nonzero, key=lambda term: sort_key(term[0]))

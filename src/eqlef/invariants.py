@@ -47,13 +47,14 @@ from .complex_model import (
 )
 from .equivariant_groups import (
     FiniteGroup,
+    GroupRingElement,
     GroupRingMatrix,
     Subgroup,
     TwistedClassSet,
     pi1_projection,
     twisted_classes,
 )
-from .exact_algebra import FormalSum
+from .exact_algebra import FormalSum, _require_ints
 from .uz import UZClass, _diagonal_blocks, class_of_matrix
 
 __all__ = [
@@ -110,7 +111,7 @@ class ClassSum(FormalSum):
 
     @staticmethod
     def check_key(vector: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(v) for v in vector)
+        return _require_ints(tuple(vector), lambda i: f"class vector entry {i}")
 
     @staticmethod
     def sort_key(vector: tuple[int, ...]) -> tuple:
@@ -488,10 +489,10 @@ class LambdaVector:
 def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
     """λ per isotropy class: alternating projected group-ring traces.
 
-    In each degree the non-masked square part of the chain map contributes
-    its group-ring trace; the trace is projected to twisted conjugacy
-    classes (support elements with nontrivial Weyl part vanish), and degrees
-    alternate in sign.
+    In each degree p the non-masked square part of the chain map contributes
+    its group-ring trace with sign (−1)^p; the sum is projected to twisted
+    conjugacy classes once (support elements with nontrivial Weyl part
+    vanish).
     """
     entries = (_lambda_entry(iso, twisted_classes(iso.aut, iso.twist)) for iso in c.classes)
     return LambdaVector(entries=tuple(entries))
@@ -500,14 +501,16 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
 def _alternating_projection(
     iso: IsoClassData, matrices: Iterable[GroupRingMatrix], classes: TwistedClassSet
 ) -> ClassSum:
-    """Σ_p (−1)^p [projected trace of the degree-p matrix], one matrix per degree of ``iso``."""
-    return ClassSum(
-        tuple(
-            (vector, _sign(entry.degree) * coefficient)
-            for entry, matrix in zip(iso.degrees, matrices)
-            for vector, coefficient in pi1_projection(matrix.trace(), classes).items()
-        )
+    """The projection of Σ_p (−1)^p tr(M_p), one M_p per degree of ``iso``, summed over
+    the matrices' own group and projected once, so each vector is reduced once."""
+    signed = [(_sign(entry.degree), matrix) for entry, matrix in zip(iso.degrees, matrices)]
+    if not signed:
+        return ClassSum.zero()
+    summed = GroupRingElement._combined(
+        signed[0][1].aut,
+        ((v, w, sign * c) for sign, matrix in signed for v, w, c in matrix.trace().terms),
     )
+    return ClassSum._from_normal(pi1_projection(summed, classes).items())
 
 
 def _lambda_entry(iso: IsoClassData, classes: TwistedClassSet) -> LambdaEntry:

@@ -28,6 +28,9 @@ from eqlef.exact_algebra import (
     factor_over_Q,
     polynomial_sort_key,
 )
+from eqlef.equivariant_groups import AutGroup, TwistData, twisted_classes
+from eqlef.invariants import ClassSum
+from eqlef.uz import UZClass
 
 from matrix_builders import block_upper_triangular, companion_matrix, laplace_det
 
@@ -273,6 +276,26 @@ INTEGER_CONSTRUCTOR_REFUSALS = [
     (
         lambda: IntPolynomial((1, 0, "2")),
         "polynomial coefficient of degree 2 is a string, not an integer.",
+    ),
+    (lambda: ClassSum.from_mapping({(1.5,): 2}), "class vector entry 0 is a float, not an integer."),
+    (
+        lambda: ClassSum.from_mapping({(True,): 2}),
+        "class vector entry 0 is a boolean, not an integer.",
+    ),
+    (lambda: ClassSum.from_mapping({(1,): 2.9}), "coefficient of term 0 is a float, not an integer."),
+    (
+        lambda: UZClass(((IntPolynomial((1, 1)), 1), (IntPolynomial((-1, 1)), 1.5))),
+        "coefficient of term 1 is a float, not an integer.",
+    ),
+    (
+        lambda: twisted_classes(AutGroup.translations(1), TwistData(IntMatrix.identity(1)))
+        .representative((1.7,)),
+        "vector entry 0 is a float, not an integer.",
+    ),
+    (
+        lambda: twisted_classes(AutGroup.translations(1), TwistData(IntMatrix.identity(1)))
+        .representative(["3"]),
+        "vector entry 0 is a string, not an integer.",
     ),
 ]
 

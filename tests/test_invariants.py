@@ -50,7 +50,7 @@ from eqlef.equivariant_groups import (
     weyl_group,
 )
 from eqlef.exact_algebra import IntMatrix, IntPolynomial
-from eqlef.invariants import _validate_embedding
+from eqlef.invariants import _alternating_projection, _validate_embedding
 from eqlef.realize import RealizationTarget, realize
 
 from test_equivariant_groups import right_for_one_generator
@@ -1036,6 +1036,75 @@ def test_induced_ell_is_the_pushforward_of_ell(case):
 
 
 # ---------------------------------------------------------------------------
+# R and λ against a projection of each degree's trace on its own
+
+
+def per_degree_projection(iso, matrices, classes):
+    """Σ_p (−1)^p pi1_projection(tr M_p), each degree projected on its own."""
+    total = ClassSum.zero()
+    for entry, matrix in zip(iso.degrees, matrices, strict=True):
+        projected = ClassSum.from_mapping(pi1_projection(matrix.trace(), classes))
+        total = total + projected.scale(-1 if entry.degree % 2 else 1)
+    return total
+
+
+def _wedge(draw):
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    cells = st.integers(-3, 3)
+    a = [[draw(cells) for _ in range(n)] for _ in range(n)]
+    b = [[draw(cells) for _ in range(m)] for _ in range(m)]
+    return realize(
+        RealizationTarget(
+            IntMatrix.from_rows(a) if n else IntMatrix.zeros(0, 0),
+            IntMatrix.from_rows(b) if m else IntMatrix.zeros(0, 0),
+        )
+    )
+
+
+@st.composite
+def projected_complexes(draw):
+    """A builtin, a T^k map with k ≤ 5, a wedge realization, or a free induction of
+    a T^k map (k ≤ 2) or a wedge into Zn:12 or Sym:3."""
+    kind = draw(st.sampled_from(("builtin", "torus", "wedge", "induced")))
+    if kind == "builtin":
+        return load_builtin(draw(st.sampled_from(sorted(BUILTIN_COMPLEXES))))
+    if kind == "torus":
+        degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=5))
+        return load_complex(torus_document(degrees))
+    if kind == "wedge":
+        return _wedge(draw)
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=2))
+        source = load_complex(torus_document(degrees))
+    else:
+        source = _wedge(draw)
+    target = FiniteGroup.builtin(draw(st.sampled_from(("Zn:12", "Sym:3"))))
+    return induce(source, target, {"1": target.labels[target.identity]})[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(projected_complexes())
+def test_r_and_lambda_equal_the_per_degree_projection(c):
+    lam = lambda_invariant(c)
+    for iso, entry in zip(c.classes, lam.entries, strict=True):
+        expanded = [m for _, _, m, _ in iso.ladder]
+        r_classes = twisted_classes(iso.pi1_aut(), iso.twist)
+        assert reidemeister_trace(iso) == per_degree_projection(iso, expanded, r_classes)
+        relative = [e.relative_map for e in iso.degrees]
+        lambda_classes = twisted_classes(iso.aut, iso.twist)
+        assert entry.value == per_degree_projection(iso, relative, lambda_classes)
+
+
+def test_expanded_traces_are_not_projected_through_the_weyl_merged_set():
+    # the summed trace lives over the matrices' group, not over the class set's
+    iso = next(iso for iso in load_builtin("example3").classes if iso.aut.weyl.order > 1)
+    expanded = (m for _, _, m, _ in iso.ladder)
+    with pytest.raises(ValueError) as refusal:
+        _alternating_projection(iso, expanded, twisted_classes(iso.aut, iso.twist))
+    assert str(refusal.value) == "element and class set live over different automorphism groups."
+
+
+# ---------------------------------------------------------------------------
 # reporting
 
 
@@ -1173,19 +1242,22 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
         "_lambda_entry",
         "universal_invariant",
         "twisted_classes",
+        "pi1_projection",
     )
     for name in counted:
         monkeypatch.setattr(invariants, name, counting(name))
     c = load_builtin("example3")
     report(c)
     per_class = len(c.classes)
-    # one class set without Weyl moves (R) and one Weyl-merged set (λ and ℓ)
+    # one class set without Weyl moves (R) and one Weyl-merged set (λ and ℓ),
+    # and one projection of the summed trace each for R and λ
     assert calls == {
         "reidemeister_trace": per_class,
         "lefschetz_number": per_class,
         "_lambda_entry": per_class,
         "universal_invariant": 1,
         "twisted_classes": 2 * per_class,
+        "pi1_projection": 2 * per_class,
     }
 
 
