@@ -345,10 +345,6 @@ class ChainDegree:
     def unmasked_indices(self) -> tuple[int, ...]:
         return tuple(i for i, masked in enumerate(self.relative_mask) if not masked)
 
-    @property
-    def masked_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, masked in enumerate(self.relative_mask) if masked)
-
     @functools.cached_property
     def relative_map(self) -> GroupRingMatrix:
         if not any(self.relative_mask):
@@ -360,12 +356,6 @@ class ChainDegree:
 def class_label(subgroup_labels: Sequence[str], component: str) -> str:
     """The label ``(subgroup {…}, component '…')`` of an isotropy class."""
     return f"(subgroup {{{', '.join(subgroup_labels)}}}, component '{component}')"
-
-
-def _with_below(degrees: Sequence[ChainDegree]) -> list[tuple[ChainDegree, ChainDegree | None]]:
-    """Each degree with the degree just below it, or ``None`` when that one is missing."""
-    by_degree = {entry.degree: entry for entry in degrees}
-    return [(entry, by_degree.get(entry.degree - 1)) for entry in degrees]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -403,16 +393,17 @@ class IsoClassData:
     ) -> tuple[tuple[ChainDegree, ChainDegree | None, GroupRingMatrix, GroupRingMatrix | None], ...]:
         """One rung per degree: (entry, the degree just below or ``None``,
         expanded map, expanded boundary or ``None``), each expanded once."""
+        below = {entry.degree + 1: entry for entry in self.degrees}  # keyed by the degree above
         return tuple(
             (
                 entry,
-                below,
+                below.get(entry.degree),
                 self.expand_matrix(entry.chain_map, entry, entry),
                 None
-                if entry.boundary is None or below is None
-                else self.expand_matrix(entry.boundary, entry, below),
+                if entry.boundary is None or entry.degree not in below
+                else self.expand_matrix(entry.boundary, entry, below[entry.degree]),
             )
-            for entry, below in _with_below(self.degrees)
+            for entry in self.degrees
         )
 
     def expand_matrix(
@@ -611,55 +602,50 @@ def _load_chain_degree(
     )
 
 
-def _validate_row_invariance(iso: IsoClassData) -> None:
-    """Rows with a stabilizer must be invariant under left translation by it."""
-    weyl = iso.aut.weyl
-    for entry, below in _with_below(iso.degrees):
-        matrices = [("map", entry.chain_map, entry)]
-        if entry.boundary is not None and below is not None:
-            matrices.append(("boundary", entry.boundary, below))
-        for kind, matrix, target in matrices:
-            for j in range(entry.rank):
-                stabilizer = entry.stabilizers[j]
-                if stabilizer == (weyl.identity,):
+def _validate_module_structure(iso: IsoClassData) -> None:
+    """Masked cells map and bound into masked ones, and each masked row is
+    invariant under its cell's stabilizer S_j modulo each target stabilizer.
+
+    One walk of the ladder reads the nonzero entries of masked rows, the only
+    rows with S_j ≠ 1.  Invariance is tried on the ``generators`` of S_j: coset
+    reduction modulo a right stabilizer commutes with left translation, so the
+    s that pass are closed under products.  Invariance failures come first.
+    """
+    aut, weyl = iso.aut, iso.aut.weyl
+
+    @functools.cache  # once per distinct S_j of the class
+    def generators_of(stabilizer: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(stabilizer[g] for g in weyl.restricted_to(stabilizer).generators)
+
+    leaves_mask = None
+    for entry, below, _, expanded_boundary in iso.ladder:
+        matrices = [("map", entry.chain_map, entry, "be preserved")]
+        if expanded_boundary is not None:
+            matrices.append(("boundary", entry.boundary, below, "be a subcomplex"))
+        for kind, matrix, target, rule in matrices:
+            for j, row in enumerate(matrix._nonzero_rows()):
+                if not entry.relative_mask[j]:
                     continue
-                for s in stabilizer:
-                    if s == weyl.identity:
-                        continue
-                    translate = GroupRingElement.basis(iso.aut, (0,) * iso.aut.pi1_rank, s)
-                    for i in range(matrix.cols):
-                        original = matrix.entry(j, i).coset_reduce(target.stabilizers[i])
-                        moved = (translate * matrix.entry(j, i)).coset_reduce(
-                            target.stabilizers[i]
+                generators = generators_of(entry.stabilizers[j])
+                for i, element in row:
+                    if leaves_mask is None and not target.relative_mask[i]:
+                        leaves_mask = (
+                            f"{kind} row {j} in degree {entry.degree} of {iso.label} sends a "
+                            "masked basis element to an unmasked one; the singular part "
+                            f"must {rule}."
                         )
-                        if original != moved:
+                    here = target.stabilizers[i]
+                    reduced = element.coset_reduce(here) if generators else None
+                    for s in generators:
+                        moved = [(aut.act(s, v), weyl.table[s][w], c) for v, w, c in element.terms]
+                        if GroupRingElement._combined(aut, moved).coset_reduce(here) != reduced:
                             raise ValueError(
                                 f"{kind} row {j} in degree {entry.degree} of {iso.label} "
                                 "is not invariant under its stabilizer; the module "
                                 "structure is inconsistent."
                             )
-
-
-def _validate_mask_closure(iso: IsoClassData) -> None:
-    """Masked basis elements must map and bound into masked ones."""
-    for entry, below in _with_below(iso.degrees):
-        for j in entry.masked_indices:
-            for i in entry.unmasked_indices:
-                if not entry.chain_map.entry(j, i).is_zero:
-                    raise ValueError(
-                        f"map row {j} in degree {entry.degree} of {iso.label} sends a "
-                        "masked basis element to an unmasked one; the singular part "
-                        "must be preserved."
-                    )
-        if entry.boundary is not None and below is not None:
-            for j in entry.masked_indices:
-                for i in below.unmasked_indices:
-                    if not entry.boundary.entry(j, i).is_zero:
-                        raise ValueError(
-                            f"boundary row {j} in degree {entry.degree} of {iso.label} "
-                            "sends a masked basis element to an unmasked one; the "
-                            "singular part must be a subcomplex."
-                        )
+    if leaves_mask is not None:
+        raise ValueError(leaves_mask)
 
 
 def _products_cancel(
@@ -879,8 +865,7 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
         orbit_size=orbit_size,
         degrees=tuple(degrees),
     )
-    _validate_row_invariance(iso)
-    _validate_mask_closure(iso)
+    _validate_module_structure(iso)
     _validate_chain_algebra(iso)
     return iso
 

@@ -263,18 +263,9 @@ class FiniteGroup:
             return cls.builtin("Zn:1")
         if name == "Z2":
             return cls(("1", "g"), ((0, 1), (1, 0)))
-        if name == "Z2xZ2":
-            labels = ("1", "g", "h", "gh")
-            bits = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-            index = {v: k for k, v in bits.items()}
-            table = tuple(
-                tuple(
-                    index[((bits[i][0] + bits[j][0]) % 2, (bits[i][1] + bits[j][1]) % 2)]
-                    for j in range(4)
-                )
-                for i in range(4)
-            )
-            return cls(labels, table)
+        if name == "Z2xZ2":  # index i has bits (g, h), so products add them mod 2
+            table = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+            return cls(("1", "g", "h", "gh"), table)
         if name.startswith("Zn:"):
             k = _name_number(name, "cyclic", "Zn:k")
             if k < 1:

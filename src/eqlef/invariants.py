@@ -585,38 +585,26 @@ class EllContribution:
 
 @dataclasses.dataclass(frozen=True)
 class EllSlot:
-    """One subgroup-conjugacy-class summand of the decomposition."""
+    """One subgroup-conjugacy-class summand of the decomposition.
 
-    subgroup_labels: tuple[str, ...]
-    total: ClassSum
-    contributions: tuple[EllContribution, ...]
-
-
-class EllInvariant:
-    """The decomposed fixed-point invariant ℓ: one summand per subgroup class.
-
-    Equality compares slot subgroup labels and slot totals; the recorded
+    Equality compares the subgroup labels and the total; the recorded
     per-component contributions are informational.
     """
 
-    __slots__ = ("slots",)
+    subgroup_labels: tuple[str, ...]
+    total: ClassSum
+    contributions: tuple[EllContribution, ...] = dataclasses.field(compare=False)
 
-    def __init__(self, slots: Sequence[EllSlot]) -> None:
-        self.slots = tuple(slots)
+
+@dataclasses.dataclass(frozen=True)
+class EllInvariant:
+    """The decomposed fixed-point invariant ℓ: one summand per subgroup class."""
+
+    slots: tuple[EllSlot, ...]
 
     @property
     def is_zero(self) -> bool:
         return all(slot.total.is_zero for slot in self.slots)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EllInvariant):
-            return NotImplemented
-        mine = tuple((slot.subgroup_labels, slot.total.terms) for slot in self.slots)
-        theirs = tuple((slot.subgroup_labels, slot.total.terms) for slot in other.slots)
-        return mine == theirs
-
-    def __hash__(self) -> int:
-        return hash(tuple((slot.subgroup_labels, slot.total.terms) for slot in self.slots))
 
     def __str__(self) -> str:
         if not self.slots:
@@ -664,14 +652,14 @@ def _ell(parts: Iterable[tuple[tuple[int, ...], EllContribution]]) -> EllInvaria
     for members, part in parts:
         slots.setdefault(members, []).append(part)
     return EllInvariant(
-        [
+        tuple(
             EllSlot(
                 subgroup_labels=contributions[0].subgroup_labels,
                 total=ClassSum(tuple(t for part in contributions for t in part.value.terms)),
                 contributions=tuple(contributions),
             )
             for _, contributions in sorted(slots.items(), key=lambda item: (len(item[0]), item[0]))
-        ]
+        )
     )
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import sys
 import time
 import types
@@ -16,7 +17,7 @@ from eqlef.complex_model import (
     serialize_complex,
 )
 from eqlef.corpus import BUILTIN_COMPLEXES
-from eqlef.equivariant_groups import FiniteGroup
+from eqlef.equivariant_groups import FiniteGroup, GroupRingElement
 from eqlef.exact_algebra import IntMatrix
 from eqlef.invariants import build_report, induce, render_report
 from eqlef.realize import RealizationTarget, realize
@@ -362,18 +363,6 @@ def test_rejects_fixed_point_path_length_mismatch():
         load_complex(document)
 
 
-def test_rejects_mask_closure_violation():
-    document = z2_masked_document()
-    # make one degree-0 cell unmasked and send a masked 1-cell onto it:
-    # the masked part must be a subcomplex, so this boundary is illegal
-    document["iso_classes"][0]["chain"][0]["relative_mask"] = [True, False]
-    document["iso_classes"][0]["chain"][0]["stabilizers"] = [["1", "g"], ["1"]]
-    document["iso_classes"][0]["chain"][1]["relative_mask"] = [True]
-    document["iso_classes"][0]["chain"][1]["boundary"] = [[0, 1]]
-    with pytest.raises(ValueError, match="masked basis element to an unmasked"):
-        load_complex(document)
-
-
 def test_rejects_entry_vector_length_mismatch():
     document = minimal_document()
     document["iso_classes"][0]["chain"][0]["map"] = [
@@ -613,15 +602,104 @@ def test_rejects_boolean_masquerading_as_integer():
         load_complex(document)
 
 
-def test_stabilizer_row_invariance_enforced():
+# Each case below is z2_masked_document with the masks, stabilizers, map and
+# boundary of its two degrees replaced.
+FREE_CLASS = "(subgroup {1}, component 'free')"
+NOT_PRESERVED = (
+    f"map row 0 in degree 0 of {FREE_CLASS} sends a masked basis element to an "
+    "unmasked one; the singular part must be preserved."
+)
+NOT_A_SUBCOMPLEX = (
+    f"boundary row 0 in degree 1 of {FREE_CLASS} sends a masked basis element to an "
+    "unmasked one; the singular part must be a subcomplex."
+)
+MAP_NOT_INVARIANT = (
+    f"map row 0 in degree 0 of {FREE_CLASS} is not invariant under its stabilizer; "
+    "the module structure is inconsistent."
+)
+BOUNDARY_NOT_INVARIANT = (
+    f"boundary row 0 in degree 1 of {FREE_CLASS} is not invariant under its "
+    "stabilizer; the module structure is inconsistent."
+)
+FIXED_BY_G = [["1", "g"], ["1"]]
+FREE = [["1"], ["1"]]
+MODULE_STRUCTURE_REFUSALS = {
+    # name: (degree 0: mask, stabilizers, map; degree 1: mask, stabilizers, boundary; message)
+    "map leaves the mask": (
+        [True, False], FREE, [[1, 1], [0, 1]], [False], [["1"]], [[1, -1]], NOT_PRESERVED
+    ),
+    "boundary leaves the mask": (
+        [True, False], FIXED_BY_G, [[1, 0], [0, 1]], [True], [["1"]], [[0, 1]],
+        NOT_A_SUBCOMPLEX,
+    ),
+    "map row not invariant": (
+        [True, True], FIXED_BY_G, [[1, 1], [0, 1]], [False], [["1"]], [[1, -1]],
+        MAP_NOT_INVARIANT,
+    ),
+    "boundary row not invariant": (
+        [True, True], FIXED_BY_G, [[1, 0], [0, 1]], [True], [["1", "g"]], [[0, 1]],
+        BOUNDARY_NOT_INVARIANT,
+    ),
+    # one entry breaking both rules, and a mask broken below an invariance
+    # failure: invariance is reported first, over the whole class
+    "both rules, one entry": (
+        [True, False], FIXED_BY_G, [[1, 1], [0, 1]], [False], [["1"]], [[1, -1]],
+        MAP_NOT_INVARIANT,
+    ),
+    "mask below, invariance above": (
+        [True, False], FREE, [[1, 1], [0, 1]], [True], [["1", "g"]], [[1, 0]],
+        BOUNDARY_NOT_INVARIANT,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MODULE_STRUCTURE_REFUSALS))
+def test_module_structure_refusal_message_is_pinned(name):
+    mask0, stabilizers0, chain_map, mask1, stabilizers1, boundary, message = (
+        MODULE_STRUCTURE_REFUSALS[name]
+    )
     document = z2_masked_document()
-    # a row with stabilizer {1, g} must have g-invariant entries after
-    # reduction by each target stabilizer; sending the fully stabilized
-    # cell onto a freely-acted cell with coefficient 1 breaks that
-    document["iso_classes"][0]["chain"][0]["stabilizers"] = [["1", "g"], ["1"]]
-    document["iso_classes"][0]["chain"][0]["map"] = [[1, 1], [0, 1]]
-    with pytest.raises(ValueError, match="not invariant under its stabilizer"):
+    degree0, degree1 = document["iso_classes"][0]["chain"]
+    degree0.update(relative_mask=mask0, stabilizers=stabilizers0, map=chain_map)
+    degree1.update(relative_mask=mask1, stabilizers=stabilizers1, boundary=boundary)
+    with pytest.raises(ValueError) as info:
         load_complex(document)
+    assert str(info.value) == message
+
+
+def sym5_stabilized_document(rank=64, seed=1):
+    """One degree over Sym:5, every cell masked and fixed by all of W, map entries in −3..3."""
+    rng = random.Random(seed)
+    labels = list(FiniteGroup.builtin("Sym:5").labels)
+    degree = {
+        "degree": 0,
+        "rank": rank,
+        "relative_mask": [True] * rank,
+        "stabilizers": [labels] * rank,
+        "map": [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)],
+    }
+    iso = {"subgroup_class": ["01234"], "component": "c", "pi1_rank": 0, "phi_pi": []}
+    iso["chain"] = [degree]
+    return {"format_version": 1, "group": {"builtin": "Sym:5"}, "iso_classes": [iso]}
+
+
+def test_row_invariance_is_checked_on_stabilizer_generators(monkeypatch):
+    restrictions = []
+    restricted_to = FiniteGroup.restricted_to
+    monkeypatch.setattr(
+        FiniteGroup,
+        "restricted_to",
+        lambda group, members: restrictions.append(members) or restricted_to(group, members),
+    )
+
+    def no_product(*_):
+        raise AssertionError("loading built a group-ring product or basis element")
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", no_product)
+    monkeypatch.setattr(GroupRingElement, "basis", no_product)
+    (iso,) = load_complex(sym5_stabilized_document()).classes
+    assert restrictions == [tuple(range(120))]  # once for the one distinct stabilizer
+    assert len(iso.degrees[0].expanded_basis) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +707,7 @@ def test_stabilizer_row_invariance_enforced():
 
 
 def z2_table_document():
-    """A ℤ₂ document with an explicit table, a rank-1 π₁ and a boundary."""
+    """A ℤ₂ document with an explicit table, a rank-1 π₁, a boundary and a fixed point."""
     return {
         "format_version": 1,
         "group": {"labels": ["1", "g"], "table": [[0, 1], [1, 0]]},
@@ -646,14 +724,19 @@ def z2_table_document():
                 ],
             }
         ],
+        "fixed_points": [{"subgroup_class": ["1"], "component": "c", "index": 1, "path": [0]}],
     }
 
 
-MAP = ("iso_classes", 0, "chain", 0, "map")
-AT_MAP = "iso_classes[0].chain[0].map"
+DELETED = object()
+CLASS = ("iso_classes", 0)
+DEGREE0 = (*CLASS, "chain", 0)
+AT_DEGREE0 = "iso_classes[0].chain[0]"
+MAP = (*DEGREE0, "map")
+AT_MAP = f"{AT_DEGREE0}.map"
 AT_ENTRY = f"{AT_MAP}[1][0]"
 MALFORMED = [
-    # (keys of the replaced value, bad value, exact message)
+    # (keys of the replaced value, bad value or DELETED, exact message)
     ((*MAP, 1, 0), True, f"expected an integer at {AT_ENTRY}[term 0], got a boolean."),
     ((*MAP, 1, 0), "x", f"expected an integer at {AT_ENTRY}[term 0], got 'x'."),
     ((*MAP, 1, 0), 1.5, f"expected an integer at {AT_ENTRY}[term 0], got float."),
@@ -716,6 +799,39 @@ MALFORMED = [
     (("group", "table", 1, 0), True, "expected an integer at group.table[1][0], got a boolean."),
     (("group", "table", 1, 0), "one", "expected an integer at group.table[1][0], got 'one'."),
     (("group", "table", 1), 7, "expected an array at group.table[1], got int."),
+    ((*DEGREE0, "degree"), DELETED, f"chain entry at {AT_DEGREE0} needs 'degree' and 'rank'."),
+    ((*DEGREE0, "rank"), DELETED, f"chain entry at {AT_DEGREE0} needs 'degree' and 'rank'."),
+    ((*DEGREE0, "degree"), -1, f"chain degree must be nonnegative at {AT_DEGREE0}, got -1."),
+    ((*DEGREE0, "rank"), -1, f"chain rank must be nonnegative at {AT_DEGREE0}, got -1."),
+    (
+        (*DEGREE0, "relative_mask"),
+        [False],
+        f"relative_mask at {AT_DEGREE0} has length 1; expected 2.",
+    ),
+    (
+        (*DEGREE0, "relative_mask"),
+        [False, 0],
+        f"relative_mask[1] at {AT_DEGREE0} must be true or false.",
+    ),
+    ((*DEGREE0, "stabilizers"), [["1"]], f"stabilizers at {AT_DEGREE0} has length 1; expected 2."),
+    ((*DEGREE0, "map"), DELETED, f"chain entry at {AT_DEGREE0} needs a 'map' matrix."),
+    ((*CLASS, "phi_pi"), DELETED, "isotropy class at iso_classes[0] needs 'phi_pi'."),
+    ((*CLASS, "weyl"), ["g"], "weyl at iso_classes[0] must contain the identity coset '1'."),
+    ((*CLASS, "pi1_rank"), -1, "pi1_rank at iso_classes[0] must be nonnegative, got -1."),
+    ((*CLASS, "orbit_size"), 0, "orbit_size at iso_classes[0] must be positive, got 0."),
+    (("fixed_points", 0, "index"), DELETED, "fixed point at fixed_points[0] needs 'index'."),
+    (("fixed_points", 0, "orbit"), 3, "orbit at fixed_points[0] must be a string name."),
+    (("format_version",), DELETED, "document needs 'format_version'."),
+    (("group",), DELETED, "document needs 'group'."),
+    (("iso_classes",), DELETED, "document needs 'iso_classes' (possibly empty)."),
+    (("name",), 5, "name must be a string."),
+    (("description",), ["d"], "description must be a string."),
+    (("group",), {"builtin": 2}, "group.builtin must be a string name."),
+    (
+        ("group",),
+        {"labels": ["1", "g"]},
+        "group must give either 'builtin' or both 'labels' and 'table'.",
+    ),
 ]
 if hasattr(sys, "get_int_max_str_digits"):
     MALFORMED.append(
@@ -738,7 +854,10 @@ def test_malformed_value_message_is_pinned(path, value, message):
     container = document
     for key in keys:
         container = container[key]
-    container[last] = value
+    if value is DELETED:
+        del container[last]
+    else:
+        container[last] = value
     with pytest.raises(ValueError) as info:
         load_complex(document)
     assert str(info.value) == message

@@ -23,6 +23,7 @@ from eqlef.equivariant_groups import (
     GroupRingElement,
     GroupRingMatrix,
     TwistData,
+    all_subgroups,
 )
 from eqlef.exact_algebra import IntMatrix
 from eqlef.invariants import KClass, induce, lefschetz_number, reidemeister_trace
@@ -429,6 +430,152 @@ def test_maps_translated_by_a_4000_digit_vector_load_exactly(
     assert _verdict(mutant) == refusal
     monkeypatch.setattr(complex_model, "_validate_chain_algebra", reference_validate_chain_algebra)
     assert _verdict(mutant) == refusal
+
+
+# -- the module structure ----------------------------------------------------
+
+
+def reference_validate_module_structure(iso):
+    """Row invariance over every stabilizer element, each built as a basis element
+    and multiplied into every entry of the row, then mask closure over every
+    masked row and unmasked column: the checks and their order before one walk."""
+    weyl = iso.aut.weyl
+    by_degree = {entry.degree: entry for entry in iso.degrees}
+    with_below = [(entry, by_degree.get(entry.degree - 1)) for entry in iso.degrees]
+    for entry, below in with_below:
+        matrices = [("map", entry.chain_map, entry)]
+        if entry.boundary is not None and below is not None:
+            matrices.append(("boundary", entry.boundary, below))
+        for kind, matrix, target in matrices:
+            for j in range(entry.rank):
+                for s in entry.stabilizers[j]:
+                    translate = GroupRingElement.basis(iso.aut, (0,) * iso.aut.pi1_rank, s)
+                    for i in range(matrix.cols):
+                        here = target.stabilizers[i]
+                        original = matrix.entry(j, i).coset_reduce(here)
+                        if (translate * matrix.entry(j, i)).coset_reduce(here) != original:
+                            raise ValueError(
+                                f"{kind} row {j} in degree {entry.degree} of {iso.label} "
+                                "is not invariant under its stabilizer; the module "
+                                "structure is inconsistent."
+                            )
+    for entry, below in with_below:
+        matrices = [("map", entry.chain_map, entry, "be preserved")]
+        if entry.boundary is not None and below is not None:
+            matrices.append(("boundary", entry.boundary, below, "be a subcomplex"))
+        for kind, matrix, target, rule in matrices:
+            for j in range(entry.rank):
+                for i in range(matrix.cols):
+                    if (
+                        entry.relative_mask[j]
+                        and not target.relative_mask[i]
+                        and not matrix.entry(j, i).is_zero
+                    ):
+                        raise ValueError(
+                            f"{kind} row {j} in degree {entry.degree} of {iso.label} sends a "
+                            "masked basis element to an unmasked one; the singular part "
+                            f"must {rule}."
+                        )
+
+
+MODULE_GROUPS = {name: FiniteGroup.builtin(name) for name in ("Z2", "Z2xZ2", "Sym:3")}
+
+
+@st.composite
+def module_documents(draw):
+    """One class over the trivial subgroup of Z2, Z2xZ2 or Sym:3 with random masks,
+    stabilizers and entries: zero, one term, or one term summed over a subgroup of
+    the row's stabilizer, which makes it invariant when that is all of it.  Half
+    the documents keep each map's masked rows on masked columns, so that a
+    boundary is the first to leave the mask."""
+    name = draw(st.sampled_from(sorted(MODULE_GROUPS)))
+    group = MODULE_GROUPS[name]
+    flip = name == "Z2" and draw(st.booleans())  # θ(g) = −1 on ℤ
+    rank = 1 if flip else draw(st.integers(0, 1))
+    action = [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])] if flip else None
+    aut = AutGroup(rank, group, action)
+    subgroups = [subgroup.members for subgroup in all_subgroups(group)]
+    closed_maps = draw(st.booleans())
+
+    def entry(stabilizer, leaves_mask=False):
+        kind = draw(st.sampled_from(["zero", "term", "orbit sum"]))
+        if kind == "zero" or leaves_mask:
+            return 0
+        vector = tuple(draw(st.integers(-1, 1)) for _ in range(rank))
+        w = draw(st.integers(0, group.order - 1))
+        coefficient = draw(st.sampled_from([-1, 1, 2]))
+        orbit = draw(st.sampled_from([h for h in subgroups if set(h) <= set(stabilizer)]))
+        return [
+            {
+                "coeff": coefficient,
+                "vector": list(aut.act(s, vector)),
+                "weyl_elem": group.labels[group.multiply(s, w)],
+            }
+            for s in (orbit if kind == "orbit sum" else (group.identity,))
+        ]
+
+    chain = []
+    for degree in (0, draw(st.sampled_from([1, 2]))):
+        cells = draw(st.integers(1, 3))
+        mask = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        stabilizers = [draw(st.sampled_from(subgroups)) if m else (group.identity,) for m in mask]
+        raw = {
+            "degree": degree,
+            "rank": cells,
+            "relative_mask": mask,
+            "stabilizers": [[group.labels[s] for s in stabilizer] for stabilizer in stabilizers],
+            "map": [
+                [entry(stabilizer, closed_maps and m and not n) for n in mask]
+                for m, stabilizer in zip(mask, stabilizers)
+            ],
+        }
+        if chain and draw(st.booleans()):
+            columns = chain[0]["rank"] if degree == 1 else 0
+            raw["boundary"] = [[entry(s) for _ in range(columns)] for s in stabilizers]
+        chain.append(raw)
+    iso = {
+        "subgroup_class": [group.labels[group.identity]],
+        "component": "c",
+        "pi1_rank": rank,
+        "phi_pi": [[int(i == j) for j in range(rank)] for i in range(rank)],
+        "chain": chain,
+    }
+    if flip:
+        iso["action"] = {"g": [[-1]]}
+    return {"format_version": 1, "group": {"builtin": name}, "iso_classes": [iso]}
+
+
+def _module_verdict(validate, iso):
+    try:
+        validate(iso)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_one_walk_on_generators_refuses_what_every_stabilizer_element_refuses():
+    """The loader's module-structure check against the reference, on random documents
+    whose classes are built unchecked; every verdict turns up."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(module_documents())
+    def check(document):
+        with pytest.MonkeyPatch.context() as patch:
+            for check_name in ("_validate_module_structure", "_validate_chain_algebra"):
+                patch.setattr(complex_model, check_name, lambda iso: None)
+            (iso,) = load_complex(document).classes
+        verdict = _module_verdict(complex_model._validate_module_structure, iso)
+        assert verdict == _module_verdict(reference_validate_module_structure, iso)
+        seen.add(verdict if verdict == "accepted" else verdict.split("; ")[-1])
+
+    check()
+    assert seen == {
+        "accepted",
+        "the module structure is inconsistent.",
+        "the singular part must be preserved.",
+        "the singular part must be a subcomplex.",
+    }
 
 
 # -- decoding ----------------------------------------------------------------

@@ -460,6 +460,36 @@ def test_canonical_search_refuses_past_its_node_budget(monkeypatch):
     assert KClass.from_terms([(all_equal, 1)]).terms == ((all_equal, 1),)
 
 
+def srg_16_6_2_2(connection):
+    """The Cayley graph of ℤ₄×ℤ₄ whose edges are the differences in ``connection``."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    return [
+        [int(((p[0] - q[0]) % 4, (p[1] - q[1]) % 4) in connection) for q in cells]
+        for p in cells
+    ]
+
+
+SHRIKHANDE = srg_16_6_2_2({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+ROOK_4X4 = srg_16_6_2_2({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
+
+
+def test_shrikhande_graph_forms_are_renumbering_invariant_and_told_apart():
+    # both are strongly regular with parameters (16, 6, 2, 2), so refinement
+    # alone leaves every vertex tied and the search individualizes several:
+    # it cuts a refinement whose trace already exceeds the best one's, and
+    # returns from a leaf whose key is worse than the best leaf's
+    rng = random.Random(1916)
+    shrikhande = KClass.from_terms([(int_ring_matrix(SHRIKHANDE), 1)])
+    for _ in range(4):
+        sigma = list(range(16))
+        rng.shuffle(sigma)
+        moved = KClass.from_terms([(int_ring_matrix(renumbered(SHRIKHANDE, sigma)), 1)])
+        assert moved == shrikhande
+    rook = KClass.from_terms([(int_ring_matrix(ROOK_4X4), 1)])
+    assert rook != shrikhande
+    assert rook.compare(shrikhande) != "equal"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tied_blocks(max_size=10))
 def test_kclass_normal_form_ignores_renumbering(block):
