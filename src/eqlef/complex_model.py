@@ -502,12 +502,12 @@ def _load_group(spec: Any) -> FiniteGroup:
 
 
 def _load_stabilizer(
-    raw: Any, weyl: FiniteGroup, where: str
+    raw: Any, weyl: FiniteGroup, where: str, members: Callable[[tuple[int, ...]], tuple[int, ...]]
 ) -> tuple[int, ...]:
     labels = _require_list(raw, where)
-    indices = sorted({weyl.element_index(str(label)) for label in labels})
+    indices = tuple(sorted({weyl.element_index(str(label)) for label in labels}))
     try:
-        return Subgroup(weyl, indices).members  # validates closure and identity
+        return members(indices)  # a subgroup check, once per distinct set of a degree
     except ValueError as exc:
         raise ValueError(f"stabilizer at {where}: {exc}") from None
 
@@ -557,8 +557,9 @@ def _load_chain_degree(
             raise ValueError(
                 f"stabilizers at {where} has length {len(stabilizer_list)}; expected {rank}."
             )
+        members = functools.cache(lambda indices: Subgroup(aut.weyl, indices).members)
         stabilizers = tuple(
-            _load_stabilizer(s, aut.weyl, f"{where}.stabilizers[{i}]")
+            _load_stabilizer(s, aut.weyl, f"{where}.stabilizers[{i}]", members)
             for i, s in enumerate(stabilizer_list)
         )
     for i in range(rank):

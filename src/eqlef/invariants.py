@@ -492,7 +492,7 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
     In each degree p the non-masked square part of the chain map contributes
     its group-ring trace with sign (−1)^p; the sum is projected to twisted
     conjugacy classes once (support elements with nontrivial Weyl part
-    vanish).
+    vanish).  With a trivial Weyl group and no masked cell this is R.
     """
     entries = (_lambda_entry(iso, twisted_classes(iso.aut, iso.twist)) for iso in c.classes)
     return LambdaVector(entries=tuple(entries))
@@ -618,25 +618,25 @@ def klein_williams(c: EquivariantComplex) -> EllInvariant:
     For each isotropy class (one representative component per Weyl orbit of
     components): compute the Reidemeister trace, identify twisted classes
     along the Weyl action of the component's stabilizer, multiply by the
-    orbit size, and add into the slot of the subgroup conjugacy class.
+    orbit size, and add into the slot of the subgroup conjugacy class.  With a
+    trivial Weyl group nothing is identified: the summand is orbit·R.
     """
-    return _ell(
-        _ell_part(iso, reidemeister_trace(iso), twisted_classes(iso.aut, iso.twist))
-        for iso in c.classes
-    )
+    return _ell(_ell_part(iso, reidemeister_trace(iso)) for iso in c.classes)
 
 
 def _ell_part(
-    iso: IsoClassData, trace: ClassSum, classes: TwistedClassSet
+    iso: IsoClassData, trace: ClassSum, classes: TwistedClassSet | None = None
 ) -> tuple[tuple[int, ...], EllContribution]:
-    """The slot key and ℓ contribution of ``iso``, from R and the Weyl-merged class set."""
+    """The slot key and ℓ contribution of ``iso``: orbit·R, R's keys reduced over the
+    Weyl-merged ``classes`` (built if not given) unless W is trivial."""
+    if iso.aut.weyl.order != 1:
+        classes = classes or twisted_classes(iso.aut, iso.twist)
+        trace = ClassSum(tuple((classes.representative(v), n) for v, n in trace.terms))
     return iso.subgroup.members, EllContribution(
         subgroup_labels=iso.subgroup.member_labels,
         component=iso.component,
         orbit_size=iso.orbit_size,
-        value=ClassSum(
-            tuple((classes.representative(v), iso.orbit_size * n) for v, n in trace.terms)
-        ),
+        value=trace.scale(iso.orbit_size),
     )
 
 
@@ -844,24 +844,28 @@ def _vanishing(ell_zero: bool, lambda_zero: bool) -> dict:
 class _Analysis:
     """Every invariant of one complex, each computed once.
 
-    ``rows`` holds one ``(class, u entry, λ entry, R, L)`` tuple per
-    isotropy class, in document order.
+    ``rows`` holds one ``(class, u entry, λ, R, L)`` tuple per isotropy
+    class, in document order.
     """
 
-    rows: tuple[tuple[IsoClassData, UniversalEntry, LambdaEntry, ClassSum, int], ...]
+    rows: tuple[tuple[IsoClassData, UniversalEntry, ClassSum, ClassSum, int], ...]
     ell: EllInvariant
     vanishing: dict
 
 
 def _analyze(c: EquivariantComplex) -> _Analysis:
+    """With a trivial W, ℓ's summand is orbit·R; with no masked cell as well, λ is R
+    (one matrix, equal class sets).  L is computed apart: aug(R) = L stays a check."""
     rows, parts = [], []
     for iso, u_entry in zip(c.classes, universal_invariant(c).entries):
         trace = reidemeister_trace(iso)
-        classes = twisted_classes(iso.aut, iso.twist)
+        masked = any(any(entry.relative_mask) for entry in iso.degrees)
+        classes = twisted_classes(iso.aut, iso.twist) if masked or iso.aut.weyl.order != 1 else None
         parts.append(_ell_part(iso, trace, classes))
-        rows.append((iso, u_entry, _lambda_entry(iso, classes), trace, lefschetz_number(iso)))
+        l_value = trace if classes is None else _lambda_entry(iso, classes).value
+        rows.append((iso, u_entry, l_value, trace, lefschetz_number(iso)))
     ell = _ell(parts)
-    lambda_zero = all(l_entry.value.is_zero for _, _, l_entry, _, _ in rows)
+    lambda_zero = all(l_value.is_zero for _, _, l_value, _, _ in rows)
     return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell.is_zero, lambda_zero))
 
 
@@ -890,7 +894,7 @@ def build_report(c: EquivariantComplex) -> dict:
     """A deterministic JSON-ready report of every invariant of the complex."""
     analysis = _analyze(c)
     classes = []
-    for iso, u_entry, l_entry, trace, lefschetz in analysis.rows:
+    for iso, u_entry, l_value, trace, lefschetz in analysis.rows:
         entry = {
             "subgroup_class": list(iso.subgroup.member_labels),
             "component": iso.component,
@@ -905,7 +909,7 @@ def build_report(c: EquivariantComplex) -> dict:
                     for matrix, coefficient in u_entry.kclass.terms
                 ],
             },
-            "lambda": _encode_class_sum(l_entry.value),
+            "lambda": _encode_class_sum(l_value),
             "reidemeister": _encode_class_sum(trace),
             "lefschetz": _encode_int(lefschetz),
         }
@@ -947,12 +951,12 @@ def render_report(c: EquivariantComplex) -> str:
     lines = []
     title = c.name if c.name is not None else "complex"
     lines.append(f"{title} (group order {c.group.order})")
-    for iso, u_entry, l_entry, trace, lefschetz in analysis.rows:
+    for iso, u_entry, l_value, trace, lefschetz in analysis.rows:
         lines.append(f"  {iso.label}:")
         lines.append(f"    u = {u_entry.kclass}")
         if u_entry.uz_image is not None:
             lines.append(f"    u integer class = {u_entry.uz_image}")
-        lines.append(f"    lambda = {l_entry.value}")
+        lines.append(f"    lambda = {l_value}")
         lines.append(f"    R = {trace}")
         lines.append(f"    L = {lefschetz}")
     lines.append(f"  ell = {analysis.ell}")

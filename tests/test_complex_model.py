@@ -17,7 +17,7 @@ from eqlef.complex_model import (
     serialize_complex,
 )
 from eqlef.corpus import BUILTIN_COMPLEXES
-from eqlef.equivariant_groups import FiniteGroup, GroupRingElement
+from eqlef.equivariant_groups import FiniteGroup, GroupRingElement, Subgroup
 from eqlef.exact_algebra import IntMatrix
 from eqlef.invariants import build_report, induce, render_report
 from eqlef.realize import RealizationTarget, realize
@@ -485,6 +485,59 @@ def test_rejects_stabilizer_that_is_not_a_subgroup(stabilizer, message):
     assert load_complex(zn4_stabilizer_document(["1", "r2"])).classes[0].degrees[0].stabilizers == (
         (0, 2),
     )
+
+
+def zn4_stabilizers_document(stabilizers):
+    """zn4_stabilizer_document with one masked cell per entry of ``stabilizers``."""
+    document = zn4_stabilizer_document(None)
+    rank = len(stabilizers)
+    document["iso_classes"][0]["chain"][0].update(
+        rank=rank,
+        relative_mask=[True] * rank,
+        stabilizers=stabilizers,
+        map=[[0] * rank for _ in range(rank)],
+    )
+    return document
+
+
+REPEATED_STABILIZER_REFUSALS = [
+    # (stabilizers, the refusal): a set that fails is named at its first cell
+    (
+        [["1", "r1"], ["r1", "1"], ["1", "r1", "r1"]],
+        "stabilizer at iso_classes[0].chain[0].stabilizers[0]: subgroup is not closed "
+        "under multiplication at ('r1', 'r1').",
+    ),
+    (
+        [["1", "r2"], ["r2", "1"], ["r2"], ["1"], ["r2"]],
+        "stabilizer at iso_classes[0].chain[0].stabilizers[2]: subgroup does not "
+        "contain the identity element.",
+    ),
+]
+
+
+@pytest.mark.parametrize("stabilizers, message", REPEATED_STABILIZER_REFUSALS)
+def test_repeated_bad_stabilizer_is_refused_at_its_first_cell(stabilizers, message):
+    with pytest.raises(ValueError) as error:
+        load_complex(zn4_stabilizers_document(stabilizers))
+    assert str(error.value) == message
+
+
+def test_each_distinct_stabilizer_is_checked_once_per_degree(monkeypatch):
+    checked = []
+    subgroup_init = Subgroup.__init__
+
+    def counting_init(self, parent, members):
+        members = tuple(members)
+        checked.append(members)
+        subgroup_init(self, parent, members)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    stabilizers = [["1", "r2"], ["r2", "1"], ["1"], ["1", "r2", "r2"], ["1"]]
+    (iso,) = load_complex(zn4_stabilizers_document(stabilizers)).classes
+    assert iso.degrees[0].stabilizers == ((0, 2), (0, 2), (0,), (0, 2), (0,))
+    # the class's subgroup {1}; each distinct stabilizer once when the degree
+    # loads, and once more when the invariance check looks for its generators
+    assert checked == [(0,), (0, 2), (0,), (0, 2), (0,)]
 
 
 def sym5_translation_document(rank, action=None):

@@ -1279,15 +1279,21 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
     c = load_builtin("example3")
     report(c)
     per_class = len(c.classes)
-    # one class set without Weyl moves (R) and one Weyl-merged set (λ and ℓ),
-    # and one projection of the summed trace each for R and λ
+    # Every class projects R once, over a class set without Weyl moves.  Three
+    # of example3's five classes have a nontrivial W: each adds one Weyl-merged
+    # class set, shared by λ and ℓ, and one projection of its relative maps for
+    # λ.  The other two have a trivial W and no masked cell: λ is R and ℓ's
+    # summand is orbit·R, so they add neither.
+    trivial_weyl = [iso for iso in c.classes if iso.aut.weyl.order == 1]
+    assert per_class == 5 and len(trivial_weyl) == 2
+    assert not any(any(e.relative_mask) for iso in trivial_weyl for e in iso.degrees)
     assert calls == {
         "reidemeister_trace": per_class,
         "lefschetz_number": per_class,
-        "_lambda_entry": per_class,
+        "_lambda_entry": 3,
         "universal_invariant": 1,
-        "twisted_classes": 2 * per_class,
-        "pi1_projection": 2 * per_class,
+        "twisted_classes": 8,
+        "pi1_projection": 8,
     }
 
 
