@@ -1011,10 +1011,12 @@ class GroupRingMatrix:
     Entries are stored densely, in ``entries``.  The nonzero entries of each
     row are listed once per matrix, on first use, and kept as a tuple of
     tuples (:meth:`_nonzero_rows`); products, the chain check and the block
-    split walk only those, and a trace reads only the diagonal.
+    split walk only those, and a trace reads only the diagonal.  The chain
+    check also keeps each matrix's largest |v_i| per coordinate
+    (:meth:`_coordinate_bounds`).
     """
 
-    __slots__ = ("aut", "rows", "cols", "entries", "_sparse")
+    __slots__ = ("aut", "rows", "cols", "entries", "_sparse", "_bounds")
 
     def __init__(
         self,
@@ -1062,6 +1064,20 @@ class GroupRingMatrix:
             for j in range(self.rows)
         ])
         return self._sparse
+
+    def _coordinate_bounds(self) -> tuple[int, ...]:
+        """Per coordinate i, the largest |v_i| over the terms of every entry.
+
+        Found on the first call and kept for the next ones.
+        """
+        try:
+            return self._bounds
+        except AttributeError:
+            pass
+        vectors = [v for row in self._nonzero_rows() for _, e in row for v, _, _ in e.terms]
+        columns = zip(*vectors)
+        self._bounds = tuple([max(map(abs, c)) for c in columns]) or (0,) * self.aut.pi1_rank
+        return self._bounds
 
     @property
     def is_square(self) -> bool:

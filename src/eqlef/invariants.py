@@ -833,7 +833,7 @@ def vanishing_report(c: EquivariantComplex) -> dict:
     >>> vanishing_report(load_builtin("example1"))
     {'ell_zero': True, 'lambda_zero': True, 'consistent': True}
     """
-    return _vanishing(klein_williams(c).is_zero, lambda_invariant(c).is_zero)
+    return _analyze(c).vanishing
 
 
 def _vanishing(ell_zero: bool, lambda_zero: bool) -> dict:
@@ -842,30 +842,31 @@ def _vanishing(ell_zero: bool, lambda_zero: bool) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class _Analysis:
-    """Every invariant of one complex, each computed once.
+    """Every invariant of one complex but u, each computed once.
 
-    ``rows`` holds one ``(class, u entry, λ, R, L)`` tuple per isotropy
-    class, in document order.
+    ``rows`` holds one ``(class, λ, R, L)`` tuple per isotropy class, in
+    document order.
     """
 
-    rows: tuple[tuple[IsoClassData, UniversalEntry, ClassSum, ClassSum, int], ...]
+    rows: tuple[tuple[IsoClassData, ClassSum, ClassSum, int], ...]
     ell: EllInvariant
     vanishing: dict
 
 
 def _analyze(c: EquivariantComplex) -> _Analysis:
     """With a trivial W, ℓ's summand is orbit·R; with no masked cell as well, λ is R
-    (one matrix, equal class sets).  L is computed apart: aug(R) = L stays a check."""
+    (one matrix, equal class sets).  L is computed apart: aug(R) = L stays a check.
+    u is left to the reports, so :func:`vanishing_report` shares this pass."""
     rows, parts = [], []
-    for iso, u_entry in zip(c.classes, universal_invariant(c).entries):
+    for iso in c.classes:
         trace = reidemeister_trace(iso)
         masked = any(any(entry.relative_mask) for entry in iso.degrees)
         classes = twisted_classes(iso.aut, iso.twist) if masked or iso.aut.weyl.order != 1 else None
         parts.append(_ell_part(iso, trace, classes))
         l_value = trace if classes is None else _lambda_entry(iso, classes).value
-        rows.append((iso, u_entry, l_value, trace, lefschetz_number(iso)))
+        rows.append((iso, l_value, trace, lefschetz_number(iso)))
     ell = _ell(parts)
-    lambda_zero = all(l_value.is_zero for _, _, l_value, _, _ in rows)
+    lambda_zero = all(l_value.is_zero for _, l_value, _, _ in rows)
     return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell.is_zero, lambda_zero))
 
 
@@ -894,7 +895,8 @@ def build_report(c: EquivariantComplex) -> dict:
     """A deterministic JSON-ready report of every invariant of the complex."""
     analysis = _analyze(c)
     classes = []
-    for iso, u_entry, l_value, trace, lefschetz in analysis.rows:
+    u_entries = universal_invariant(c).entries
+    for (iso, l_value, trace, lefschetz), u_entry in zip(analysis.rows, u_entries):
         entry = {
             "subgroup_class": list(iso.subgroup.member_labels),
             "component": iso.component,
@@ -951,7 +953,8 @@ def render_report(c: EquivariantComplex) -> str:
     lines = []
     title = c.name if c.name is not None else "complex"
     lines.append(f"{title} (group order {c.group.order})")
-    for iso, u_entry, l_value, trace, lefschetz in analysis.rows:
+    u_entries = universal_invariant(c).entries
+    for (iso, l_value, trace, lefschetz), u_entry in zip(analysis.rows, u_entries):
         lines.append(f"  {iso.label}:")
         lines.append(f"    u = {u_entry.kclass}")
         if u_entry.uz_image is not None:

@@ -375,6 +375,48 @@ def test_packed_keys_do_not_alias_near_the_edge_of_a_field(position, bound, twis
         assert not complex_model._products_cancel(phi, *products)
 
 
+_SWAP = IntMatrix(2, 2, [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        # ψ(t^v)·1 − t^v·1: φ_π moves v, so the sum is t^{φv} − t^v ≠ 0
+        ((((1, 0), (0, 0), True), ((1, 0), (0, 0), False)), False),
+        ((((1, 0), (0, 0), False), ((1, 0), (0, 0), True)), False),
+        # ψ(t^v)·t^v − t^{φv}·t^v = 0, with v packed as a right operand first
+        ((((1, 0), (1, 0), True), ((0, 1), (1, 0), False)), True),
+    ],
+    ids=["twisted-then-untwisted", "untwisted-then-twisted", "twisted-after-right"],
+)
+def test_one_vector_on_twisted_and_untwisted_operands_packs_to_two_keys(terms, expected):
+    """A vector's key for ψ(left) is φ_π·v's, not v's, in whatever order the two appear."""
+    aut = AutGroup.translations(2)
+    products = [
+        (_single(aut, left), _single(aut, right), 1 if p == 0 else -1, twisted)
+        for p, (left, right, twisted) in enumerate(terms)
+    ]
+    assert _reference_cancel(_SWAP, products) is expected
+    assert complex_model._products_cancel(_SWAP, *products) is expected
+
+
+def test_bounds_cover_every_product_not_just_the_first():
+    """t^{(1,0)}·t^{(−1,1)} − t^{(4,0)}·t^{(4,0)} = t^{(0,1)} − t^{(8,0)} ≠ 0.  Sized by the
+    first product's M = (1, 1) alone, field 0 would have 3 bits, and 8·e₀ would
+    pack as e₁; the second product's M = (4, 0) widens it."""
+    aut = AutGroup.translations(2)
+    products = [
+        (_single(aut, (1, 0)), _single(aut, (-1, 1)), 1, False),
+        (_single(aut, (4, 0)), _single(aut, (4, 0)), -1, False),
+    ]
+    identity = IntMatrix.identity(2)
+    assert [m._coordinate_bounds() for p in products for m in p[:2]] == [
+        (1, 0), (1, 1), (4, 0), (4, 0)
+    ]
+    assert not _reference_cancel(identity, products)
+    assert not complex_model._products_cancel(identity, *products)
+
+
 def _translated(document, u, perturb=None):
     """``document`` with every chain-map term multiplied by t^u.
 

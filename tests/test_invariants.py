@@ -1297,6 +1297,24 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
     }
 
 
+def test_vanishing_report_projects_a_free_unmasked_class_once(monkeypatch):
+    """On T³ (trivial W, no masked cell) λ is R, so R is projected once, as in the
+    reports, and u is not computed."""
+    from eqlef import invariants
+
+    calls = collections.Counter()
+    for name in ("pi1_projection", "universal_invariant"):
+        original = getattr(invariants, name)
+        monkeypatch.setattr(
+            invariants,
+            name,
+            lambda *args, _name=name, _original=original: calls.update([_name]) or _original(*args),
+        )
+    c = load_complex(torus_document((2, -1, 3)))
+    assert vanishing_report(c) == {"ell_zero": False, "lambda_zero": False, "consistent": True}
+    assert calls == {"pi1_projection": 1}
+
+
 # ---------------------------------------------------------------------------
 # basis renumbering of documents
 

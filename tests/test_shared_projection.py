@@ -113,7 +113,7 @@ def test_lambda_and_ell_equal_the_unshared_reference(name):
     c = CASES[name]()
     lambdas, ell = reference_lambda_and_ell(c)
     analysis = _analyze(c)
-    assert [l_value for _, _, l_value, _, _ in analysis.rows] == lambdas
+    assert [l_value for _, l_value, _, _ in analysis.rows] == lambdas
     assert [entry.value for entry in lambda_invariant(c).entries] == lambdas
     assert ell_structure(analysis.ell) == ell
     assert ell_structure(klein_williams(c)) == ell
