@@ -649,10 +649,18 @@ def _validate_module_structure(iso: IsoClassData) -> None:
         raise ValueError(leaves_mask)
 
 
+# An operand with a coordinate of 2**_MEMO_BITS or more packs without a memo.
+# A memo's miss hashes the vector twice (``get``, then the store), and a hash
+# grows with the coordinates: 7 µs against 14 µs to pack for 4000-digit ones
+# in ℤ⁷.  With every map term of T⁵ translated by one d-digit vector, so that
+# no map vector repeats, the check with a memo for the maps took 0.92, 0.95,
+# 1.00, 1.03 and 1.07 times as long as without it at d = 30, 100, 300, 1000
+# and 4000; T⁷ gave 0.96, 1.00 and 1.09 at d = 100, 300 and 1000.
+_MEMO_BITS = 1024
+
+
 class _NoMemo:
-    """A memo of packed vectors that keeps nothing.  Hashing a vector with
-    4000-digit coordinates in ℤ⁷ takes 7 µs against 13 µs to pack it, and
-    such translations rarely repeat, so a memo would cost more than it saves."""
+    """A memo of packed vectors that keeps nothing (see ``_MEMO_BITS``)."""
 
     def get(self, vector: tuple[int, ...]) -> None:
         return None
@@ -687,7 +695,8 @@ def _products_cancel(
     every term gives.  Within a call each distinct vector is packed once:
     ``plain`` keeps v's vector part, for right operands and untwisted left
     ones alike, and ``twisted_keys`` keeps φ_π·v's.  An operand with a
-    coordinate of 62 bits or more is packed without a memo (:class:`_NoMemo`).
+    coordinate of 2**``_MEMO_BITS`` or more is packed without a memo
+    (:class:`_NoMemo`).
     On a 2-vCPU virtual machine the T⁷ load's checks take 6.5 ms, against
     9.5 ms with a scan and a pack per use.
     """
@@ -706,8 +715,8 @@ def _products_cancel(
     twisted_keys: dict[tuple[int, ...], int] = {}  # vector part of φ_π·v
 
     def memo(matrix: GroupRingMatrix, kept: dict[tuple[int, ...], int]) -> Any:
-        """``kept``, or no memo for a matrix with a coordinate of 62 bits or more."""
-        return _NO_MEMO if rank and max(matrix._coordinate_bounds()) >> 62 else kept
+        """``kept``, or no memo for a matrix with a coordinate of 2**``_MEMO_BITS`` or more."""
+        return _NO_MEMO if rank and max(matrix._coordinate_bounds()) >> _MEMO_BITS else kept
 
     sums: dict[int, int] = {}
     for left, right, sign, twisted in products:

@@ -30,6 +30,7 @@ from eqlef.invariants import KClass, induce, lefschetz_number, reidemeister_trac
 from eqlef.realize import RealizationTarget, realize
 
 from test_torus import torus_document
+from translated_docs import large_vector, translated
 
 TORUS_DEGREES = (2, -1, 3, -2, 2)
 
@@ -417,33 +418,6 @@ def test_bounds_cover_every_product_not_just_the_first():
     assert not complex_model._products_cancel(identity, *products)
 
 
-def _translated(document, u, perturb=None):
-    """``document`` with every chain-map term multiplied by t^u.
-
-    ``perturb = (degree, term)`` adds 1 to the first coordinate of that map
-    term (counted over the degree's nonzero diagonal entries).
-    """
-    document = copy.deepcopy(document)
-    for degree in document["iso_classes"][0]["chain"]:
-        count = 0
-        for r, row in enumerate(degree["map"]):
-            entry = row[r]
-            terms = entry if isinstance(entry, list) else [entry]
-            moved = []
-            for term in terms:
-                vector = term["vector"] if isinstance(term, dict) else [0] * len(u)
-                coefficient = term["coeff"] if isinstance(term, dict) else term
-                if coefficient == 0:
-                    continue
-                vector = [a + b for a, b in zip(vector, u)]
-                if perturb == (degree["degree"], count):
-                    vector[0] += 1
-                count += 1
-                moved.append({"coeff": coefficient, "vector": vector})
-            row[r] = moved or 0
-    return document
-
-
 _REFUSAL = (
     "chain map does not commute with the boundary at degree {} of "
     "(subgroup {{1}}, component 'torus')."
@@ -464,11 +438,11 @@ def test_maps_translated_by_a_4000_digit_vector_load_exactly(
     """f·t^u is a chain map whenever f is, for any u; one coordinate off by one is refused
     with the message that comparing built products gives."""
     rng = random.Random(f"translated:{degrees}")
-    u = [rng.choice((-1, 1)) * rng.randrange(10**3999, 10**4000) for _ in degrees]
+    u = large_vector(len(degrees), 4000, rng)
     document = torus_document(degrees)
-    (iso,) = load_complex(_translated(document, u)).classes
+    (iso,) = load_complex(translated(document, u)).classes
     reference_validate_chain_algebra(iso)
-    mutant = _translated(document, u, perturbed)
+    mutant = translated(document, u, perturbed)
     assert _verdict(mutant) == refusal
     monkeypatch.setattr(complex_model, "_validate_chain_algebra", reference_validate_chain_algebra)
     assert _verdict(mutant) == refusal
