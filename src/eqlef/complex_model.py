@@ -245,22 +245,70 @@ def _decode_term(item: Any, aut: AutGroup) -> tuple[tuple[int, ...], int, int]:
     return ((0,) * aut.pi1_rank, aut.weyl.identity, _decode_int(item))
 
 
+_PLAIN_FIELDS = frozenset({"coeff", "vector"})
+
+
+def _entry_terms(value: Any, aut: AutGroup) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The terms of a group-ring entry, one term or a list of them, in written order.
+
+    The common shapes are decoded inline: a plain ``int``, or a ``dict``
+    with no key but ``coeff`` (a plain ``int``, or absent) and ``vector``
+    (absent, ``None``, or a ``list`` of ``pi1_rank`` plain ints).
+    Every other term goes through :func:`_decode_term`, whose failures are
+    located at ``[term k]``, so a refusal reads the same either way.
+    """
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    zero, identity = (0,) * aut.pi1_rank, aut.weyl.identity
+    terms = []
+    for k, item in enumerate(items):
+        if type(item) is int:
+            terms.append((zero, identity, item))
+            continue
+        if type(item) is dict and _PLAIN_FIELDS.issuperset(item):
+            coefficient, vector = item.get("coeff", 1), item.get("vector")
+            if type(coefficient) is int:
+                if vector is None:
+                    terms.append((zero, identity, coefficient))
+                    continue
+                if (
+                    type(vector) is list
+                    and len(vector) == aut.pi1_rank
+                    and _INT_ONLY.issuperset(map(type, vector))
+                ):
+                    terms.append((tuple(vector), identity, coefficient))
+                    continue
+        try:
+            terms.append(_decode_term(item, aut))
+        except _Malformed as exc:
+            exc.within(f"[term {k}]")
+            raise
+    return tuple(terms)
+
+
+def _element(
+    aut: AutGroup, terms: tuple[tuple[tuple[int, ...], int, int], ...]
+) -> GroupRingElement:
+    """The element Σ c·(v, w) of checked ``terms``, unchecked.
+
+    Terms written combined already (nonzero coefficients, (w, v) strictly
+    increasing, as a torus map's entries are) are the element's terms as
+    they are; any others go through ``GroupRingElement._combined``.
+    """
+    previous = None
+    for vector, w, coefficient in terms:
+        if not coefficient or previous is not None and not previous < (w, vector):
+            return GroupRingElement._combined(aut, terms)
+        previous = (w, vector)
+    return GroupRingElement._from_combined(aut, terms)
+
+
 def _decode_entry(value: Any, aut: AutGroup) -> GroupRingElement:
     """A group-ring entry, one term or a list of them; failures name ``[term k]``.
 
-    :func:`_decode_term` has checked every term, so the terms enter through
-    the unchecked combiner ``GroupRingElement._combined``.
+    :func:`_entry_terms` decodes and checks every term, and :func:`_element`
+    combines them, unchecked.
     """
-    items = value if isinstance(value, (list, tuple)) else (value,)
-    terms = []
-    k = 0
-    try:
-        for k, item in enumerate(items):
-            terms.append(_decode_term(item, aut))
-    except _Malformed as exc:
-        exc.within(f"[term {k}]")
-        raise
-    return GroupRingElement._combined(aut, terms)
+    return _element(aut, _entry_terms(value, aut))
 
 
 def _encode_term(
@@ -291,20 +339,23 @@ def _decode_group_ring_matrix(
 ) -> GroupRingMatrix:
     """The ``rows``×``cols`` matrix over ℤ[ℤᵏ ⋊ W] at ``where``.
 
-    All entries written as the same integer share one validated
-    :class:`GroupRingElement`, which is safe because elements are immutable:
-    no method reassigns ``aut`` or ``terms``, and ``terms`` is a tuple.  An
-    entry's location is formatted only when the entry fails to decode.
+    Entries with equal terms share one validated :class:`GroupRingElement`,
+    built once, which is safe because elements are immutable: no method
+    reassigns ``aut`` or ``terms``, and ``terms`` is a tuple.  An entry
+    written as a bare integer is keyed by its value, any other by its terms
+    as written (:func:`_entry_terms`).  An entry's location is formatted
+    only when the entry fails to decode.
     """
-    shared: dict[int, GroupRingElement] = {}
+    shared: dict[Any, list[GroupRingElement]] = {}
 
     def decode(item: Any) -> GroupRingElement:
-        if type(item) is not int:
-            return _decode_entry(item, aut)
-        element = shared.get(item)
-        if element is None:
-            element = shared[item] = _decode_entry(item, aut)
-        return element
+        key = item if type(item) is int else _entry_terms(item, aut)
+        # one hash of the key, hit or miss: a get, then a store, hashes a new
+        # entry twice, which cost 3–5% on loads with 4000-digit coordinates
+        slot = shared.setdefault(key, [])
+        if not slot:
+            slot.append(_decode_entry(item, aut) if key is item else _element(aut, key))
+        return slot[0]
 
     decoded = _decode_rows(value, where, decode, (rows, cols))
     return GroupRingMatrix(aut, rows, cols, tuple(itertools.chain.from_iterable(decoded)))

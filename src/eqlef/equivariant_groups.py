@@ -900,11 +900,18 @@ class GroupRingElement:
         for vector, w, coefficient in terms:
             key = (vector, w)
             sums[key] = sums.get(key, 0) + coefficient
+        combined = sorted(((v, w, c) for (v, w), c in sums.items() if c), key=operator.itemgetter(1, 0))
+        return cls._from_combined(aut, tuple(combined))
+
+    @classmethod
+    def _from_combined(
+        cls, aut: AutGroup, terms: tuple[tuple[tuple[int, ...], int, int], ...]
+    ) -> "GroupRingElement":
+        """The element whose ``terms`` are trusted as valid and combined already, in
+        the form :meth:`_combined` leaves them."""
         element = object.__new__(cls)
         element.aut = aut
-        element.terms = tuple(
-            sorted(((v, w, c) for (v, w), c in sums.items() if c), key=operator.itemgetter(1, 0))
-        )
+        element.terms = terms
         return element
 
     # -- constructors -------------------------------------------------

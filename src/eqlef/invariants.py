@@ -395,6 +395,11 @@ def _sign(degree: int) -> int:
     return -1 if degree % 2 else 1
 
 
+def _diagonal(matrix: GroupRingMatrix) -> tuple[GroupRingElement, ...]:
+    """The diagonal entries of the square ``matrix``, uncombined."""
+    return matrix.entries[:: matrix.cols + 1]
+
+
 @dataclasses.dataclass(frozen=True)
 class UniversalEntry:
     """The universal-class term of one isotropy class."""
@@ -502,13 +507,22 @@ def _alternating_projection(
     iso: IsoClassData, matrices: Iterable[GroupRingMatrix], classes: TwistedClassSet
 ) -> ClassSum:
     """The projection of Σ_p (−1)^p tr(M_p), one M_p per degree of ``iso``, summed over
-    the matrices' own group and projected once, so each vector is reduced once."""
+    the matrices' own group and projected once, so each vector is reduced once.
+
+    Every degree's diagonal terms, signed, enter one ``_combined``: no per-degree
+    trace is built.  This serves R and λ.
+    """
     signed = [(_sign(entry.degree), matrix) for entry, matrix in zip(iso.degrees, matrices)]
     if not signed:
         return ClassSum.zero()
     summed = GroupRingElement._combined(
         signed[0][1].aut,
-        ((v, w, sign * c) for sign, matrix in signed for v, w, c in matrix.trace().terms),
+        (
+            (v, w, sign * c)
+            for sign, matrix in signed
+            for diagonal in _diagonal(matrix)
+            for v, w, c in diagonal.terms
+        ),
     )
     return ClassSum._from_normal(pi1_projection(summed, classes).items())
 
@@ -556,15 +570,17 @@ def lefschetz_number(d: IsoClassData) -> int:
 
     Computed as the alternating trace of the integer chain matrices of the
     component: expand over Weyl cosets, then sum (−1)^p·aug(tr(expanded
-    map)).  Augmentation is additive, so the augmentation of the trace is the
-    trace of the entrywise augmentation, and only the diagonal is read.
+    map)).  Augmentation is additive, so aug(tr) is Σ c over the terms of
+    the diagonal entries, read as they are, with no trace element built.
+    It is summed apart from R, so aug(R) = L stays an independent check.
 
     >>> from .complex_model import load_builtin
     >>> lefschetz_number(load_builtin("example2").classes[0])
     2
     """
     return sum(
-        _sign(entry.degree) * expanded_map.trace().augmentation()
+        _sign(entry.degree)
+        * sum(c for diagonal in _diagonal(expanded_map) for _, _, c in diagonal.terms)
         for entry, _, expanded_map, _ in d.ladder
     )
 

@@ -257,34 +257,44 @@ def _single(aut, vector, rows=1, cols=1, at=(0, 0)):
     return GroupRingMatrix(aut, rows, cols, entries)
 
 
+def _first_product_widths(phi, products):
+    """The field widths b_i of a radix sized from the first product's operands alone."""
+    bounds = [max(pair) for pair in zip(*(m._coordinate_bounds() for m in products[0][:2]))]
+    reach = [max(b, sum(abs(a) * m for a, m in zip(phi.row(i), bounds))) for i, b in enumerate(bounds)]
+    return [(2 * d).bit_length() + 1 for d in reach]
+
+
 @st.composite
 def packed_products(draw):
     """φ_π and signed, possibly twisted products over ℤᵏ, k ≤ 4, coordinates up to ±10³⁰.
 
-    Half the cases add each product's negation (ψ materialized with
-    ``apply_twist`` on the untwisted copy), so the sums cancel; a perturbation
-    of one coordinate or coefficient then makes a near miss.
+    Each product draws its own coordinate bound (0 writes only zero vectors),
+    so a later product can reach further than the first.  Half the cases add
+    each product's negation (ψ materialized with ``apply_twist`` on the
+    untwisted copy), so the sums cancel; a perturbation of one coordinate or
+    coefficient, or a carry into the next coordinate of a later product's
+    term, then makes a near miss.  The carry aliases under a radix sized from
+    the first product alone.
     """
     k = draw(st.integers(0, 4))
     aut = AutGroup.translations(k)
     row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
     phi = IntMatrix(k, k, [a for r in draw(st.lists(row, min_size=k, max_size=k)) for a in r])
-    bound = draw(st.sampled_from((3, 10**6, 10**30)))
-    # nonzero first: zero vectors are fixed by every φ_π and hide a dropped twist
-    coordinate = st.integers(1, bound) | st.integers(-bound, -1) | st.just(0)
-    term = st.tuples(st.lists(coordinate, min_size=k, max_size=k), st.just(0), st.integers(-3, 3))
-    element = st.lists(term, max_size=3).map(lambda terms: GroupRingElement(aut, terms))
 
-    def matrix(rows, cols):
+    def matrix(rows, cols, bound):
+        # nonzero first: zero vectors are fixed by every φ_π and hide a dropped twist
+        coordinate = (st.integers(1, bound) | st.integers(-bound, -1) | st.just(0)) if bound else st.just(0)
+        term = st.tuples(st.lists(coordinate, min_size=k, max_size=k), st.just(0), st.integers(-3, 3))
+        element = st.lists(term, max_size=3).map(lambda terms: GroupRingElement(aut, terms))
         count = rows * cols
         return GroupRingMatrix(aut, rows, cols, draw(st.lists(element, min_size=count, max_size=count)))
 
     a, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     products = []
     for _ in range(draw(st.integers(1, 3))):
-        b = draw(st.integers(0, 3))
+        b, bound = draw(st.integers(0, 3)), draw(st.sampled_from((0, 3, 10**6, 10**30)))
         sign, twisted = draw(st.sampled_from((1, -1))), draw(st.booleans())
-        products.append((matrix(a, b), matrix(b, c), sign, twisted))
+        products.append((matrix(a, b, bound), matrix(b, c, bound), sign, twisted))
     if draw(st.booleans()):
         twist = TwistData(phi)
         products += [
@@ -292,17 +302,34 @@ def packed_products(draw):
             for left, right, sign, twisted in products
         ]
         if draw(st.booleans()):
-            p = draw(st.integers(0, len(products) - 1))
+            nudge = draw(st.sampled_from(("coordinate", "carry", "coefficient")))
+            # a carry goes into a later product, whose coordinates the first one's bounds miss
+            p = draw(st.integers(nudge == "carry", len(products) - 1))
             left, right, sign, twisted = products[p]
-            cells = [(r, l) for r, e in enumerate(right.entries) for l in range(len(e.terms))]
+            # the terms of right rows that some left entry reaches
+            reached = {i for row in left._nonzero_rows() for i, _ in row}
+            cells = [
+                (r, l)
+                for r, e in enumerate(right.entries)
+                if r // right.cols in reached
+                for l in range(len(e.terms))
+            ]
             if cells:
                 r, t = draw(st.sampled_from(cells))
                 terms = list(right.entries[r].terms)
                 vector, w, coefficient = terms[t]
-                if k and draw(st.booleans()):
+                if k and nudge == "coordinate":
                     i = draw(st.integers(0, k - 1))
                     step = draw(st.sampled_from((1, -1)))
                     vector = vector[:i] + (vector[i] + step,) + vector[i + 1 :]
+                elif k > 1 and nudge == "carry":
+                    # 2^m·e_i − e_{i+1} packs to 0 where field i has m bits: m is
+                    # the width of a radix sized from the first product alone
+                    i = draw(st.integers(0, k - 2))
+                    m = _first_product_widths(phi, products)[i]
+                    step = draw(st.sampled_from((1, -1)))
+                    moved = (vector[i] + step * 2**m, vector[i + 1] - step)
+                    vector = vector[:i] + moved + vector[i + 2 :]
                 else:
                     coefficient += 1
                 terms[t] = (vector, w, coefficient)
@@ -609,7 +636,15 @@ class _Int(int):
 
 @st.composite
 def entries(draw):
-    """(aut, raw entry, terms) with repeated keys and coefficients that cancel."""
+    """(aut, raw entry, terms) with repeated keys and coefficients that cancel, or
+    terms written combined already.
+
+    Every way a term may be written is drawn: a coefficient as an ``int``, a
+    decimal string, an ``int`` subclass, or omitted when it is 1; a vector as a
+    list of plain or subclassed ``int`` values, a tuple, or, when it is zero,
+    omitted or ``None``.  So both the inline decoding and :func:`_decode_term`,
+    and both :func:`complex_model._element` paths, are taken.
+    """
     aut = draw(st.sampled_from(DECODE_AUTS))
     term = st.tuples(
         st.lists(st.integers(-1, 1), min_size=aut.pi1_rank, max_size=aut.pi1_rank),
@@ -617,7 +652,9 @@ def entries(draw):
         st.integers(-3, 3),
     )
     terms = draw(st.lists(term, max_size=8))
-    if terms and draw(st.booleans()):
+    if draw(st.booleans()):
+        terms = list(GroupRingElement(aut, terms).terms)
+    elif terms and draw(st.booleans()):
         vector, w, coefficient = draw(st.sampled_from(terms))
         terms.append((vector, w, -coefficient))
     raw = []
@@ -626,7 +663,19 @@ def entries(draw):
         if not any(vector) and w == aut.weyl.identity and draw(st.booleans()):
             raw.append(written)
             continue
-        item = {"coeff": written, "vector": [_Int(v) for v in vector]}
+        item = {}
+        if coefficient != 1 or draw(st.booleans()):
+            item["coeff"] = written
+        styles = ("int", "subclass", "tuple") + (("omitted", "null") if not any(vector) else ())
+        style = draw(st.sampled_from(styles))
+        if style == "int":
+            item["vector"] = list(vector)
+        elif style == "subclass":
+            item["vector"] = [_Int(v) for v in vector]
+        elif style == "tuple":
+            item["vector"] = tuple(vector)
+        elif style == "null":
+            item["vector"] = None
         if w != aut.weyl.identity or draw(st.booleans()):
             item["weyl_elem"] = aut.weyl.labels[w]
         raw.append(item)
@@ -645,6 +694,63 @@ def test_decoded_entries_equal_the_checking_constructor(case):
     for vector, w, coefficient in decoded.terms:
         assert type(w) is int and type(coefficient) is int and coefficient != 0
         assert all(type(v) is int for v in vector)
+
+
+_TERM_AT = "iso_classes[0].chain[1].map[1][1][term 1]"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ({"coeff": True, "vector": [1, 0]}, f"expected an integer at {_TERM_AT}.coeff, got a boolean."),
+        ({"coeff": 1.0, "vector": [1, 0]}, f"expected an integer at {_TERM_AT}.coeff, got float."),
+        ({"coeff": 1, "vector": [1.5, 0]}, f"expected an integer at {_TERM_AT}.vector[0], got float."),
+        ({"coeff": 1, "vector": [0, "x"]}, f"expected an integer at {_TERM_AT}.vector[1], got 'x'."),
+        ({"coeff": 1, "vector": [1]}, f"vector at {_TERM_AT} has length 1; expected 2."),
+        ({"coeff": 1, "vector": {"0": 1}}, f"expected an array at {_TERM_AT}.vector, got dict."),
+        (
+            {"coeff": 1, "vektor": [1, 0]},
+            f"unknown field 'vektor' at {_TERM_AT}; allowed fields: ['coeff', 'vector', 'weyl_elem'].",
+        ),
+        ({"coeff": 1, "weyl_elem": 1}, f"expected a Weyl element label at {_TERM_AT}.weyl_elem."),
+        (True, f"expected an integer at {_TERM_AT}, got a boolean."),
+        (2.5, f"expected an integer at {_TERM_AT}, got float."),
+    ],
+    ids=[
+        "boolean-coeff",
+        "float-coeff",
+        "float-coordinate",
+        "string-coordinate",
+        "wrong-length",
+        "vector-object",
+        "unknown-key",
+        "weyl-not-a-string",
+        "boolean-term",
+        "float-term",
+    ],
+)
+def test_malformed_terms_are_refused_at_their_term(term, message):
+    """Terms outside the inline shapes reach :func:`_decode_term`; the messages are pinned."""
+    document = torus_document((2, -1))
+    document["iso_classes"][0]["chain"][1]["map"][1][1] = [{"coeff": -1, "vector": [0, -1]}, term]
+    with pytest.raises(ValueError) as refusal:
+        load_complex(document)
+    assert str(refusal.value) == message
+
+
+def test_equal_entries_of_one_matrix_share_one_element():
+    """Entries written alike, bare or as lists, decode to one object; written in
+    combined order or not, the element is the checking constructor's."""
+    aut = AutGroup.translations(2)
+    t = {"coeff": 1, "vector": [1, 0]}
+    rows = [[[t, -1], [-1, t], 3], [[t, -1], 3, [{"coeff": -1}, {"vector": (1, 0)}]]]
+    matrix = complex_model._decode_group_ring_matrix(rows, aut, 2, 3, "m")
+    first, swapped, three, again, three_again, spelled = matrix.entries
+    assert again is first and three_again is three
+    expected = GroupRingElement(aut, [((1, 0), 0, 1), ((0, 0), 0, -1)])
+    assert first == swapped == spelled == expected
+    assert first.terms == (((0, 0), 0, -1), ((1, 0), 0, 1))
+    assert three == GroupRingElement(aut, [((0, 0), 0, 3)])
 
 
 def test_int_subclasses_decode_to_plain_ints():

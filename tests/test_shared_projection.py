@@ -4,10 +4,15 @@ With a trivial Weyl group the report takes ℓ's summand as orbit·R, and when
 no cell is masked as well it takes λ to be R.  The reference here does what
 the shared path skips: it projects each class's relative maps for λ and
 reduces every key of R over the Weyl-merged class set for ℓ.
+
+L, R and λ read the diagonal entries directly; the last test compares them
+with traces built by :meth:`GroupRingMatrix.trace`.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import pathlib
 import sys
 
@@ -20,8 +25,10 @@ from eqlef import (
     induce,
     klein_williams,
     lambda_invariant,
+    lefschetz_number,
     load_builtin,
     load_complex,
+    pi1_projection,
     reidemeister_trace,
     twisted_classes,
 )
@@ -146,3 +153,36 @@ def test_mixed_masks_in_one_degree_report_as_when_the_masked_cell_is_last():
         {"class": [0], "coeff": 3},
         {"class": [1], "coeff": 1},
     ]
+
+
+def alternating_trace(iso, matrices):
+    """Σ_p (−1)^p tr(M_p), each trace built by :meth:`GroupRingMatrix.trace`."""
+    signed = [
+        matrix.trace().scale(-1 if entry.degree % 2 else 1)
+        for entry, matrix in zip(iso.degrees, matrices, strict=True)
+    ]
+    return functools.reduce(operator.add, signed) if signed else None
+
+
+def projected_trace(iso, matrices, classes):
+    """The projection of :func:`alternating_trace`, as R and λ were computed
+    before they read the diagonals directly."""
+    summed = alternating_trace(iso, matrices)
+    return ClassSum.zero() if summed is None else ClassSum.from_mapping(pi1_projection(summed, classes))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_l_r_and_lambda_read_off_the_diagonals_equal_the_built_traces(name):
+    c = CASES[name]()
+    lambdas = lambda_invariant(c).entries
+    for iso, lam in zip(c.classes, lambdas, strict=True):
+        expanded = [m for _, _, m, _ in iso.ladder]
+        assert lefschetz_number(iso) == sum(
+            (-1) ** entry.degree * matrix.trace().augmentation()
+            for entry, matrix in zip(iso.degrees, expanded, strict=True)
+        )
+        r_classes = twisted_classes(iso.pi1_aut(), iso.twist)
+        assert reidemeister_trace(iso) == projected_trace(iso, expanded, r_classes)
+        relative = [entry.relative_map for entry in iso.degrees]
+        lambda_classes = twisted_classes(iso.aut, iso.twist)
+        assert lam.value == projected_trace(iso, relative, lambda_classes)
