@@ -97,6 +97,14 @@ def _require_list(value: Any, where: str) -> list:
     return list(value)
 
 
+def _require_names(values: Sequence[Any], where: Callable[[int], str]) -> Sequence[Any]:
+    """``values``, if each is a ``str``; the first that is not is refused at ``where(i)``."""
+    for i, value in enumerate(values):
+        if type(value) is not str:
+            raise ValueError(f"expected a string at {where(i)}, got {type(value).__name__}.")
+    return values
+
+
 def _check_allowed_keys(mapping: Mapping, allowed: AbstractSet[str], where: str) -> None:
     for key in mapping:
         if key not in allowed:
@@ -548,15 +556,15 @@ def _load_group(spec: Any) -> FiniteGroup:
         raise ValueError("group must give either 'builtin' or both 'labels' and 'table'.")
     raw_labels = _require_list(spec["labels"], "group.labels")
     _check_group_order(len(raw_labels), "group.labels")
-    labels = [str(v) for v in raw_labels]
+    labels = _require_names(raw_labels, lambda i: f"group.labels[{i}]")
     return FiniteGroup(labels, _decode_rows(spec["table"], "group.table", _decode_int))
 
 
 def _load_stabilizer(
     raw: Any, weyl: FiniteGroup, where: str, members: Callable[[tuple[int, ...]], tuple[int, ...]]
 ) -> tuple[int, ...]:
-    labels = _require_list(raw, where)
-    indices = tuple(sorted({weyl.element_index(str(label)) for label in labels}))
+    labels = _require_names(_require_list(raw, where), lambda k: f"{where}[{k}]")
+    indices = tuple(sorted({weyl.element_index(label) for label in labels}))
     try:
         return members(indices)  # a subgroup check, once per distinct set of a degree
     except ValueError as exc:
@@ -700,29 +708,6 @@ def _validate_module_structure(iso: IsoClassData) -> None:
         raise ValueError(leaves_mask)
 
 
-# An operand with a coordinate of 2**_MEMO_BITS or more packs without a memo.
-# A memo's miss hashes the vector twice (``get``, then the store), and a hash
-# grows with the coordinates: 7 µs against 14 µs to pack for 4000-digit ones
-# in ℤ⁷.  With every map term of T⁵ translated by one d-digit vector, so that
-# no map vector repeats, the check with a memo for the maps took 0.92, 0.95,
-# 1.00, 1.03 and 1.07 times as long as without it at d = 30, 100, 300, 1000
-# and 4000; T⁷ gave 0.96, 1.00 and 1.09 at d = 100, 300 and 1000.
-_MEMO_BITS = 1024
-
-
-class _NoMemo:
-    """A memo of packed vectors that keeps nothing (see ``_MEMO_BITS``)."""
-
-    def get(self, vector: tuple[int, ...]) -> None:
-        return None
-
-    def __setitem__(self, vector: tuple[int, ...], key: int) -> None:
-        pass
-
-
-_NO_MEMO = _NoMemo()
-
-
 def _products_cancel(
     phi_pi: IntMatrix, *products: tuple[GroupRingMatrix, GroupRingMatrix, int, bool]
 ) -> bool:
@@ -745,9 +730,9 @@ def _products_cancel(
     elementwise maximum over its operands, so its radix is the one a scan of
     every term gives.  Within a call each distinct vector is packed once:
     ``plain`` keeps v's vector part, for right operands and untwisted left
-    ones alike, and ``twisted_keys`` keeps φ_π·v's.  An operand with a
-    coordinate of 2**``_MEMO_BITS`` or more is packed without a memo
-    (:class:`_NoMemo`).
+    ones alike, and ``twisted_keys`` keeps φ_π·v's, each in a one-slot list
+    reached by ``setdefault``: one hash per lookup, hit or miss, since with
+    4000-digit translations few vectors repeat and a hash costs half a pack.
     On a 2-vCPU virtual machine the T⁷ load's checks take 6.5 ms, against
     9.5 ms with a scan and a pack per use.
     """
@@ -762,12 +747,8 @@ def _products_cancel(
         width += (2 * reach).bit_length() + 1
     twist_rows = [(shift, phi_pi.row(i)) for i, shift in enumerate(shifts) if any(phi_pi.row(i))]
     spread = 1 << width
-    plain: dict[tuple[int, ...], int] = {}  # vector part of v, once per distinct v
-    twisted_keys: dict[tuple[int, ...], int] = {}  # vector part of φ_π·v
-
-    def memo(matrix: GroupRingMatrix, kept: dict[tuple[int, ...], int]) -> Any:
-        """``kept``, or no memo for a matrix with a coordinate of 2**``_MEMO_BITS`` or more."""
-        return _NO_MEMO if rank and max(matrix._coordinate_bounds()) >> _MEMO_BITS else kept
+    plain: dict[tuple[int, ...], list] = {}  # [vector part of v], once per distinct v
+    twisted_keys: dict[tuple[int, ...], list] = {}  # [vector part of φ_π·v]
 
     sums: dict[int, int] = {}
     for left, right, sign, twisted in products:
@@ -777,7 +758,7 @@ def _products_cancel(
             )
         assert left.aut.weyl.order == right.aut.weyl.order == 1  # every w is the identity
         right_rows = right._nonzero_rows()
-        keys, right_keys = memo(left, twisted_keys if twisted else plain), memo(right, plain)
+        keys = twisted_keys if twisted else plain
         packed_rows: dict[int, list[tuple[int, int]]] = {}
         for j, left_row in enumerate(left._nonzero_rows()):
             base = j * right.cols * spread
@@ -789,19 +770,18 @@ def _products_cancel(
                     packed = packed_rows[i] = []
                     for l, other in right_rows[i]:
                         for v, _, c in other.terms:
-                            key = right_keys.get(v)
-                            if key is None:
-                                key = right_keys[v] = sum(map(operator.lshift, v, shifts))
-                            packed.append((l * spread + key, c))
+                            slot = plain.setdefault(v, [None])
+                            if slot[0] is None:
+                                slot[0] = sum(map(operator.lshift, v, shifts))
+                            packed.append((l * spread + slot[0], c))
                 for v, _, c1 in entry.terms:
-                    key = keys.get(v)
-                    if key is None:
+                    slot = keys.setdefault(v, [None])
+                    if slot[0] is None:
                         if twisted:
-                            key = sum(sum(map(operator.mul, row, v)) << s for s, row in twist_rows)
+                            slot[0] = sum(sum(map(operator.mul, row, v)) << s for s, row in twist_rows)
                         else:
-                            key = sum(map(operator.lshift, v, shifts))
-                        keys[v] = key
-                    key += base
+                            slot[0] = sum(map(operator.lshift, v, shifts))
+                    key = slot[0] + base
                     c1 *= sign
                     for k2, c2 in packed:
                         k2 += key
@@ -863,8 +843,9 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
         if required not in raw:
             raise ValueError(f"isotropy class at {where} needs '{required}'.")
 
+    raw_subgroup = _require_list(raw["subgroup_class"], f"{where}.subgroup_class")
     subgroup = Subgroup.from_labels(
-        group, [str(v) for v in _require_list(raw["subgroup_class"], f"{where}.subgroup_class")]
+        group, _require_names(raw_subgroup, lambda i: f"{where}.subgroup_class[{i}]")
     )
     canonical = subgroup.least_conjugate()
     if canonical.members != subgroup.members:
@@ -873,14 +854,16 @@ def _load_iso_class(raw: Any, group: FiniteGroup, where: str) -> IsoClassData:
             f"canonical conjugacy representative; expected "
             f"{list(canonical.member_labels)}."
         )
-    component = str(raw["component"])
+    (component,) = _require_names((raw["component"],), lambda _: f"{where}.component")
 
     quotient = weyl_group(group, subgroup).group
     raw_weyl = raw.get("weyl")
     if raw_weyl is None:
         weyl = quotient
     else:
-        labels = [str(v) for v in _require_list(raw_weyl, f"{where}.weyl")]
+        labels = _require_names(
+            _require_list(raw_weyl, f"{where}.weyl"), lambda i: f"{where}.weyl[{i}]"
+        )
         indices = sorted({quotient.element_index(label) for label in labels})
         if quotient.identity not in indices:
             raise ValueError(
@@ -973,10 +956,11 @@ def _load_fixed_point(
     for required in ("subgroup_class", "component", "index", "path"):
         if required not in raw:
             raise ValueError(f"fixed point at {where} needs '{required}'.")
+    raw_subgroup = _require_list(raw["subgroup_class"], f"{where}.subgroup_class")
     subgroup = Subgroup.from_labels(
-        group, [str(v) for v in _require_list(raw["subgroup_class"], f"{where}.subgroup_class")]
+        group, _require_names(raw_subgroup, lambda i: f"{where}.subgroup_class[{i}]")
     )
-    component = str(raw["component"])
+    (component,) = _require_names((raw["component"],), lambda _: f"{where}.component")
     iso = complex_classes.get((subgroup.members, component))
     if iso is None:
         raise ValueError(
@@ -1037,16 +1021,13 @@ def load_complex(document: Mapping) -> EquivariantComplex:
         raise ValueError("document needs 'iso_classes' (possibly empty).")
     raw_classes = _require_list(document["iso_classes"], "iso_classes")
 
-    classes: list[IsoClassData] = []
-    seen_keys: set[tuple[tuple[int, ...], str]] = set()
+    class_by_key: dict[tuple[tuple[int, ...], str], IsoClassData] = {}
     for i, raw_class in enumerate(raw_classes):
         iso = _load_iso_class(raw_class, group, f"iso_classes[{i}]")
-        if iso.key in seen_keys:
+        if iso.key in class_by_key:
             raise ValueError(f"duplicate isotropy class {iso.label} at iso_classes[{i}].")
-        seen_keys.add(iso.key)
-        classes.append(iso)
+        class_by_key[iso.key] = iso
 
-    class_by_key = {iso.key: iso for iso in classes}
     fixed_points: list[FixedPointDatum] = []
     raw_fixed = document.get("fixed_points", [])
     for i, raw_point in enumerate(_require_list(raw_fixed, "fixed_points")):
@@ -1072,7 +1053,7 @@ def load_complex(document: Mapping) -> EquivariantComplex:
         builtin_group=builtin_group,
         name=name,
         description=description,
-        classes=tuple(classes),
+        classes=tuple(class_by_key.values()),
         fixed_points=tuple(fixed_points),
     )
 

@@ -49,7 +49,7 @@ import operator
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from .exact_algebra import IntMatrix, _require_ints
+from .exact_algebra import _DIMENSIONS, IntMatrix, _require_ints
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -366,7 +366,8 @@ class Subgroup:
     __slots__ = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]) -> None:
-        member_tuple = tuple(sorted(set(int(m) for m in members)))
+        member_list = _require_ints(tuple(members), lambda i: f"subgroup member {i}")
+        member_tuple = tuple(sorted(set(member_list)))
         for m in member_tuple:
             if not 0 <= m < parent.order:
                 raise ValueError(f"subgroup member index {m} outside the group.")
@@ -592,6 +593,7 @@ class AutGroup:
         weyl: FiniteGroup,
         action: Sequence[IntMatrix] | None = None,
     ) -> None:
+        _require_ints((pi1_rank,), lambda _: "translation rank")
         if pi1_rank < 0:
             raise ValueError(f"translation rank must be nonnegative, got {pi1_rank}.")
         identity = IntMatrix.identity(pi1_rank)
@@ -1032,6 +1034,7 @@ class GroupRingMatrix:
         cols: int,
         entries: Sequence[GroupRingElement],
     ) -> None:
+        _require_ints((rows, cols), _DIMENSIONS.__getitem__)
         if rows < 0 or cols < 0:
             raise ValueError(f"matrix dimensions must be nonnegative, got {rows}×{cols}.")
         entries = tuple(entries)
@@ -1104,14 +1107,6 @@ class GroupRingMatrix:
             self.rows,
             self.cols,
             tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            self.aut, self.rows, self.cols, tuple(-e for e in self.entries)
         )
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":

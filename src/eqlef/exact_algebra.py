@@ -171,6 +171,7 @@ def _split_content(a: Sequence[int]) -> tuple[int, list[int]]:
 
 _INT_ONLY = frozenset({int})
 _KIND_NAMES = {bool: "a boolean", float: "a float", str: "a string"}
+_DIMENSIONS = ("row count", "column count")  # where a matrix's (rows, cols) are named
 
 
 def _require_ints(values: Sequence[Any], where: Callable[[int], str]) -> Sequence[Any]:
@@ -303,6 +304,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_ints((self.rows, self.cols), _DIMENSIONS.__getitem__)
         if self.rows < 0 or self.cols < 0:
             raise ValueError(
                 f"matrix dimensions must be nonnegative, got {self.rows}×{self.cols}."

@@ -478,10 +478,6 @@ class LambdaVector:
 
     entries: tuple[LambdaEntry, ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(entry.value.is_zero for entry in self.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"

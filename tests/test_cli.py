@@ -746,6 +746,7 @@ def long_field_document():
     [
         (["class", '[["x"]]'], "matrix entry (0, 0) must be an integer, got 'x'."),
         (["class", '"x"'], "matrix input must be a JSON list of rows, got '\"x\"'."),
+        (["class", "[[1,2],[3]]"], "matrix rows must all have the same length."),
         (
             ["class", "nonsense"],
             "could not parse matrix 'nonsense': Expecting value: line 1 column 1 (char 0).",

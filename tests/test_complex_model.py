@@ -880,6 +880,30 @@ MALFORMED = [
     (("name",), 5, "name must be a string."),
     (("description",), ["d"], "description must be a string."),
     (("group",), {"builtin": 2}, "group.builtin must be a string name."),
+    (("group", "labels"), [True, False], "expected a string at group.labels[0], got bool."),
+    (("group", "labels", 1), 1, "expected a string at group.labels[1], got int."),
+    ((*CLASS, "component"), None, "expected a string at iso_classes[0].component, got NoneType."),
+    (
+        (*CLASS, "subgroup_class", 0),
+        1,
+        "expected a string at iso_classes[0].subgroup_class[0], got int.",
+    ),
+    ((*CLASS, "weyl"), ["1", None], "expected a string at iso_classes[0].weyl[1], got NoneType."),
+    (
+        (*DEGREE0, "stabilizers"),
+        [["1"], [1]],
+        f"expected a string at {AT_DEGREE0}.stabilizers[1][0], got int.",
+    ),
+    (
+        ("fixed_points", 0, "component"),
+        None,
+        "expected a string at fixed_points[0].component, got NoneType.",
+    ),
+    (
+        ("fixed_points", 0, "subgroup_class"),
+        [1.0],
+        "expected a string at fixed_points[0].subgroup_class[0], got float.",
+    ),
     (
         ("group",),
         {"labels": ["1", "g"]},

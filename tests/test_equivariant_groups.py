@@ -1046,6 +1046,109 @@ def test_group_ring_element_refuses_terms_that_are_not_ints(terms, message):
     assert str(caught.value) == message
 
 
+# ---------------------------------------------------------------------------
+# refusals of the public constructors and operations
+
+Z2 = FiniteGroup.builtin("Z2")
+T1, T2 = AutGroup.translations(1), AutGroup.translations(2)
+
+
+def zeros(aut, rows, cols):
+    return GroupRingMatrix(aut, rows, cols, (GroupRingElement(aut, ()),) * (rows * cols))
+
+
+PUBLIC_REFUSALS = [
+    # (call, exception type, exact message)
+    (lambda: FiniteGroup.builtin("Zn:0"), ValueError, "cyclic group order must be positive, got 0."),
+    (
+        lambda: FiniteGroup.builtin("Sym:0"),
+        ValueError,
+        "symmetric group degree must be positive, got 0.",
+    ),
+    (
+        lambda: weyl_group(FiniteGroup.builtin("Z2xZ2"), Subgroup(Z2, [0, 1])),
+        ValueError,
+        "subgroup does not belong to the given group.",
+    ),
+    (lambda: Subgroup(Z2, [0, 2]), ValueError, "subgroup member index 2 outside the group."),
+    (lambda: Subgroup(Z2, [0, -1]), ValueError, "subgroup member index -1 outside the group."),
+    (lambda: AutGroup(-1, Z2), ValueError, "translation rank must be nonnegative, got -1."),
+    (
+        lambda: AutGroup(1, Z2, [IntMatrix.identity(1)]),
+        ValueError,
+        "need one action matrix per Weyl element (2), got 1.",
+    ),
+    (
+        lambda: AutGroup(1, Z2, [IntMatrix.identity(1), IntMatrix.identity(2)]),
+        ValueError,
+        "action matrix for 'g' must be 1×1, got 2×2.",
+    ),
+    (
+        lambda: GroupRingElement.basis(T1, (0,), 0) + GroupRingElement.basis(T2, (0, 0), 0),
+        ValueError,
+        "cannot combine elements over different automorphism groups.",
+    ),
+    (
+        lambda: GroupRingElement.basis(T1, (0,), 0) * GroupRingElement.basis(T2, (0, 0), 0),
+        ValueError,
+        "cannot combine elements over different automorphism groups.",
+    ),
+    (
+        lambda: zeros(T1, 1, 1) @ zeros(T2, 1, 1),
+        ValueError,
+        "cannot combine elements over different automorphism groups.",
+    ),
+    (
+        lambda: TwistData(IntMatrix(1, 2, (1, 0))),
+        ValueError,
+        "twist matrix must be square, got 1×2.",
+    ),
+    (
+        lambda: twisted_classes(T1, TwistData(IntMatrix.identity(1))).representative((1, 2)),
+        ValueError,
+        "vector of length 2 does not match rank 1.",
+    ),
+    (
+        lambda: GroupRingElement(T1, [((1, 2), 0, 1)]),
+        ValueError,
+        "support vector of length 2 does not match rank 1.",
+    ),
+    (lambda: GroupRingElement(T1, [((1,), 1, 1)]), ValueError, "Weyl index 1 outside 0..0."),
+    (
+        lambda: GroupRingMatrix(T1, -1, 1, ()),
+        ValueError,
+        "matrix dimensions must be nonnegative, got -1×1.",
+    ),
+    (
+        lambda: GroupRingMatrix(T1, 1, 2, zeros(T1, 1, 1).entries),
+        ValueError,
+        "expected 2 entries for 1×2, got 1.",
+    ),
+    (
+        lambda: GroupRingMatrix(T1, 1, 1, zeros(T2, 1, 1).entries),
+        ValueError,
+        "matrix entries must share the matrix's automorphism group.",
+    ),
+    (lambda: zeros(T1, 1, 1).entry(1, 0), IndexError, "entry (1, 0) outside 1×1 matrix."),
+    (lambda: zeros(T1, 1, 1) + zeros(T1, 1, 2), ValueError, "shape mismatch: 1×1 vs 1×2."),
+    (lambda: zeros(T1, 1, 1) @ zeros(T1, 2, 1), ValueError, "cannot multiply 1×1 by 2×1."),
+    (
+        lambda: zeros(T1, 1, 2).trace(),
+        ValueError,
+        "trace requires a square matrix, got 1×2.",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", PUBLIC_REFUSALS, ids=[message for *_, message in PUBLIC_REFUSALS]
+)
+def test_public_refusal_message_is_pinned(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 COMBINER_AUTS = (
     AutGroup(0, FiniteGroup.builtin("trivial")),
     AutGroup(1, FiniteGroup.builtin("Z2"), [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]),

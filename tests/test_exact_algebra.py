@@ -28,7 +28,14 @@ from eqlef.exact_algebra import (
     factor_over_Q,
     polynomial_sort_key,
 )
-from eqlef.equivariant_groups import AutGroup, TwistData, twisted_classes
+from eqlef.equivariant_groups import (
+    AutGroup,
+    FiniteGroup,
+    GroupRingMatrix,
+    Subgroup,
+    TwistData,
+    twisted_classes,
+)
 from eqlef.invariants import ClassSum
 from eqlef.uz import UZClass
 
@@ -297,6 +304,36 @@ INTEGER_CONSTRUCTOR_REFUSALS = [
         .representative(["3"]),
         "vector entry 0 is a string, not an integer.",
     ),
+    (lambda: IntMatrix(2.0, 2.0, (1, 0, 0, 1)), "row count is a float, not an integer."),
+    (lambda: IntMatrix(1, True, (1,)), "column count is a boolean, not an integer."),
+    (
+        lambda: Subgroup(FiniteGroup.builtin("Z2"), [0, 1.7]),
+        "subgroup member 1 is a float, not an integer.",
+    ),
+    (
+        lambda: Subgroup(FiniteGroup.builtin("Z2"), ["0", "1"]),
+        "subgroup member 0 is a string, not an integer.",
+    ),
+    (
+        lambda: Subgroup(FiniteGroup.builtin("Z2"), [False, True]),
+        "subgroup member 0 is a boolean, not an integer.",
+    ),
+    (
+        lambda: AutGroup(True, FiniteGroup.builtin("Z2")),
+        "translation rank is a boolean, not an integer.",
+    ),
+    (
+        lambda: AutGroup(1.5, FiniteGroup.builtin("Z2")),
+        "translation rank is a float, not an integer.",
+    ),
+    (
+        lambda: GroupRingMatrix(AutGroup.translations(0), 1.0, 1.0, ()),
+        "row count is a float, not an integer.",
+    ),
+    (
+        lambda: GroupRingMatrix(AutGroup.translations(0), 0, "0", ()),
+        "column count is a string, not an integer.",
+    ),
 ]
 
 
@@ -305,6 +342,60 @@ def test_integer_constructors_refuse_values_that_are_not_ints(build, message):
     # nothing is truncated or converted: 1.5 is not read as 1, nor True as 1
     with pytest.raises(ValueError) as caught:
         build()
+    assert str(caught.value) == message
+
+
+MATRIX_AND_POLYNOMIAL_REFUSALS = [
+    # (call, exception type, exact message)
+    (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix dimensions must be nonnegative, got -1×0."),
+    (
+        lambda: IntMatrix(2, 2, (1, 2, 3)),
+        ValueError,
+        "expected 4 entries for a 2×2 matrix, got 3.",
+    ),
+    (
+        lambda: IntMatrix.from_rows([[1, 2], [3]]),
+        ValueError,
+        "ragged matrix rows: row 0 has 2 entries, row 1 has 1.",
+    ),
+    (lambda: IntMatrix.identity(2).entry(0, 2), IndexError, "entry (0, 2) outside 2×2 matrix."),
+    (
+        lambda: IntMatrix.identity(2).apply_to_vector((1,)),
+        ValueError,
+        "vector of length 1 does not match 2×2.",
+    ),
+    (
+        lambda: IntMatrix.identity(2) + IntMatrix.identity(1),
+        ValueError,
+        "shape mismatch: 2×2 vs 1×1.",
+    ),
+    (
+        lambda: IntMatrix.identity(2) - IntMatrix.zeros(2, 1),
+        ValueError,
+        "shape mismatch: 2×2 vs 2×1.",
+    ),
+    (
+        lambda: IntMatrix.zeros(1, 2).trace(),
+        ValueError,
+        "trace requires a square matrix, got 1×2.",
+    ),
+    (lambda: factor_over_Q(IntPolynomial(())), ValueError, "cannot factor the zero polynomial."),
+    (
+        lambda: IntPolynomial((1, 1)) ** -1,
+        ValueError,
+        "polynomial exponent must be nonnegative, got -1.",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    MATRIX_AND_POLYNOMIAL_REFUSALS,
+    ids=[message for *_, message in MATRIX_AND_POLYNOMIAL_REFUSALS],
+)
+def test_matrix_and_polynomial_refusal_message_is_pinned(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
     assert str(caught.value) == message
 
 

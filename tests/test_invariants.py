@@ -257,6 +257,74 @@ def test_reidemeister_trace_matches_fixed_point_data():
             assert from_points == reidemeister_trace(iso), (name, iso.label())
 
 
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_fixed_point_data_needs_a_twisted_class_set(name):
+    with pytest.raises(ValueError) as caught:
+        reidemeister_from_fixed_points(load_builtin(name).fixed_points, None)
+    assert str(caught.value) == "a twisted class set is required for nonempty fixed-point data."
+
+
+def z2_document(iso_classes):
+    return {"format_version": 1, "group": {"builtin": "Z2"}, "iso_classes": iso_classes}
+
+
+NO_CHAIN_CLASS = {
+    "subgroup_class": ["1"],
+    "component": "c",
+    "pi1_rank": 0,
+    "phi_pi": [],
+    "chain": [],
+}
+
+
+def test_a_class_with_no_chain_has_zero_invariants():
+    c = load_complex(z2_document([NO_CHAIN_CLASS]))
+    assert build_report(c) == {
+        "group": {"order": 2, "labels": ["1", "g"]},
+        "classes": [
+            {
+                "subgroup_class": ["1"],
+                "component": "c",
+                "orbit_size": 1,
+                "u": {"rendered": "0", "terms": []},
+                "lambda": [],
+                "reidemeister": [],
+                "lefschetz": 0,
+            }
+        ],
+        "ell": {
+            "rendered": "0",
+            "slots": [
+                {
+                    "subgroup_class": ["1"],
+                    "total": [],
+                    "contributions": [{"component": "c", "orbit_size": 1, "value": []}],
+                }
+            ],
+        },
+        "vanishing": {"ell_zero": True, "lambda_zero": True, "consistent": True},
+    }
+    assert render_report(c) == """complex (group order 2)
+  (subgroup {1}, component 'c'):
+    u = 0
+    lambda = 0
+    R = 0
+    L = 0
+  ell = 0
+  vanishing: ell zero: yes; lambda zero: yes; consistent: yes"""
+
+
+def test_a_complex_with_no_classes_renders_each_invariant_as_zero():
+    c = load_complex(z2_document([]))
+    invariants = (universal_invariant, lambda_invariant, klein_williams)
+    assert [str(invariant(c)) for invariant in invariants] == ["0", "0", "0"]
+    assert render_report(c) == (
+        "complex (group order 2)\n"
+        "  ell = 0\n"
+        "  vanishing: ell zero: yes; lambda zero: yes; consistent: yes"
+    )
+
+
 def test_hopf_augmentation_on_corpus():
     # the augmentation of the Reidemeister trace is the Lefschetz number
     for name in ("example1", "example2", "example3"):
