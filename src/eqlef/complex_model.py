@@ -33,6 +33,7 @@ from .equivariant_groups import (
     Subgroup,
     TwistData,
     _check_group_order,
+    _require_names,
     _shown,
     weyl_group,
 )
@@ -95,14 +96,6 @@ def _require_list(value: Any, where: str) -> list:
             where, lambda at: f"expected an array at {at}, got {type(value).__name__}."
         )
     return list(value)
-
-
-def _require_names(values: Sequence[Any], where: Callable[[int], str]) -> Sequence[Any]:
-    """``values``, if each is a ``str``; the first that is not is refused at ``where(i)``."""
-    for i, value in enumerate(values):
-        if type(value) is not str:
-            raise ValueError(f"expected a string at {where(i)}, got {type(value).__name__}.")
-    return values
 
 
 def _check_allowed_keys(mapping: Mapping, allowed: AbstractSet[str], where: str) -> None:

@@ -47,7 +47,7 @@ import functools
 import itertools
 import operator
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact_algebra import _DIMENSIONS, IntMatrix, _require_ints
 
@@ -102,6 +102,14 @@ def _shown(text: str) -> str:
 def _shown_name(name: str) -> str:
     """A builtin group name for a message: quoted, or shortened once it is long."""
     return f"'{name}'" if len(name) <= _MAX_SHOWN else _shown(name)
+
+
+def _require_names(values: Sequence[Any], where: Callable[[int], str]) -> Sequence[Any]:
+    """``values``, if each is a ``str``; the first that is not is refused at ``where(i)``."""
+    for i, value in enumerate(values):
+        if type(value) is not str:
+            raise ValueError(f"expected a string at {where(i)}, got {type(value).__name__}.")
+    return values
 
 
 def _name_number(name: str, kind: str, form: str) -> int:
@@ -164,8 +172,8 @@ class FiniteGroup:
     satisfy it are closed under products, so this holds for every g exactly
     when the table is associative, at O(n²·|S|) cost.  S is kept as
     ``generators``, and every group map in the package is checked on it.
-    Each table entry must be an ``int``; a boolean, float or string is
-    refused, not converted.  Only builtins and explicit tables are
+    Each label must be a ``str`` and each table entry an ``int``; anything
+    else is refused, not converted.  Only builtins and explicit tables are
     validated; :func:`weyl_group` quotients and :meth:`restricted_to` are
     derived from a validated group and skip the checks, and the quotient by
     the trivial subgroup is this group itself.
@@ -181,7 +189,7 @@ class FiniteGroup:
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]) -> None:
         _check_group_order(len(labels), "the group")
-        label_tuple = tuple(str(label) for label in labels)
+        label_tuple = tuple(_require_names(labels, lambda i: f"labels[{i}]"))
         n = len(label_tuple)
         if n == 0:
             raise ValueError("a group must have at least one element.")
@@ -321,6 +329,7 @@ class FiniteGroup:
         return min(row[k] for k in members)
 
     def element_index(self, label: str) -> int:
+        _require_names((label,), lambda _: "label")
         try:
             return self.labels.index(label)
         except ValueError:
@@ -860,7 +869,7 @@ class GroupRingElement:
     coefficient must be an ``int``; a boolean, float or string is refused,
     not converted), then builds the element, as the document decoder and
     the arithmetic below do, with the unchecked combiner :meth:`_combined`,
-    since terms made from valid terms are valid.
+    since terms made from valid terms are valid.  A scale factor is checked too.
 
     >>> aut = AutGroup(0, FiniteGroup.builtin("Z2"))
     >>> e = GroupRingElement.basis(aut, (), 1)
@@ -941,6 +950,8 @@ class GroupRingElement:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         _require_same_aut(self.aut, other.aut)
         return GroupRingElement._combined(self.aut, self.terms + other.terms)
 
@@ -948,14 +959,19 @@ class GroupRingElement:
         return self.scale(-1)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, factor: int) -> "GroupRingElement":
+        _require_ints((factor,), lambda _: "scale factor")
         return GroupRingElement._combined(
             self.aut, [(v, w, factor * c) for v, w, c in self.terms]
         )
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
         _require_same_aut(self.aut, other.aut)
         return GroupRingElement._combined(
             self.aut, _product_terms(self.aut, self.terms, other.terms)

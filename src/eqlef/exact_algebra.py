@@ -192,8 +192,8 @@ class IntPolynomial:
 
     Trailing zero coefficients are stripped on construction, so the zero
     polynomial has an empty coefficient tuple and every nonzero polynomial
-    has a nonzero leading coefficient.  Each coefficient must be an ``int``;
-    a boolean, float or string is refused, not converted.
+    has a nonzero leading coefficient.  Each coefficient and exponent must be
+    an ``int``; a boolean, float or string is refused, not converted.
 
     >>> p = IntPolynomial((-5, 2, 0, 1))
     >>> str(p)
@@ -253,6 +253,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(_mul(self.coefficients, other.coefficients)))
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
+        _require_ints((exponent,), lambda _: "polynomial exponent")
         if exponent < 0:
             raise ValueError(f"polynomial exponent must be nonnegative, got {exponent}.")
         result = IntPolynomial.one()
@@ -545,7 +546,7 @@ class FormalSum:
     the hook :meth:`normal_keys` lets a subclass rewrite one key into
     several, each counted with the key's coefficient.  :meth:`scale`, ``+``
     and ``−`` combine terms that are already normal, so they skip the hooks;
-    both operands of ``+`` and ``−`` are sums of the same kind.  A coefficient
+    ``+`` and ``−`` take two sums of one kind.  A coefficient or scale factor
     must be an ``int``: a boolean, float or string is refused, not converted.
 
     >>> a = FormalSum.from_mapping({"y": 2, "x": 1})
@@ -612,13 +613,18 @@ class FormalSum:
         return not self.terms
 
     def scale(self, factor: int) -> "FormalSum":
+        _require_ints((factor,), lambda _: "scale factor")
         return self._from_normal((key, factor * c) for key, c in self.terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
+        if type(other) is not type(self):
+            return NotImplemented
         return self._from_normal(self.terms + other.terms)
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)

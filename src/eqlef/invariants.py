@@ -26,6 +26,8 @@ Computes, for a validated :class:`~eqlef.complex_model.EquivariantComplex`:
 * :func:`vanishing_report` -- simultaneous-vanishing consistency of ℓ and λ,
 * :func:`build_report` / :func:`render_report` -- deterministic JSON and
   human-readable summaries.
+
+λ, ℓ, the vanishing check and both reports read one analysis pass per complex.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .equivariant_groups import (
     GroupRingMatrix,
     Subgroup,
     TwistedClassSet,
+    _require_names,
+    _shown,
     pi1_projection,
     twisted_classes,
 )
@@ -493,9 +497,10 @@ def lambda_invariant(c: EquivariantComplex) -> LambdaVector:
     In each degree p the non-masked square part of the chain map contributes
     its group-ring trace with sign (−1)^p; the sum is projected to twisted
     conjugacy classes once (support elements with nontrivial Weyl part
-    vanish).  With a trivial Weyl group and no masked cell this is R.
+    vanish).  Read off the analysis pass :func:`_analyze`, like ℓ and the reports.
     """
-    entries = (_lambda_entry(iso, twisted_classes(iso.aut, iso.twist)) for iso in c.classes)
+    rows = _analyze(c).rows
+    entries = (LambdaEntry(iso.subgroup.member_labels, iso.component, v) for iso, v, _, _ in rows)
     return LambdaVector(entries=tuple(entries))
 
 
@@ -521,15 +526,6 @@ def _alternating_projection(
         ),
     )
     return ClassSum._from_normal(pi1_projection(summed, classes).items())
-
-
-def _lambda_entry(iso: IsoClassData, classes: TwistedClassSet) -> LambdaEntry:
-    """The λ entry of ``iso``, given its Weyl-merged twisted class set."""
-    return LambdaEntry(
-        subgroup_labels=iso.subgroup.member_labels,
-        component=iso.component,
-        value=_alternating_projection(iso, (e.relative_map for e in iso.degrees), classes),
-    )
 
 
 def reidemeister_trace(d: IsoClassData) -> ClassSum:
@@ -631,25 +627,9 @@ def klein_williams(c: EquivariantComplex) -> EllInvariant:
     components): compute the Reidemeister trace, identify twisted classes
     along the Weyl action of the component's stabilizer, multiply by the
     orbit size, and add into the slot of the subgroup conjugacy class.  With a
-    trivial Weyl group nothing is identified: the summand is orbit·R.
+    trivial Weyl group the summand is orbit·R.  Read off :func:`_analyze`.
     """
-    return _ell(_ell_part(iso, reidemeister_trace(iso)) for iso in c.classes)
-
-
-def _ell_part(
-    iso: IsoClassData, trace: ClassSum, classes: TwistedClassSet | None = None
-) -> tuple[tuple[int, ...], EllContribution]:
-    """The slot key and ℓ contribution of ``iso``: orbit·R, R's keys reduced over the
-    Weyl-merged ``classes`` (built if not given) unless W is trivial."""
-    if iso.aut.weyl.order != 1:
-        classes = classes or twisted_classes(iso.aut, iso.twist)
-        trace = ClassSum(tuple((classes.representative(v), n) for v, n in trace.terms))
-    return iso.subgroup.members, EllContribution(
-        subgroup_labels=iso.subgroup.member_labels,
-        component=iso.component,
-        orbit_size=iso.orbit_size,
-        value=trace.scale(iso.orbit_size),
-    )
+    return _analyze(c).ell
 
 
 def _ell(parts: Iterable[tuple[tuple[int, ...], EllContribution]]) -> EllInvariant:
@@ -688,7 +668,9 @@ def _validate_embedding(
     (the a that pass for all b are closed under products) or, when it has none,
     its identity.
     """
-    mapping = {str(k): str(v) for k, v in embedding.items()}
+    mapping = dict(embedding)
+    _require_names(tuple(mapping), lambda i: f"list(embedding)[{i}]")
+    _require_names(tuple(mapping.values()), lambda i: f"embedding['{_shown(list(mapping)[i])}']")
     missing = sorted(set(h_group.labels) - set(mapping))
     if missing:
         raise ValueError(f"embedding must map every source group element; missing {missing}.")
@@ -848,13 +830,9 @@ def vanishing_report(c: EquivariantComplex) -> dict:
     return _analyze(c).vanishing
 
 
-def _vanishing(ell_zero: bool, lambda_zero: bool) -> dict:
-    return {"ell_zero": ell_zero, "lambda_zero": lambda_zero, "consistent": ell_zero == lambda_zero}
-
-
 @dataclasses.dataclass(frozen=True)
 class _Analysis:
-    """Every invariant of one complex but u, each computed once.
+    """Every invariant of one complex but u, each computed once for all its readers.
 
     ``rows`` holds one ``(class, λ, R, L)`` tuple per isotropy class, in
     document order.
@@ -866,20 +844,29 @@ class _Analysis:
 
 
 def _analyze(c: EquivariantComplex) -> _Analysis:
-    """With a trivial W, ℓ's summand is orbit·R; with no masked cell as well, λ is R
-    (one matrix, equal class sets).  L is computed apart: aug(R) = L stays a check.
-    u is left to the reports, so :func:`vanishing_report` shares this pass."""
+    """The one pass that picks each class's class set and matrices for λ and ℓ.
+
+    λ, ℓ, the vanishing check and the reports all read it.  A nontrivial W's merged
+    class set serves λ and ℓ; with a trivial W, ℓ's summand is orbit·R, and with no
+    masked cell as well λ is R.  L is summed apart, so aug(R) = L stays a check."""
     rows, parts = [], []
     for iso in c.classes:
-        trace = reidemeister_trace(iso)
-        masked = any(any(entry.relative_mask) for entry in iso.degrees)
-        classes = twisted_classes(iso.aut, iso.twist) if masked or iso.aut.weyl.order != 1 else None
-        parts.append(_ell_part(iso, trace, classes))
-        l_value = trace if classes is None else _lambda_entry(iso, classes).value
+        trace = ell_value = l_value = reidemeister_trace(iso)
+        weyl_moves = iso.aut.weyl.order != 1
+        if weyl_moves or any(any(entry.relative_mask) for entry in iso.degrees):
+            classes = twisted_classes(iso.aut, iso.twist)
+            l_value = _alternating_projection(iso, (e.relative_map for e in iso.degrees), classes)
+            if weyl_moves:
+                ell_value = ClassSum(tuple((classes.representative(v), n) for v, n in trace.terms))
+        size, labels = iso.orbit_size, iso.subgroup.member_labels
+        part = EllContribution(labels, iso.component, size, ell_value.scale(size))
+        parts.append((iso.subgroup.members, part))
         rows.append((iso, l_value, trace, lefschetz_number(iso)))
     ell = _ell(parts)
     lambda_zero = all(l_value.is_zero for _, l_value, _, _ in rows)
-    return _Analysis(rows=tuple(rows), ell=ell, vanishing=_vanishing(ell.is_zero, lambda_zero))
+    vanishing = {"ell_zero": ell.is_zero, "lambda_zero": lambda_zero}
+    vanishing["consistent"] = ell.is_zero == lambda_zero
+    return _Analysis(rows=tuple(rows), ell=ell, vanishing=vanishing)
 
 
 def _encode_class_sum(value: ClassSum) -> list[dict]:
@@ -961,7 +948,6 @@ def build_report(c: EquivariantComplex) -> dict:
 def render_report(c: EquivariantComplex) -> str:
     """A human-readable summary of every invariant of the complex."""
     analysis = _analyze(c)
-    vanishing = analysis.vanishing
     lines = []
     title = c.name if c.name is not None else "complex"
     lines.append(f"{title} (group order {c.group.order})")
@@ -975,11 +961,7 @@ def render_report(c: EquivariantComplex) -> str:
         lines.append(f"    R = {trace}")
         lines.append(f"    L = {lefschetz}")
     lines.append(f"  ell = {analysis.ell}")
-    lines.append(
-        "  vanishing: ell zero: {}; lambda zero: {}; consistent: {}".format(
-            "yes" if vanishing["ell_zero"] else "no",
-            "yes" if vanishing["lambda_zero"] else "no",
-            "yes" if vanishing["consistent"] else "no",
-        )
-    )
+    answers = (analysis.vanishing[key] for key in ("ell_zero", "lambda_zero", "consistent"))
+    yes_no = ("yes" if answer else "no" for answer in answers)
+    lines.append("  vanishing: ell zero: {}; lambda zero: {}; consistent: {}".format(*yes_no))
     return "\n".join(lines)

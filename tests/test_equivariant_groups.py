@@ -1149,6 +1149,60 @@ def test_public_refusal_message_is_pinned(call, error, message):
     assert str(caught.value) == message
 
 
+E1 = GroupRingElement.basis(AutGroup(0, Z2), (), 1)
+
+KIND_REFUSALS = [
+    # (call, exception type, exact message): labels are strings, scale factors
+    # ints, and group-ring arithmetic takes group-ring elements
+    (
+        lambda: FiniteGroup([True, None], [[0, 1], [1, 0]]),
+        ValueError,
+        "expected a string at labels[0], got bool.",
+    ),
+    (
+        lambda: FiniteGroup(["1", 1], [[0, 1], [1, 0]]),
+        ValueError,
+        "expected a string at labels[1], got int.",
+    ),
+    (
+        lambda: FiniteGroup([None] * 121, []),  # the order is checked first
+        ValueError,
+        "the group has 121 elements; groups are limited to MAX_GROUP_ORDER = 120 elements.",
+    ),
+    (lambda: Z2.element_index(0), ValueError, "expected a string at label, got int."),
+    (lambda: Subgroup.from_labels(Z2, [1]), ValueError, "expected a string at label, got int."),
+    (lambda: E1.scale(2.5), ValueError, "scale factor is a float, not an integer."),
+    (
+        lambda: E1 + 1,
+        TypeError,
+        "unsupported operand type(s) for +: 'GroupRingElement' and 'int'",
+    ),
+    (
+        lambda: E1 - 1,
+        TypeError,
+        "unsupported operand type(s) for -: 'GroupRingElement' and 'int'",
+    ),
+    (
+        lambda: E1 * 2,
+        TypeError,
+        "unsupported operand type(s) for *: 'GroupRingElement' and 'int'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", KIND_REFUSALS, ids=[message for *_, message in KIND_REFUSALS]
+)
+def test_labels_factors_and_operands_of_another_kind_are_refused(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+    # string labels, integer factors and elements of one group are unchanged
+    assert Z2.element_index("g") == 1 and Subgroup.from_labels(Z2, ["1"]).members == (0,)
+    assert (E1 + E1).terms == E1.scale(2).terms == (((), 1, 2),) and (E1 - E1).is_zero
+    assert (E1 * E1).terms == (((), 0, 1),)
+
+
 COMBINER_AUTS = (
     AutGroup(0, FiniteGroup.builtin("trivial")),
     AutGroup(1, FiniteGroup.builtin("Z2"), [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]),

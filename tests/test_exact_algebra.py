@@ -37,7 +37,7 @@ from eqlef.equivariant_groups import (
     twisted_classes,
 )
 from eqlef.invariants import ClassSum
-from eqlef.uz import UZClass
+from eqlef.uz import UZClass, class_of_matrix
 
 from matrix_builders import block_upper_triangular, companion_matrix, laplace_det
 
@@ -397,6 +397,71 @@ def test_matrix_and_polynomial_refusal_message_is_pinned(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+
+
+SUM_KIND_REFUSALS = [
+    # (call, exception type, exact message): scale factors and exponents are ints,
+    # and + and − take two sums of one kind
+    (
+        lambda: ClassSum.from_mapping({(): 2}).scale(1.5),
+        ValueError,
+        "scale factor is a float, not an integer.",
+    ),
+    (
+        lambda: class_of_matrix(IntMatrix.identity(2)).scale(0.5),
+        ValueError,
+        "scale factor is a float, not an integer.",
+    ),
+    (lambda: ClassSum.zero().scale(True), ValueError, "scale factor is a boolean, not an integer."),
+    (
+        lambda: IntPolynomial((1, 1)) ** True,
+        ValueError,
+        "polynomial exponent is a boolean, not an integer.",
+    ),
+    (
+        lambda: IntPolynomial((1, 1)) ** 2.0,
+        ValueError,
+        "polynomial exponent is a float, not an integer.",
+    ),
+    (
+        lambda: ClassSum.zero() + UZClass.zero(),
+        TypeError,
+        "unsupported operand type(s) for +: 'ClassSum' and 'UZClass'",
+    ),
+    (
+        lambda: UZClass.zero() + ClassSum.zero(),
+        TypeError,
+        "unsupported operand type(s) for +: 'UZClass' and 'ClassSum'",
+    ),
+    (
+        lambda: UZClass.zero() - ClassSum.zero(),
+        TypeError,
+        "unsupported operand type(s) for -: 'UZClass' and 'ClassSum'",
+    ),
+    (
+        lambda: ClassSum.zero() + 1,
+        TypeError,
+        "unsupported operand type(s) for +: 'ClassSum' and 'int'",
+    ),
+    (
+        lambda: ClassSum.zero() - 1,
+        TypeError,
+        "unsupported operand type(s) for -: 'ClassSum' and 'int'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", SUM_KIND_REFUSALS, ids=[message for *_, message in SUM_KIND_REFUSALS]
+)
+def test_sum_arithmetic_refuses_other_kinds_and_non_integer_factors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+    # sums of one kind and integer factors are unchanged
+    a = ClassSum.from_mapping({(): 2, (1,): -1})
+    assert (a - a.scale(2) + a).is_zero and (a + a).terms == (((), 4), ((1,), -2))
+    assert IntPolynomial((1, 1)) ** 2 == IntPolynomial((1, 2, 1))
 
 
 def test_polynomial_sort_key_frozen_order():

@@ -1015,6 +1015,24 @@ def test_embedding_check_on_generators_matches_full_reference():
     assert verdicts[True] >= 60 and verdicts[False] >= 60
 
 
+EMBEDDING_LABEL_REFUSALS = [
+    # labels are refused, not converted with str()
+    ("Z2", {1: "1", "g": "g"}, "expected a string at list(embedding)[0], got int."),
+    ("Z2", {"1": "1", "g": None}, "expected a string at embedding['g'], got NoneType."),
+    ("Z2", {"1": "1", "g": 1}, "expected a string at embedding['g'], got int."),
+    ("Sym:1", {"1": 0}, "expected a string at embedding['1'], got int."),
+]
+
+
+@pytest.mark.parametrize("target, embedding, message", EMBEDDING_LABEL_REFUSALS)
+def test_induce_refuses_embedding_labels_that_are_not_strings(target, embedding, message):
+    # example1 lives over Z2, the torus map over the trivial group
+    c = load_builtin("example1") if target == "Z2" else load_complex(torus_document((2,)))
+    with pytest.raises(ValueError) as caught:
+        induce(c, FiniteGroup.builtin(target), embedding)
+    assert str(caught.value) == message
+
+
 def test_embedding_of_the_trivial_group_must_hit_the_identity():
     trivial, z2 = FiniteGroup.builtin("trivial"), FiniteGroup.builtin("Z2")
     assert _validate_embedding(trivial, z2, {"1": "1"}) == {"1": 0}
@@ -1319,31 +1337,33 @@ def test_render_report_full_text(name):
     assert render_report(load_builtin(name)) == RENDERED_BUILTINS[name]
 
 
-@pytest.mark.parametrize("report", [build_report, render_report])
-def test_report_computes_each_invariant_once(monkeypatch, report):
+COUNTED_IN_THE_PASS = (
+    "reidemeister_trace",
+    "lefschetz_number",
+    "twisted_classes",
+    "pi1_projection",
+)
+
+
+def count_calls(monkeypatch, names):
+    """A Counter of the calls each function in ``names`` of ``eqlef.invariants`` gets."""
     from eqlef import invariants
 
-    calls = {}
-
-    def counting(name):
+    calls = collections.Counter()
+    for name in names:
         original = getattr(invariants, name)
+        monkeypatch.setattr(
+            invariants,
+            name,
+            lambda *args, _name=name, _original=original: calls.update([_name]) or _original(*args),
+        )
+    return calls
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
 
-        return wrapper
-
-    counted = (
-        "reidemeister_trace",
-        "lefschetz_number",
-        "_lambda_entry",
-        "universal_invariant",
-        "twisted_classes",
-        "pi1_projection",
-    )
-    for name in counted:
-        monkeypatch.setattr(invariants, name, counting(name))
+@pytest.mark.parametrize("report", [build_report, render_report])
+def test_report_computes_each_invariant_once(monkeypatch, report):
+    counted = (*COUNTED_IN_THE_PASS, "_alternating_projection", "universal_invariant")
+    calls = count_calls(monkeypatch, counted)
     c = load_builtin("example3")
     report(c)
     per_class = len(c.classes)
@@ -1358,8 +1378,22 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
     assert calls == {
         "reidemeister_trace": per_class,
         "lefschetz_number": per_class,
-        "_lambda_entry": 3,
+        "_alternating_projection": per_class + 3,
         "universal_invariant": 1,
+        "twisted_classes": 8,
+        "pi1_projection": 8,
+    }
+
+
+@pytest.mark.parametrize("view", [lambda_invariant, klein_williams, vanishing_report])
+def test_each_public_invariant_alone_makes_the_report_pass_calls(monkeypatch, view):
+    # λ, ℓ and the vanishing check are views of one pass: each called alone
+    # computes R and L per class and the same class sets as the reports, and no u
+    calls = count_calls(monkeypatch, (*COUNTED_IN_THE_PASS, "universal_invariant"))
+    view(load_builtin("example3"))
+    assert calls == {
+        "reidemeister_trace": 5,
+        "lefschetz_number": 5,
         "twisted_classes": 8,
         "pi1_projection": 8,
     }
@@ -1368,16 +1402,7 @@ def test_report_computes_each_invariant_once(monkeypatch, report):
 def test_vanishing_report_projects_a_free_unmasked_class_once(monkeypatch):
     """On T³ (trivial W, no masked cell) λ is R, so R is projected once, as in the
     reports, and u is not computed."""
-    from eqlef import invariants
-
-    calls = collections.Counter()
-    for name in ("pi1_projection", "universal_invariant"):
-        original = getattr(invariants, name)
-        monkeypatch.setattr(
-            invariants,
-            name,
-            lambda *args, _name=name, _original=original: calls.update([_name]) or _original(*args),
-        )
+    calls = count_calls(monkeypatch, ("pi1_projection", "universal_invariant"))
     c = load_complex(torus_document((2, -1, 3)))
     assert vanishing_report(c) == {"ell_zero": False, "lambda_zero": False, "consistent": True}
     assert calls == {"pi1_projection": 1}
